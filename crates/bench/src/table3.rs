@@ -2,14 +2,15 @@
 //! interval bounding (VolComp substitute) and qCORAL{STRAT,PARTCACHE}
 //! (30 k samples) on the VolComp-suite subjects.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
 
 use qcoral::{Analyzer, Options};
 use qcoral_baselines::{adaptive_probability, volcomp_bounds, AdaptiveConfig, VolCompConfig};
-use qcoral_constraints::{BinOp, Expr, UnOp};
+use qcoral_constraints::{ConstraintSet, Expr};
 use qcoral_icp::domain_box;
 use qcoral_mc::UsageProfile;
 use qcoral_subjects::table3_subjects;
@@ -124,50 +125,34 @@ pub fn run_one(
 }
 
 /// Counts arithmetic operation nodes and the distinct operator kinds —
-/// the paper's "Num. Ar. Ops." column, e.g. "19,125 (3)".
-fn op_stats(cs: &qcoral_constraints::ConstraintSet) -> (usize, usize) {
-    fn walk(e: &Expr, total: &mut usize, kinds: &mut BTreeSet<String>) {
-        match e {
+/// the paper's "Num. Ar. Ops." column, e.g. "19,125 (3)". The count is
+/// over tree occurrences ([`ConstraintSet::op_count`]); the kinds come
+/// from one walk over the DAG that enters each shared node once.
+fn op_stats(cs: &ConstraintSet) -> (usize, usize) {
+    fn kinds_of(e: &Arc<Expr>, seen: &mut HashSet<*const Expr>, kinds: &mut BTreeSet<&str>) {
+        if !seen.insert(Arc::as_ptr(e)) {
+            return;
+        }
+        match &**e {
             Expr::Const(_) | Expr::Var(_) => {}
             Expr::Unary(op, c) => {
-                if !matches!(op, UnOp::Neg) {
-                    *total += 1;
-                    kinds.insert(op.name().to_owned());
-                } else {
-                    *total += 1;
-                    kinds.insert("-".to_owned());
-                }
-                walk(c, total, kinds);
+                kinds.insert(op.name());
+                kinds_of(c, seen, kinds);
             }
             Expr::Binary(op, a, b) => {
-                *total += 1;
-                kinds.insert(
-                    match op {
-                        BinOp::Add => "+",
-                        BinOp::Sub => "-",
-                        BinOp::Mul => "*",
-                        BinOp::Div => "/",
-                        BinOp::Pow => "^",
-                        BinOp::Min => "min",
-                        BinOp::Max => "max",
-                        BinOp::Atan2 => "atan2",
-                    }
-                    .to_owned(),
-                );
-                walk(a, total, kinds);
-                walk(b, total, kinds);
+                kinds.insert(op.name());
+                kinds_of(a, seen, kinds);
+                kinds_of(b, seen, kinds);
             }
         }
     }
-    let mut total = 0;
+    let mut seen = HashSet::new();
     let mut kinds = BTreeSet::new();
-    for pc in cs.pcs() {
-        for atom in pc.atoms() {
-            walk(atom.lhs(), &mut total, &mut kinds);
-            walk(atom.rhs(), &mut total, &mut kinds);
-        }
+    for atom in cs.pcs().iter().flat_map(|pc| pc.atoms()) {
+        kinds_of(atom.lhs(), &mut seen, &mut kinds);
+        kinds_of(atom.rhs(), &mut seen, &mut kinds);
     }
-    (total, kinds.len())
+    (cs.op_count(), kinds.len())
 }
 
 #[cfg(test)]

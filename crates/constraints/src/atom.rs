@@ -7,10 +7,12 @@
 //! (paper §4.1) — this is what licenses the additive composition rule of
 //! Theorem 1.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::{Domain, Expr, VarSet};
+use crate::expr::{for_each_var, tree_count};
+use crate::{Domain, Expr, VarId, VarSet};
 
 /// Relational comparison operators.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -152,16 +154,35 @@ impl Atom {
         )
     }
 
-    /// Adds every variable occurring in the atom to `out`.
+    /// Adds every variable occurring in the atom to `out`. O(DAG).
     pub fn collect_vars(&self, out: &mut VarSet) {
-        self.lhs.collect_vars(out);
-        self.rhs.collect_vars(out);
+        self.for_each_var(&mut HashSet::new(), &mut |id| {
+            out.insert(id);
+        });
     }
 
-    /// Largest variable index referenced plus one.
+    /// Largest variable index referenced plus one. O(DAG).
     pub fn var_bound(&self) -> usize {
-        self.lhs.var_bound().max(self.rhs.var_bound())
+        var_bound_of(std::slice::from_ref(self))
     }
+
+    /// Calls `f` on every variable occurrence of both sides, entering
+    /// each operator node not yet in `seen` once.
+    fn for_each_var(&self, seen: &mut HashSet<*const Expr>, f: &mut impl FnMut(VarId)) {
+        for_each_var(&self.lhs, seen, f);
+        for_each_var(&self.rhs, seen, f);
+    }
+}
+
+/// Largest variable index referenced by any of `atoms`, plus one; one
+/// walk over the union of their DAGs.
+fn var_bound_of<'a>(atoms: impl IntoIterator<Item = &'a Atom>) -> usize {
+    let mut bound = 0;
+    let mut seen = HashSet::new();
+    for atom in atoms {
+        atom.for_each_var(&mut seen, &mut |id| bound = bound.max(id.index() + 1));
+    }
+    bound
 }
 
 impl fmt::Display for Atom {
@@ -212,40 +233,50 @@ impl PathCondition {
         self.atoms.iter().all(|a| a.holds(env))
     }
 
-    /// Adds every variable occurring in the condition to `out`.
+    /// Adds every variable occurring in the condition to `out`. One walk
+    /// over the union of the atoms' DAGs.
     pub fn collect_vars(&self, out: &mut VarSet) {
+        let mut seen = HashSet::new();
         for a in &self.atoms {
-            a.collect_vars(out);
+            a.for_each_var(&mut seen, &mut |id| {
+                out.insert(id);
+            });
         }
     }
 
-    /// Largest variable index referenced plus one.
+    /// Largest variable index referenced plus one. O(DAG).
     pub fn var_bound(&self) -> usize {
-        self.atoms.iter().map(Atom::var_bound).max().unwrap_or(0)
+        var_bound_of(&self.atoms)
     }
 
     /// Rewrites every variable reference through `f` (see
-    /// [`Expr::remap_vars`]).
-    pub fn remap_vars(&self, f: &impl Fn(crate::VarId) -> crate::VarId) -> PathCondition {
+    /// [`Expr::remap_vars`]). One memo spans all atoms, so a sub-term
+    /// shared between atoms is rewritten once and stays shared.
+    pub fn remap_vars(&self, f: &impl Fn(VarId) -> VarId) -> PathCondition {
+        let mut memo = HashMap::new();
         PathCondition {
             atoms: self
                 .atoms
                 .iter()
-                .map(|a| Atom::new(a.lhs().remap_vars(f), a.op(), a.rhs().remap_vars(f)))
+                .map(|a| {
+                    let lhs = a.lhs().remap_vars_memo(f, &mut memo);
+                    Atom::new(lhs, a.op(), a.rhs().remap_vars_memo(f, &mut memo))
+                })
                 .collect(),
         }
     }
 
     /// The conjuncts that mention at least one variable in `vars` — the
     /// `extractRelatedConstraints` projection of the paper's Algorithm 2.
+    /// O(DAG) per atom.
     pub fn project(&self, vars: &VarSet) -> PathCondition {
         let atoms = self
             .atoms
             .iter()
             .filter(|a| {
-                let mut s = VarSet::new(vars.capacity());
-                a.collect_vars(&mut s);
-                s.intersects(vars)
+                let mut hit = false;
+                a.for_each_var(&mut HashSet::new(), &mut |id| hit |= vars.contains(id));
+                hit
             })
             .cloned()
             .collect();
@@ -328,23 +359,22 @@ impl ConstraintSet {
         self.pcs.iter().map(PathCondition::len).sum()
     }
 
-    /// Total number of arithmetic operation nodes across all expressions
-    /// (the paper's "Num. Ar. Ops" column in Table 3).
+    /// Total number of arithmetic operation nodes across all expressions,
+    /// counting every tree occurrence (the paper's "Num. Ar. Ops" column
+    /// in Table 3). One memo spans the set, so the cost is O(DAG).
     pub fn op_count(&self) -> usize {
+        let mut memo = HashMap::new();
         self.pcs
             .iter()
             .flat_map(|pc| pc.atoms())
-            .map(|a| a.lhs().op_count() + a.rhs().op_count())
+            .map(|a| tree_count(a.lhs(), 0, &mut memo) + tree_count(a.rhs(), 0, &mut memo))
             .sum()
     }
 
-    /// Largest variable index referenced plus one.
+    /// Largest variable index referenced plus one: one walk over the
+    /// union of all path conditions' DAGs.
     pub fn var_bound(&self) -> usize {
-        self.pcs
-            .iter()
-            .map(PathCondition::var_bound)
-            .max()
-            .unwrap_or(0)
+        var_bound_of(self.pcs.iter().flat_map(|pc| pc.atoms()))
     }
 
     /// Keeps only the first `n` path conditions (used by the Table 4

@@ -1,20 +1,19 @@
 //! Compiled scalar evaluation tapes for path conditions.
 //!
-//! [`PathCondition::holds`](crate::PathCondition::holds) walks the
-//! expression trees recursively on every call. That is fine for small
-//! conditions, but symbolic execution builds expressions by substitution,
-//! which shares sub-terms through `Arc`s — the *tree* can be exponentially
-//! larger than the underlying DAG (the VolComp INVPEND subject reaches
-//! ~10⁵ tree nodes for one atom). Since the Monte Carlo hot path calls the
-//! predicate once per sample, that walk dominates everything.
+//! [`PathCondition::holds`](crate::PathCondition::holds) is the reference
+//! semantics: a recursive walk that evaluates a shared sub-term once per
+//! occurrence and dispatches on every node. The Monte Carlo hot path
+//! calls the predicate once per sample, so it evaluates compiled tapes
+//! instead.
 //!
 //! [`EvalTape`] compiles a whole conjunction once into a flat,
 //! deduplicated node vector:
 //!
 //! * compilation memoizes by **pointer** (each shared `Arc` sub-term is
-//!   visited once — linear in DAG size, not tree size) and by **structure**
-//!   (hash-consing on `(op, child ids)` — structurally equal but
-//!   separately allocated sub-terms also collapse);
+//!   visited once — linear in DAG size, as every expression walk is; see
+//!   [`crate::expr`]) and by **structure** (hash-consing on
+//!   `(op, child ids)` — structurally equal but separately allocated
+//!   sub-terms also collapse);
 //! * evaluation fills a flat `f64` scratch in topological order, so every
 //!   distinct sub-expression is computed exactly once per sample;
 //! * atoms are tested in order as soon as their operands are available,
@@ -26,8 +25,8 @@
 //! The same DAG walk also yields [`expr_fingerprint`] /
 //! [`PathCondition::fingerprint`]: deterministic 128-bit structural
 //! hashes computed in time linear in DAG size. Caches key on these
-//! instead of on `Expr` itself (whose `Hash`/`Display` walk the full
-//! tree — potentially exponential work) or on rendered strings.
+//! instead of on `Expr` itself (whose `Hash`/`Display` keep tree
+//! semantics, one step per occurrence) or on rendered strings.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -1,13 +1,30 @@
 //! Arithmetic expressions over input variables.
 //!
-//! Expressions are immutable trees shared through [`Arc`], so the symbolic
-//! executor can substitute sub-expressions without copying. The function
-//! inventory matches what the paper's subjects exercise: the four
-//! arithmetic operators plus `sin`, `cos`, `tan`, `asin`, `acos`, `atan`,
-//! `atan2`, `sqrt`, `exp`, `ln`, `pow`, `abs`, `min`, `max` (§6.3 lists
-//! `cos`, `pow`, `sin`, `sqrt`, `tan`, `atan2` for TSAFE; Apollo uses
-//! `sqrt`).
+//! Expressions are immutable DAGs: operands are [`Arc`]s, and the symbolic
+//! executor substitutes state by pointer, so one sub-expression can be
+//! shared by many parents. Three rules keep that sharing cheap:
+//!
+//! * every rewrite ([`Expr::substitute_fold`], [`Expr::fold`],
+//!   [`Expr::remap_vars`]) preserves sharing — a shared node is rewritten
+//!   once and an unchanged node is returned as the same `Arc`;
+//! * every analysis walk ([`Expr::collect_vars`], [`Expr::var_bound`],
+//!   [`Expr::size`], [`Expr::op_count`], and the fingerprint and tape
+//!   compiler in [`crate::ctape`]) enters each shared node once, so it
+//!   costs O(DAG) even where the *tree* is exponentially larger;
+//! * [`Expr::eval`], `Hash`, `PartialEq` and `Display` keep tree
+//!   semantics: they are the reference meaning, and hot paths use
+//!   [`crate::EvalTape`] and [`crate::expr_fingerprint`] instead.
+//!
+//! `size` and `op_count` report *tree* counts (the paper's "Num. Ar. Ops"
+//! counts every occurrence), computed as memoized multiplicities.
+//!
+//! The function inventory matches what the paper's subjects exercise:
+//! the four arithmetic operators plus `sin`, `cos`, `tan`, `asin`,
+//! `acos`, `atan`, `atan2`, `sqrt`, `exp`, `ln`, `pow`, `abs`, `min`,
+//! `max` (§6.3 lists `cos`, `pow`, `sin`, `sqrt`, `tan`, `atan2` for
+//! TSAFE; Apollo uses `sqrt`).
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -137,7 +154,7 @@ impl BinOp {
     }
 }
 
-/// An arithmetic expression tree.
+/// An arithmetic expression: a DAG whose operands are shared [`Arc`]s.
 ///
 /// # Example
 ///
@@ -203,105 +220,125 @@ impl Expr {
         }
     }
 
-    /// Adds every variable occurring in the expression to `out`.
-    pub fn collect_vars(&self, out: &mut crate::VarSet) {
+    /// The operands of an operator node, `[None, None]` for a leaf.
+    fn operands(&self) -> [Option<&Arc<Expr>>; 2] {
         match self {
-            Expr::Const(_) => {}
-            Expr::Var(id) => {
-                out.insert(*id);
-            }
-            Expr::Unary(_, e) => e.collect_vars(out),
-            Expr::Binary(_, a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
+            Expr::Const(_) | Expr::Var(_) => [None, None],
+            Expr::Unary(_, e) => [Some(e), None],
+            Expr::Binary(_, a, b) => [Some(a), Some(b)],
         }
+    }
+
+    /// Adds every variable occurring in the expression to `out`.
+    /// O(DAG): each shared sub-term is entered once.
+    pub fn collect_vars(&self, out: &mut crate::VarSet) {
+        for_each_var(self, &mut HashSet::new(), &mut |id| {
+            out.insert(id);
+        });
     }
 
     /// Largest variable index referenced, plus one (the minimum
     /// environment length needed to evaluate). `0` if no variables occur.
+    /// O(DAG).
     pub fn var_bound(&self) -> usize {
-        match self {
-            Expr::Const(_) => 0,
-            Expr::Var(id) => id.index() + 1,
-            Expr::Unary(_, e) => e.var_bound(),
-            Expr::Binary(_, a, b) => a.var_bound().max(b.var_bound()),
-        }
+        let mut bound = 0;
+        for_each_var(self, &mut HashSet::new(), &mut |id| {
+            bound = bound.max(id.index() + 1);
+        });
+        bound
     }
 
-    /// Number of nodes in the expression tree.
+    /// Number of nodes in the expression *tree* (a sub-term shared `k`
+    /// times counts `k` times), computed in O(DAG).
     pub fn size(&self) -> usize {
-        match self {
-            Expr::Const(_) | Expr::Var(_) => 1,
-            Expr::Unary(_, e) => 1 + e.size(),
-            Expr::Binary(_, a, b) => 1 + a.size() + b.size(),
-        }
+        tree_count(self, 1, &mut HashMap::new())
     }
 
-    /// Number of operation (non-leaf) nodes in the expression tree.
+    /// Number of operation (non-leaf) nodes in the expression *tree*
+    /// (the paper's "Num. Ar. Ops" counts every occurrence), computed in
+    /// O(DAG).
     pub fn op_count(&self) -> usize {
-        match self {
-            Expr::Const(_) | Expr::Var(_) => 0,
-            Expr::Unary(_, e) => 1 + e.op_count(),
-            Expr::Binary(_, a, b) => 1 + a.op_count() + b.op_count(),
-        }
+        tree_count(self, 0, &mut HashMap::new())
     }
 
     /// Replaces every variable occurrence with the expression given by
-    /// `subst` (indexed by `VarId`). Used by the symbolic executor to keep
-    /// program state as expressions over the *input* variables.
-    pub fn substitute(&self, subst: &[Arc<Expr>]) -> Arc<Expr> {
-        match self {
-            Expr::Const(_) => Arc::new(self.clone()),
-            Expr::Var(id) => Arc::clone(&subst[id.index()]),
-            Expr::Unary(op, e) => Arc::new(Expr::Unary(*op, e.substitute(subst))),
+    /// `store` (indexed by `VarId`) and constant-folds the result — the
+    /// symbolic executor's step that keeps program state as folded
+    /// expressions over the *input* variables.
+    ///
+    /// Every `store` value must already be folded (as the executor's
+    /// store always is). Then, because [`Expr::fold`] is idempotent, only
+    /// the nodes of `self` need folding: a variable becomes the store's
+    /// `Arc` itself, so the result shares every store sub-term and costs
+    /// O(`self`), however large the store's expressions are.
+    pub fn substitute_fold(&self, store: &[Arc<Expr>]) -> Arc<Expr> {
+        let node = match self {
+            Expr::Const(_) => self.clone(),
+            Expr::Var(id) => return Arc::clone(&store[id.index()]),
+            Expr::Unary(op, e) => Expr::Unary(*op, e.substitute_fold(store)),
             Expr::Binary(op, a, b) => {
-                Arc::new(Expr::Binary(*op, a.substitute(subst), b.substitute(subst)))
+                Expr::Binary(*op, a.substitute_fold(store), b.substitute_fold(store))
             }
-        }
+        };
+        Arc::new(match node.folded_value() {
+            Some(v) => Expr::Const(v),
+            None => node,
+        })
     }
 
     /// Rewrites every variable reference through `f`. Used to re-index a
-    /// projected constraint onto a dense local variable space.
-    pub fn remap_vars(&self, f: &impl Fn(VarId) -> VarId) -> Expr {
-        match self {
-            Expr::Const(_) => self.clone(),
-            Expr::Var(id) => Expr::Var(f(*id)),
-            Expr::Unary(op, e) => Expr::Unary(*op, Arc::new(e.remap_vars(f))),
-            Expr::Binary(op, a, b) => {
-                Expr::Binary(*op, Arc::new(a.remap_vars(f)), Arc::new(b.remap_vars(f)))
+    /// projected constraint onto a dense local variable space. O(DAG);
+    /// the result keeps the input's sharing.
+    pub fn remap_vars(self: &Arc<Self>, f: &impl Fn(VarId) -> VarId) -> Arc<Expr> {
+        self.remap_vars_memo(f, &mut HashMap::new())
+    }
+
+    /// [`Expr::remap_vars`] with a caller-held memo, so several
+    /// expressions (the atoms of one condition) share one rewrite.
+    pub(crate) fn remap_vars_memo(
+        self: &Arc<Self>,
+        f: &impl Fn(VarId) -> VarId,
+        memo: &mut RewriteMemo,
+    ) -> Arc<Expr> {
+        let leaf = |e: &Arc<Expr>| match **e {
+            Expr::Var(id) => {
+                let to = f(id);
+                if to == id {
+                    Arc::clone(e)
+                } else {
+                    Arc::new(Expr::Var(to))
+                }
             }
-        }
+            _ => Arc::clone(e),
+        };
+        rewrite(self, memo, &leaf, false)
     }
 
     /// Constant-folds the expression bottom-up. Folding uses ordinary
     /// `f64` arithmetic; sub-expressions that fold to NaN are left intact
     /// so the (NaN ⇒ unsatisfied) evaluation semantics are preserved.
-    pub fn fold(&self) -> Expr {
-        match self {
-            Expr::Const(_) | Expr::Var(_) => self.clone(),
-            Expr::Unary(op, e) => {
-                let e = e.fold();
-                if let Expr::Const(v) = e {
-                    let r = op.apply(v);
-                    if !r.is_nan() {
-                        return Expr::Const(r);
-                    }
-                }
-                Expr::Unary(*op, Arc::new(e))
-            }
-            Expr::Binary(op, a, b) => {
-                let a = a.fold();
-                let b = b.fold();
-                if let (Expr::Const(x), Expr::Const(y)) = (&a, &b) {
-                    let r = op.apply(*x, *y);
-                    if !r.is_nan() {
-                        return Expr::Const(r);
-                    }
-                }
-                Expr::Binary(*op, Arc::new(a), Arc::new(b))
-            }
-        }
+    /// O(DAG); returns `self` itself when nothing folds, and otherwise
+    /// shares every sub-term that does not change.
+    pub fn fold(self: &Arc<Self>) -> Arc<Expr> {
+        rewrite(self, &mut HashMap::new(), &Arc::clone, true)
+    }
+
+    /// The constant an operator node over already-folded operands folds
+    /// to: `Some` when every operand is a constant and the result is not
+    /// NaN.
+    fn folded_value(&self) -> Option<f64> {
+        let r = match self {
+            Expr::Unary(op, e) => match **e {
+                Expr::Const(v) => op.apply(v),
+                _ => return None,
+            },
+            Expr::Binary(op, a, b) => match (&**a, &**b) {
+                (Expr::Const(x), Expr::Const(y)) => op.apply(*x, *y),
+                _ => return None,
+            },
+            Expr::Const(_) | Expr::Var(_) => return None,
+        };
+        (!r.is_nan()).then_some(r)
     }
 
     // -------------------------------------------------------------
@@ -419,6 +456,95 @@ impl Expr {
             Expr::Binary(..) => 4,
         }
     }
+}
+
+/// Pointer memo of a sharing-preserving rewrite: each node entered, by
+/// address, maps to its rewritten form. The addresses stay valid because
+/// the expressions being rewritten outlive the memo.
+pub(crate) type RewriteMemo = HashMap<*const Expr, Arc<Expr>>;
+
+/// Rebuilds `e` bottom-up, entering each shared node once. Leaves go
+/// through `leaf`; operator nodes are rebuilt over their rewritten
+/// operands and, with `fold`, replaced by the constant they fold to. A
+/// node whose operands all come back unchanged (and that does not fold)
+/// is returned as the original `Arc`, so the result shares every
+/// untouched sub-term with `e`.
+fn rewrite(
+    e: &Arc<Expr>,
+    memo: &mut RewriteMemo,
+    leaf: &impl Fn(&Arc<Expr>) -> Arc<Expr>,
+    fold: bool,
+) -> Arc<Expr> {
+    let key = Arc::as_ptr(e);
+    if let Some(done) = memo.get(&key) {
+        return Arc::clone(done);
+    }
+    let mut out = match &**e {
+        Expr::Const(_) | Expr::Var(_) => leaf(e),
+        Expr::Unary(op, c) => {
+            let c2 = rewrite(c, memo, leaf, fold);
+            if Arc::ptr_eq(&c2, c) {
+                Arc::clone(e)
+            } else {
+                Arc::new(Expr::Unary(*op, c2))
+            }
+        }
+        Expr::Binary(op, a, b) => {
+            let a2 = rewrite(a, memo, leaf, fold);
+            let b2 = rewrite(b, memo, leaf, fold);
+            if Arc::ptr_eq(&a2, a) && Arc::ptr_eq(&b2, b) {
+                Arc::clone(e)
+            } else {
+                Arc::new(Expr::Binary(*op, a2, b2))
+            }
+        }
+    };
+    if fold {
+        if let Some(v) = out.folded_value() {
+            out = Arc::new(Expr::Const(v));
+        }
+    }
+    memo.insert(key, Arc::clone(&out));
+    out
+}
+
+/// Calls `f` on every variable occurrence of `e`, entering each operator
+/// node at most once: `seen` holds the operator nodes already entered
+/// (leaves are O(1) and skip it). One `seen` set may span several
+/// expressions to walk their union once.
+pub(crate) fn for_each_var(e: &Expr, seen: &mut HashSet<*const Expr>, f: &mut impl FnMut(VarId)) {
+    match e {
+        Expr::Const(_) => {}
+        Expr::Var(id) => f(*id),
+        Expr::Unary(..) | Expr::Binary(..) => {
+            if seen.insert(e) {
+                for c in e.operands().into_iter().flatten() {
+                    for_each_var(c, seen, f);
+                }
+            }
+        }
+    }
+}
+
+/// Tree-semantics node count of `e` — `leaf` per leaf occurrence plus
+/// one per operator occurrence — memoized per operator node in `memo`,
+/// so the walk is O(DAG). Saturates instead of overflowing on DAGs whose
+/// tree exceeds `usize`.
+pub(crate) fn tree_count(e: &Expr, leaf: usize, memo: &mut HashMap<*const Expr, usize>) -> usize {
+    if e.operands()[0].is_none() {
+        return leaf;
+    }
+    let key: *const Expr = e;
+    if let Some(&n) = memo.get(&key) {
+        return n;
+    }
+    let n = e
+        .operands()
+        .into_iter()
+        .flatten()
+        .fold(1usize, |n, c| n.saturating_add(tree_count(c, leaf, memo)));
+    memo.insert(key, n);
+    n
 }
 
 impl From<f64> for Expr {
@@ -570,18 +696,84 @@ mod tests {
         // state: a := x + 1; then expression a * a over state
         let a_val: Arc<Expr> = x().add(Expr::constant(1.0)).into();
         let e = x().mul(x()); // a * a with a at index 0
-        let sub = e.substitute(&[a_val]);
+        let sub = e.substitute_fold(&[Arc::clone(&a_val)]);
         assert_eq!(sub.eval(&[2.0]), 9.0);
+        // Both operands are the store's value itself, not copies.
+        let Expr::Binary(BinOp::Mul, l, r) = &*sub else {
+            panic!("{sub}")
+        };
+        assert!(Arc::ptr_eq(l, &a_val) && Arc::ptr_eq(r, &a_val));
+    }
+
+    #[test]
+    fn substitution_folds_constant_state() {
+        // state: c := 2 (folded); then c * 3 + x folds the product.
+        let store = [Arc::new(Expr::constant(2.0)), Arc::new(y())];
+        let e = x().mul(Expr::constant(3.0)).add(y());
+        assert_eq!(*e.substitute_fold(&store), Expr::constant(6.0).add(y()));
     }
 
     #[test]
     fn folding() {
-        let e = Expr::constant(2.0).add(Expr::constant(3.0)).mul(x());
+        let e = Arc::new(Expr::constant(2.0).add(Expr::constant(3.0)).mul(x()));
         let f = e.fold();
-        assert_eq!(f, Expr::constant(5.0).mul(x()));
+        assert_eq!(*f, Expr::constant(5.0).mul(x()));
         // NaN results are not folded away.
-        let g = Expr::constant(-1.0).sqrt().fold();
-        assert!(matches!(g, Expr::Unary(UnOp::Sqrt, _)));
+        let g = Arc::new(Expr::constant(-1.0).sqrt()).fold();
+        assert!(matches!(*g, Expr::Unary(UnOp::Sqrt, _)));
+    }
+
+    #[test]
+    fn fold_returns_the_input_when_nothing_folds() {
+        let e = Arc::new(x().add(Expr::constant(-1.0).sqrt()).sin());
+        assert!(Arc::ptr_eq(&e.fold(), &e));
+        // A fold below keeps the untouched sibling shared.
+        let keep: Arc<Expr> = Arc::new(x().sin());
+        let e = Arc::new(Expr::binary(
+            BinOp::Add,
+            Arc::clone(&keep),
+            Expr::constant(1.0).add(Expr::constant(1.0)),
+        ));
+        let Expr::Binary(_, l, r) = &*e.fold() else {
+            panic!()
+        };
+        assert!(Arc::ptr_eq(l, &keep));
+        assert_eq!(**r, Expr::constant(2.0));
+    }
+
+    #[test]
+    fn remap_keeps_sharing() {
+        let shared: Arc<Expr> = Arc::new(y().sin());
+        let e = Arc::new(Expr::binary(
+            BinOp::Mul,
+            Arc::clone(&shared),
+            Arc::clone(&shared),
+        ));
+        let r = e.remap_vars(&|v| VarId(v.0 - 1));
+        let Expr::Binary(_, a, b) = &*r else { panic!() };
+        assert!(Arc::ptr_eq(a, b), "one rewrite per shared node");
+        assert_eq!(r.to_string(), "sin(v0) * sin(v0)");
+        // Nothing to rename: the input comes back as is.
+        assert!(Arc::ptr_eq(&e.remap_vars(&|v| v), &e));
+    }
+
+    #[test]
+    fn dag_walks_are_linear_and_count_the_tree() {
+        // e_{k+1} = e_k + e_k: 2^60 tree nodes over a 61-node DAG. Every
+        // walk below finishes instantly only if it is DAG-memoized.
+        let mut e = Expr::var(VarId(2)).sin();
+        for _ in 0..60 {
+            e = e.clone().add(e);
+        }
+        assert_eq!(e.op_count(), (1usize << 61) - 1);
+        assert_eq!(e.size(), (1usize << 61) + (1usize << 60) - 1);
+        assert_eq!(e.var_bound(), 3);
+        let mut s = VarSet::new(3);
+        e.collect_vars(&mut s);
+        assert_eq!(s.count(), 1);
+        let e = Arc::new(e);
+        assert!(Arc::ptr_eq(&e.fold(), &e));
+        assert_eq!(e.remap_vars(&|_| VarId(0)).var_bound(), 1);
     }
 
     #[test]

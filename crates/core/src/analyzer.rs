@@ -563,7 +563,10 @@ struct Shared<'a> {
     opts_fp: u64,
     /// Span collector of this run, when tracing (one branch when not).
     trace: Option<&'a Trace>,
-    cache: Mutex<HashMap<FactorKey, Estimate>>,
+    /// In-run partition cache, one cell per factor key: set once by the
+    /// PC that computes the key, `None` when a deadline cut that
+    /// computation short.
+    cache: Mutex<HashMap<FactorKey, Arc<OnceLock<Option<Estimate>>>>>,
     // Per-analysis counters on the `qcoral-obs` primitives (the same
     // type the process-wide registry serves), so `Stats` and the metrics
     // exposition share one counting substrate. Kept per-run — not
@@ -1039,56 +1042,31 @@ fn analyze_factor_impl(
             &shared.profile.project(&indices),
             shared.opts.profile_epsilon,
         );
-        let cached = shared.cache.lock().get(&key).copied();
-        match cached {
-            Some(e) => {
+        // Single flight: the first PC to reach the key computes it inside
+        // `get_or_init`; a PC sharing the key blocks on the same cell
+        // instead of paving and sampling it again, so every counter in
+        // `Stats` is independent of the thread schedule.
+        let cell = Arc::clone(shared.cache.lock().entry(key.clone()).or_default());
+        let mut computed = None;
+        let cached = *cell.get_or_init(|| {
+            shared.cache_misses.inc();
+            let (e, source, reusable) = compute_factor(shared, &key, &local_pc, &sub_box, &indices);
+            computed = Some((e, source));
+            reusable.then_some(e)
+        });
+        match (computed, cached) {
+            (Some(answer), _) => answer,
+            (None, Some(e)) => {
                 shared.cache_hits.inc();
                 (e, "partition_cache")
             }
-            None => {
+            // The computing PC ran out of time and left nothing reusable:
+            // answer as a miss, without caching (past the deadline this
+            // costs at most a store lookup).
+            (None, None) => {
                 shared.cache_misses.inc();
-                // Cross-run store, between the in-run cache and fresh
-                // sampling: a hit skips paving and sampling entirely and
-                // is bit-identical to recomputing (the sampling seed
-                // below is a pure function of the key).
-                if let Some(store) = shared.store {
-                    if let Some(e) = store.get(shared.opts_fp, &key) {
-                        shared.store_hits.inc();
-                        let adopted = *shared.cache.lock().entry(key).or_insert(e);
-                        return (adopted, "factor_store");
-                    }
-                    shared.store_misses.inc();
-                }
-                // Key-derived seed: identical sub-problems produce
-                // identical estimates no matter which PC (or thread)
-                // computes them first, keeping parallel runs
-                // deterministic.
-                let e = strat_sampling(
-                    shared,
-                    &local_pc,
-                    &sub_box,
-                    &indices,
-                    mix_seed(shared.opts.seed, hash_key(&key)),
-                );
-                // If another thread landed the key first, adopt its value
-                // (identical modulo paver time-budget effects) so every
-                // consumer of the key agrees within this run — and only
-                // the *adopted* value is published to the cross-run
-                // store, so persisted estimates can never diverge from
-                // what this run reported.
-                // A deadline that expired during sampling means `e` may
-                // be a truncated partial estimate: report it (flagged),
-                // but never let it into the in-run cache or the
-                // cross-run store, where it would masquerade as the
-                // full-budget, bit-reproducible estimate for this key.
-                if shared.expired() {
-                    return (e, "sampled");
-                }
-                let adopted = *shared.cache.lock().entry(key.clone()).or_insert(e);
-                if let Some(store) = shared.store {
-                    store.insert(shared.opts_fp, key, adopted);
-                }
-                (adopted, "sampled")
+                let (e, source, _) = compute_factor(shared, &key, &local_pc, &sub_box, &indices);
+                (e, source)
             }
         }
     } else {
@@ -1101,6 +1079,51 @@ fn analyze_factor_impl(
         );
         (e, "sampled")
     }
+}
+
+/// A partition-cache miss: answers the factor from the cross-run store or
+/// by fresh sampling. Returns the estimate, its source label, and whether
+/// it may be reused for the key (not when a deadline cut it short).
+fn compute_factor(
+    shared: &Shared<'_>,
+    key: &FactorKey,
+    local_pc: &PathCondition,
+    sub_box: &IntervalBox,
+    indices: &[usize],
+) -> (Estimate, &'static str, bool) {
+    // Cross-run store, between the in-run cache and fresh sampling: a
+    // hit skips paving and sampling entirely and is bit-identical to
+    // recomputing (the sampling seed below is a pure function of the
+    // key).
+    if let Some(store) = shared.store {
+        if let Some(e) = store.get(shared.opts_fp, key) {
+            shared.store_hits.inc();
+            return (e, "factor_store", true);
+        }
+        shared.store_misses.inc();
+    }
+    // Key-derived seed: identical sub-problems produce identical
+    // estimates no matter which PC (or thread) computes them, keeping
+    // parallel runs deterministic.
+    let e = strat_sampling(
+        shared,
+        local_pc,
+        sub_box,
+        indices,
+        mix_seed(shared.opts.seed, hash_key(key)),
+    );
+    // A deadline that expired during sampling means `e` may be a
+    // truncated partial estimate: report it (flagged), but never let it
+    // into the in-run cache or the cross-run store, where it would
+    // masquerade as the full-budget, bit-reproducible estimate for this
+    // key.
+    if shared.expired() {
+        return (e, "sampled", false);
+    }
+    if let Some(store) = shared.store {
+        store.insert(shared.opts_fp, key.clone(), e);
+    }
+    (e, "sampled", true)
 }
 
 /// Canonical cache identity of one independent factor: structural
@@ -1149,11 +1172,11 @@ fn strat_sampling(
     }
     let local_profile = shared.profile.project(global_indices);
     // Compile the predicate once per factor *process-wide*: the scalar
-    // tape evaluates each distinct sub-expression once per sample (the
-    // tree walk re-evaluates `Arc`-shared sub-terms exponentially often
-    // on symexec-generated conditions), and its columnar [`CompiledPred`]
-    // twin lets the chunked samplers evaluate 128-sample lane slabs per
-    // instruction — same samples, same hits, bit-identical estimates.
+    // tape evaluates each distinct sub-expression once per sample (where
+    // `PathCondition::holds` would recompute a shared sub-term at every
+    // occurrence), and its columnar [`CompiledPred`] twin lets the
+    // chunked samplers evaluate 128-sample lane slabs per instruction —
+    // same samples, same hits, bit-identical estimates.
     let t_compile = shared.trace.map_or(0, Trace::now_us);
     let pred = CompiledPred::compile_cached(local_pc);
     if let Some(t) = shared.trace {

@@ -19,6 +19,13 @@
 //! Branch decisions whose condition folds to a constant (loop counters,
 //! etc.) consume no budget and add nothing to the path condition.
 //!
+//! The store holds only *folded* expressions: it starts as variables and
+//! `0` constants, and every update is [`Expr::substitute_fold`] of a
+//! source expression against it. That is what lets each `Assign` and each
+//! comparison cost O(source expression): a variable read returns the
+//! store's `Arc` itself, so path conditions come out as DAGs that share
+//! the store's sub-terms instead of trees that copy them.
+//!
 //! # NaN caveat
 //!
 //! Path constraints use mathematical semantics: an atom and its negation
@@ -151,8 +158,7 @@ fn step(
         }
         match &flat.instrs[state.ip] {
             Instr::Assign { slot, expr } => {
-                let substituted = expr.substitute(&state.store);
-                state.store[*slot] = Arc::new(substituted.fold());
+                state.store[*slot] = expr.substitute_fold(&state.store);
                 state.ip += 1;
             }
             Instr::Jump(t) => state.ip = *t,
@@ -219,9 +225,9 @@ fn step(
 fn split_cond(cond: &Cond, store: &[Arc<Expr>]) -> Vec<(Vec<Atom>, bool)> {
     match cond {
         Cond::Cmp(lhs, op, rhs) => {
-            let l = lhs.substitute(store).fold();
-            let r = rhs.substitute(store).fold();
-            if let (Expr::Const(a), Expr::Const(b)) = (&l, &r) {
+            let l = lhs.substitute_fold(store);
+            let r = rhs.substitute_fold(store);
+            if let (Expr::Const(a), Expr::Const(b)) = (&*l, &*r) {
                 return vec![(Vec::new(), op.apply(*a, *b))];
             }
             let atom = Atom::new(l, *op, r);

@@ -444,6 +444,67 @@ fn tracing_never_perturbs_estimates() {
     }
 }
 
+/// Schedule independence of the *counters*, not just the estimates: on
+/// the subjects whose path conditions share factors (ATRIAL, EGFR EPI),
+/// a factor key is paved and sampled once per run however the PCs race
+/// for it, so parallel `Stats` equal serial `Stats` on every repetition.
+///
+/// The check needs real fan-out, so the test re-runs itself in a child
+/// process with `RAYON_NUM_THREADS=4` (writing the variable in this
+/// process would race sibling tests reading it).
+#[test]
+fn shared_factors_are_computed_once_under_parallel() {
+    const NAME: &str = "shared_factors_are_computed_once_under_parallel";
+    if std::env::var("RAYON_NUM_THREADS").as_deref() != Ok("4") {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([NAME, "--exact", "--test-threads=1"])
+            .env("RAYON_NUM_THREADS", "4")
+            .output()
+            .expect("re-run the test binary");
+        assert!(
+            out.status.success(),
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    // The tape compile cache is process-wide: its split depends on
+    // which run compiled first, not on sharing within a run.
+    let norm = |mut s: qcoral::Stats| {
+        s.tape_cache_hits = 0;
+        s.tape_cache_misses = 0;
+        s
+    };
+    let subjects = table3_subjects();
+    for name in ["ATRIAL", "EGFR EPI"] {
+        let subj = subjects.iter().find(|s| s.name == name).unwrap();
+        let mut shared_hits = 0;
+        for idx in 0..subj.assertions.len() {
+            let (domain, cs) = subj.system_for(idx, &SymConfig::default());
+            if cs.is_empty() {
+                continue;
+            }
+            let profile = UsageProfile::uniform(domain.len());
+            let opts = Options::strat_partcache().with_samples(1_000).with_seed(41);
+            let serial = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
+            shared_hits += serial.stats.cache_hits;
+            for rep in 0..20 {
+                let par =
+                    Analyzer::new(opts.clone().with_parallel(true)).analyze(&cs, &domain, &profile);
+                assert_eq!(par.estimate, serial.estimate, "{name}[{idx}] rep {rep}");
+                assert_eq!(par.per_pc, serial.per_pc, "{name}[{idx}] rep {rep}");
+                assert_eq!(
+                    norm(par.stats),
+                    norm(serial.stats.clone()),
+                    "{name}[{idx}] rep {rep}: counters depend on the schedule"
+                );
+            }
+        }
+        assert!(shared_hits > 0, "{name}: no PCs share a factor");
+    }
+}
+
 /// Chunk size changes the stream (like a reseed) but never the
 /// serial/parallel agreement.
 #[test]

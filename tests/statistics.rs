@@ -53,9 +53,9 @@ const RARE_BOXES: usize = 256;
 
 /// Ground truth with its standard error: direct Monte Carlo over the
 /// constraint set with a fixed seed, independent of every analyzer
-/// path. Predicates run on compiled tapes — symexec-generated
-/// expressions share sub-terms a plain tree walk re-evaluates
-/// exponentially often (the INVPEND blowup).
+/// path. Predicates run on compiled tapes, which evaluate each distinct
+/// sub-term once per sample; `PathCondition::holds` would recompute a
+/// shared sub-term at every occurrence (~10⁵ nodes per INVPEND sample).
 fn ground_truth(cs: &ConstraintSet, domain: &Domain, n: u64) -> (f64, f64) {
     let tapes: Vec<qcoral_constraints::EvalTape> = cs
         .pcs()
