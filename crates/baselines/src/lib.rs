@@ -23,5 +23,5 @@ pub mod plain_mc;
 pub mod volcomp;
 
 pub use adaptive::{adaptive_probability, AdaptiveConfig, AdaptiveResult};
-pub use plain_mc::{plain_monte_carlo, plain_monte_carlo_plan};
+pub use plain_mc::plain_monte_carlo;
 pub use volcomp::{volcomp_bounds, ProbBounds, VolCompConfig};

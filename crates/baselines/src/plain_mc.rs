@@ -5,14 +5,13 @@
 //! composes per Theorem 1 — this baseline samples the full input domain
 //! and tests the whole disjunction at once.
 
-use rand::Rng;
-
 use qcoral_constraints::{ConstraintSet, EvalTape};
 use qcoral_interval::IntervalBox;
-use qcoral_mc::{hit_or_miss, hit_or_miss_plan, Estimate, SamplePlan, UsageProfile};
+use qcoral_mc::{hit_or_miss_plan, Estimate, SamplePlan, ScalarPred, UsageProfile};
 
 /// Estimates `Pr[x ∼ profile satisfies cs]` with a single hit-or-miss run
-/// over the whole domain.
+/// over the whole domain, on the deterministic chunked [`SamplePlan`]:
+/// bit-identical across thread schedules.
 ///
 /// # Panics
 ///
@@ -22,34 +21,11 @@ pub fn plain_monte_carlo(
     domain: &IntervalBox,
     profile: &UsageProfile,
     n: u64,
-    rng: &mut impl Rng,
-) -> Estimate {
-    let tapes: Vec<EvalTape> = cs.pcs().iter().map(EvalTape::compile).collect();
-    hit_or_miss(
-        &mut |p| tapes.iter().any(|t| t.holds(p)),
-        domain,
-        profile,
-        n,
-        rng,
-    )
-}
-
-/// [`plain_monte_carlo`] on the deterministic chunked [`SamplePlan`]: the
-/// shared hot-path sampler API, bit-identical across thread schedules.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or on dimension mismatches.
-pub fn plain_monte_carlo_plan(
-    cs: &ConstraintSet,
-    domain: &IntervalBox,
-    profile: &UsageProfile,
-    n: u64,
     plan: SamplePlan,
 ) -> Estimate {
     let tapes: Vec<EvalTape> = cs.pcs().iter().map(EvalTape::compile).collect();
     hit_or_miss_plan(
-        &|p: &[f64]| tapes.iter().any(|t| t.holds(p)),
+        &ScalarPred(|p: &[f64]| tapes.iter().any(|t| t.holds(p))),
         domain,
         profile,
         n,
@@ -62,8 +38,6 @@ mod tests {
     use super::*;
     use qcoral_constraints::parse::parse_system;
     use qcoral_icp::domain_box;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn matches_known_probability() {
@@ -71,8 +45,13 @@ mod tests {
             parse_system("var x in [-1, 1]; var y in [-1, 1]; pc x <= -y && y <= x;").unwrap();
         let dom = domain_box(&sys.domain);
         let profile = UsageProfile::uniform(2);
-        let mut rng = SmallRng::seed_from_u64(99);
-        let est = plain_monte_carlo(&sys.constraint_set, &dom, &profile, 20_000, &mut rng);
+        let est = plain_monte_carlo(
+            &sys.constraint_set,
+            &dom,
+            &profile,
+            20_000,
+            SamplePlan::serial(99),
+        );
         assert!((est.mean - 0.25).abs() < 0.02, "{}", est.mean);
     }
 
@@ -83,8 +62,13 @@ mod tests {
         let sys = parse_system("var x in [0, 1]; pc x < 0.25; pc x >= 0.25 && x < 0.5;").unwrap();
         let dom = domain_box(&sys.domain);
         let profile = UsageProfile::uniform(1);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let est = plain_monte_carlo(&sys.constraint_set, &dom, &profile, 20_000, &mut rng);
+        let est = plain_monte_carlo(
+            &sys.constraint_set,
+            &dom,
+            &profile,
+            20_000,
+            SamplePlan::serial(3),
+        );
         assert!((est.mean - 0.5).abs() < 0.02, "{}", est.mean);
     }
 
@@ -93,8 +77,49 @@ mod tests {
         let sys = parse_system("var x in [0, 1];").unwrap();
         let dom = domain_box(&sys.domain);
         let profile = UsageProfile::uniform(1);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let est = plain_monte_carlo(&sys.constraint_set, &dom, &profile, 100, &mut rng);
+        let est = plain_monte_carlo(
+            &sys.constraint_set,
+            &dom,
+            &profile,
+            100,
+            SamplePlan::serial(3),
+        );
         assert_eq!(est, Estimate::ZERO);
+    }
+
+    /// The Table 4 baseline inherits the plan sampler's schedule
+    /// independence: on a multi-PC system with a budget spanning several
+    /// chunks, serial and parallel plans return the same bits.
+    #[test]
+    fn serial_and_parallel_plans_are_bit_identical() {
+        let sys = parse_system(
+            "var x in [-1, 1]; var y in [-1, 1];
+             pc x < -0.5;
+             pc x >= -0.5 && sin(3 * x + y) > 0.25;
+             pc x >= -0.5 && sin(3 * x + y) <= 0.25 && x * x + y * y <= 0.5;",
+        )
+        .unwrap();
+        assert_eq!(sys.constraint_set.len(), 3);
+        let dom = domain_box(&sys.domain);
+        let profile = UsageProfile::uniform(2);
+        let n = 5 * SamplePlan::DEFAULT_CHUNK + 17;
+        for seed in [1u64, 2, 0xDEAD_BEEF] {
+            let serial = plain_monte_carlo(
+                &sys.constraint_set,
+                &dom,
+                &profile,
+                n,
+                SamplePlan::serial(seed),
+            );
+            let parallel = plain_monte_carlo(
+                &sys.constraint_set,
+                &dom,
+                &profile,
+                n,
+                SamplePlan::parallel(seed),
+            );
+            assert_eq!(serial, parallel, "seed {seed}");
+            assert!(serial.mean > 0.0 && serial.mean < 1.0, "{}", serial.mean);
+        }
     }
 }

@@ -63,18 +63,16 @@ fn emit_json(_c: &mut Criterion) {
         .unwrap_or_else(|_| format!("{}/../../BENCH_hotpath.json", env!("CARGO_MANIFEST_DIR")));
     hotpath::write_json(&summary, &path).expect("write BENCH_hotpath.json");
     println!(
-        "hotpath summary: threads={} parallel_speedup(geomean)={:.2} pred_tape_speedup(geomean)={:.2} bulk_eval_speedup(geomean)={:.2} mc_bulk_speedup(geomean)={:.2} jit_eval_speedup(geomean)={:.2} mc_jit_speedup(geomean)={:.2} -> {path}",
+        "hotpath summary: threads={} parallel_speedup(geomean)={:.2} pred_tape_speedup(geomean)={:.2} bulk_eval_speedup(geomean)={:.2} mc_bulk_speedup(geomean)={:.2} -> {path}",
         summary.threads,
         summary.parallel_speedup_geomean,
         summary.pred_tape_speedup_geomean,
         summary.bulk_eval_speedup_geomean,
-        summary.mc_bulk_speedup_geomean,
-        summary.jit_eval_speedup_geomean,
-        summary.mc_jit_speedup_geomean
+        summary.mc_bulk_speedup_geomean
     );
     for r in &summary.rows {
         println!(
-            "  {:28} pcs={:4} serial={:.3}s parallel={:.3}s (x{:.2}) pred tree={:.4}s tape={:.4}s (x{:.1}) bulk {:.2e}→{:.2e} samples/s (x{:.2}) mc x{:.2} {} {:.2e} samples/s (x{:.2}) mc x{:.2} identical={}",
+            "  {:28} pcs={:4} serial={:.3}s parallel={:.3}s (x{:.2}) pred tree={:.4}s tape={:.4}s (x{:.1}) bulk {:.2e}→{:.2e} samples/s (x{:.2}) mc x{:.2} identical={}",
             r.subject,
             r.paths,
             r.serial_secs,
@@ -87,20 +85,12 @@ fn emit_json(_c: &mut Criterion) {
             r.bulk_samples_per_sec,
             r.bulk_eval_speedup,
             r.mc_bulk_speedup,
-            r.jit_backend,
-            r.jit_samples_per_sec,
-            r.jit_eval_speedup,
-            r.mc_jit_speedup,
-            r.estimates_identical && r.jit_estimates_identical
+            r.estimates_identical
         );
     }
     assert!(
         summary.rows.iter().all(|r| r.bulk_estimates_identical),
         "columnar bulk sampling diverged from the scalar tape"
-    );
-    assert!(
-        summary.rows.iter().all(|r| r.jit_estimates_identical),
-        "JIT sampling diverged from the interpreter"
     );
 }
 

@@ -5,11 +5,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use qcoral::{Analyzer, Options};
 use qcoral_baselines::plain_monte_carlo;
 use qcoral_icp::domain_box;
-use qcoral_mc::UsageProfile;
+use qcoral_mc::{SamplePlan, UsageProfile};
 use qcoral_subjects::aerospace_subjects;
 use qcoral_symexec::SymConfig;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn bench_configs(c: &mut Criterion) {
     let subj = &aerospace_subjects()[1]; // Conflict
@@ -22,10 +20,7 @@ fn bench_configs(c: &mut Criterion) {
     let mut g = c.benchmark_group("table4_conflict_10k");
     g.sample_size(10);
     g.bench_function("baseline_mc", |b| {
-        b.iter(|| {
-            let mut rng = SmallRng::seed_from_u64(1);
-            plain_monte_carlo(&cs, &dbox, &profile, samples, &mut rng)
-        })
+        b.iter(|| plain_monte_carlo(&cs, &dbox, &profile, samples, SamplePlan::serial(1)))
     });
     for (label, opts) in [
         ("qcoral_plain", Options::plain()),

@@ -36,12 +36,6 @@ const GATED: &[(&str, &[&str])] = &[
             "pred_tape_secs",
             "bulk_eval_secs",
             "mc_bulk_secs",
-            // The dispatching-backend probe: native kernels when the
-            // smoke run is built with `--features jit`, the interpreter
-            // fallback otherwise — gated either way so a codegen
-            // regression (or a fallback regression) trips CI.
-            "jit_eval_secs",
-            "mc_jit_secs",
             // Batched HC4 paving through the unified interval tape.
             "pave_bulk_secs",
             // The untraced analyzer path of the obs_overhead row:

@@ -1,7 +1,5 @@
 //! Hot-path performance trajectory: serial vs parallel analyzer,
 //! tree-walk vs compiled-tape vs columnar-bulk predicate evaluation,
-//! interpreter vs runtime-codegen (`jit_*` rows, measured through the
-//! dispatching backend so they stay honest on hosts without the JIT),
 //! and scalar vs bulk Monte Carlo sampling on the Table 3 multi-PC
 //! workload, emitted as `BENCH_hotpath.json` so successive changes can
 //! be compared run over run.
@@ -17,7 +15,7 @@ use qcoral::{Analyzer, CompiledPred, Options};
 use qcoral_constraints::{BulkScratch, ConstraintSet, Domain, EvalTape, PathCondition};
 use qcoral_icp::{ContractScratch, Contractor, Paver, PaverConfig, Paving, Tri};
 use qcoral_interval::{Interval, IntervalBox};
-use qcoral_mc::{hit_or_miss_plan, hit_or_miss_plan_bulk, BulkPred, SamplePlan, UsageProfile};
+use qcoral_mc::{hit_or_miss_plan, SamplePlan, ScalarPred, UsageProfile};
 use qcoral_subjects::table3_subjects;
 use qcoral_symexec::SymConfig;
 
@@ -72,32 +70,6 @@ pub struct Row {
     /// `mc_scalar_secs / mc_bulk_secs` — the end-to-end sampling win,
     /// RNG draws included.
     pub mc_bulk_speedup: f64,
-    /// Which backend the `jit_*` and `mc_jit_*` measurements ran on:
-    /// `"jit"` when a native kernel was emitted for every path
-    /// condition, `"bulk"` otherwise (feature off or unsupported CPU —
-    /// the rows then time the interpreter fallback, so the perf gate
-    /// stays comparable on any host).
-    pub jit_backend: String,
-    /// Full-predicate evaluation time over the same columnar probe
-    /// batch through the dispatching entry point — native kernels under
-    /// `--features jit` on a capable CPU, the bulk interpreter
-    /// otherwise (s).
-    pub jit_eval_secs: f64,
-    /// JIT-row predicate throughput over the probe batch (samples/sec).
-    pub jit_samples_per_sec: f64,
-    /// `bulk_eval_secs / jit_eval_secs` — the runtime-codegen win over
-    /// the interpreter it falls back to (≈ 1 on fallback hosts).
-    pub jit_eval_speedup: f64,
-    /// The end-to-end sampling runs of `mc_bulk_secs` through the
-    /// dispatching backend (s).
-    pub mc_jit_secs: f64,
-    /// `mc_bulk_secs / mc_jit_secs` — the end-to-end sampling win of
-    /// runtime codegen, RNG draws included.
-    pub mc_jit_speedup: f64,
-    /// Whether the JIT-backend Monte Carlo estimates were bit-identical
-    /// to the scalar-tape and interpreter estimates, and its probe-batch
-    /// hit counts identical to both — the JIT's correctness bit.
-    pub jit_estimates_identical: bool,
     /// Reference paving wall time over every path condition (s): the
     /// pre-unified-IR architecture — one single-atom contractor per
     /// atom, each with its own tape, boxes contracted one at a time
@@ -158,12 +130,6 @@ pub struct Summary {
     /// Geometric mean of the end-to-end sampling speedups
     /// (`mc_bulk_speedup` across subjects).
     pub mc_bulk_speedup_geomean: f64,
-    /// Geometric mean of the runtime-codegen evaluation speedups
-    /// (`jit_eval_speedup` across subjects; ≈ 1 on fallback hosts).
-    pub jit_eval_speedup_geomean: f64,
-    /// Geometric mean of the end-to-end JIT sampling speedups
-    /// (`mc_jit_speedup` across subjects).
-    pub mc_jit_speedup_geomean: f64,
     /// Geometric mean of the bulk-paving speedups (`pave_bulk_speedup`
     /// across subjects).
     pub pave_bulk_speedup_geomean: f64,
@@ -408,14 +374,7 @@ fn measure_subject(
             col.push(point[d]);
         }
     }
-    // Interpreter-only predicates for the scalar/bulk rows: even under
-    // `--features jit` those rows must keep timing the interpreter, so
-    // the committed trajectory stays comparable across feature flags.
-    let preds: Vec<CompiledPred> = cs
-        .pcs()
-        .iter()
-        .map(CompiledPred::compile_interpreter_only)
-        .collect();
+    let preds: Vec<CompiledPred> = cs.pcs().iter().map(CompiledPred::compile).collect();
     let (scalar_eval, hits_scalar) = best_of(reps, || {
         let mut hits = 0u64;
         for p in &preds {
@@ -441,24 +400,6 @@ fn measure_subject(
     );
     let evals = (cs.len() * n) as f64;
 
-    // JIT probe: the same batch through the *dispatching* entry point —
-    // native kernels when `--features jit` is on and the CPU qualifies,
-    // the interpreter fallback otherwise. The full compile also stamps
-    // which backend actually ran, so the row is honest on any host.
-    let preds_full: Vec<CompiledPred> = cs.pcs().iter().map(CompiledPred::compile).collect();
-    let jit_backend = if preds_full.iter().all(|p| p.backend() == "jit") {
-        "jit"
-    } else {
-        "bulk"
-    };
-    let (jit_eval, hits_jit) = best_of(reps, || {
-        let mut hits = 0u64;
-        for p in &preds_full {
-            hits += p.count_hits(&cols, n);
-        }
-        hits
-    });
-
     // End-to-end sampling probe: the same `hit_or_miss_plan` runs the
     // analyzer performs per factor, scalar closure vs columnar bulk
     // predicate — RNG draws included, estimates must match bit for bit.
@@ -468,7 +409,7 @@ fn measure_subject(
             .iter()
             .map(|p| {
                 hit_or_miss_plan(
-                    &|x: &[f64]| p.scalar().holds(x),
+                    &ScalarPred(|x: &[f64]| p.scalar().holds(x)),
                     &boxed,
                     &profile,
                     samples,
@@ -480,18 +421,10 @@ fn measure_subject(
     let (mc_bulk, ests_bulk) = best_of(reps, || {
         preds
             .iter()
-            .map(|p| hit_or_miss_plan_bulk(p, &boxed, &profile, samples, plan))
+            .map(|p| hit_or_miss_plan(p, &boxed, &profile, samples, plan))
             .collect::<Vec<_>>()
     });
     let bulk_estimates_identical = ests_scalar == ests_bulk;
-    let (mc_jit, ests_jit) = best_of(reps, || {
-        preds_full
-            .iter()
-            .map(|p| hit_or_miss_plan_bulk(p, &boxed, &profile, samples, plan))
-            .collect::<Vec<_>>()
-    });
-    let jit_estimates_identical =
-        ests_jit == ests_scalar && ests_jit == ests_bulk && hits_jit == hits_bulk;
 
     // Paving probe: branch-and-prune every path condition over the full
     // domain box with a budget wide enough to give batching room.
@@ -552,13 +485,6 @@ fn measure_subject(
         mc_scalar_secs: mc_scalar.as_secs_f64(),
         mc_bulk_secs: mc_bulk.as_secs_f64(),
         mc_bulk_speedup: mc_scalar.as_secs_f64() / mc_bulk.as_secs_f64().max(1e-12),
-        jit_backend: jit_backend.to_owned(),
-        jit_eval_secs: jit_eval.as_secs_f64(),
-        jit_samples_per_sec: evals / jit_eval.as_secs_f64().max(1e-12),
-        jit_eval_speedup: bulk_eval.as_secs_f64() / jit_eval.as_secs_f64().max(1e-12),
-        mc_jit_secs: mc_jit.as_secs_f64(),
-        mc_jit_speedup: mc_bulk.as_secs_f64() / mc_jit.as_secs_f64().max(1e-12),
-        jit_estimates_identical,
         pave_scalar_secs: pave_scalar.as_secs_f64(),
         pave_bulk_secs: pave_bulk.as_secs_f64(),
         pave_bulk_speedup: pave_scalar.as_secs_f64() / pave_bulk.as_secs_f64().max(1e-12),
@@ -633,8 +559,6 @@ pub fn run(samples: u64, reps: u32) -> Summary {
         pred_tape_speedup_geomean: geomean(rows.iter().map(|r| r.pred_tape_speedup)),
         bulk_eval_speedup_geomean: geomean(rows.iter().map(|r| r.bulk_eval_speedup)),
         mc_bulk_speedup_geomean: geomean(rows.iter().map(|r| r.mc_bulk_speedup)),
-        jit_eval_speedup_geomean: geomean(rows.iter().map(|r| r.jit_eval_speedup)),
-        mc_jit_speedup_geomean: geomean(rows.iter().map(|r| r.mc_jit_speedup)),
         pave_bulk_speedup_geomean: geomean(rows.iter().map(|r| r.pave_bulk_speedup)),
         obs_overhead: measure_obs_overhead(samples, reps),
         rows,
@@ -664,16 +588,8 @@ mod tests {
                 "{}: bulk sampling diverged from the scalar tape",
                 r.subject
             );
-            assert!(
-                r.jit_estimates_identical,
-                "{}: JIT sampling diverged from the interpreter ({})",
-                r.subject, r.jit_backend
-            );
-            assert!(r.jit_backend == "jit" || r.jit_backend == "bulk");
             assert!(r.serial_secs > 0.0 && r.pred_tape_secs > 0.0);
             assert!(r.bulk_eval_secs > 0.0 && r.mc_bulk_secs > 0.0);
-            assert!(r.jit_eval_secs > 0.0 && r.mc_jit_secs > 0.0);
-            assert!(r.jit_samples_per_sec > 0.0);
             assert!(r.bulk_samples_per_sec > 0.0 && r.scalar_samples_per_sec > 0.0);
             assert!(r.pave_scalar_secs > 0.0 && r.pave_bulk_secs > 0.0);
         }
@@ -690,13 +606,10 @@ mod tests {
             "tracing changed an estimate"
         );
         assert!(s.obs_overhead.trace_off_secs > 0.0 && s.obs_overhead.trace_on_secs > 0.0);
-        assert!(s.jit_eval_speedup_geomean > 0.0);
         let json = serde_json::to_string_pretty(&s).unwrap();
         assert!(json.contains("\"pred_tape_speedup\""));
         assert!(json.contains("\"bulk_eval_speedup\""));
         assert!(json.contains("\"bulk_estimates_identical\""));
-        assert!(json.contains("\"jit_eval_speedup\""));
-        assert!(json.contains("\"jit_estimates_identical\""));
         assert!(json.contains("\"pave_bulk_speedup\""));
         assert!(json.contains("\"subject\": \"obs_overhead\""));
         assert!(json.contains("\"trace_off_secs\""));

@@ -5,14 +5,15 @@
 //! stratified sampling over the paper's four boxes (b1–b4) and over the
 //! boxes our own ICP paver produces.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use serde::Serialize;
 
 use qcoral_constraints::parse::parse_system;
 use qcoral_icp::{domain_box, pave, PaverConfig};
 use qcoral_interval::{Interval, IntervalBox};
-use qcoral_mc::{hit_or_miss, stratified, Allocation, Estimate, Stratum, UsageProfile};
+use qcoral_mc::{
+    hit_or_miss_plan, stratified_plan, Allocation, Estimate, SamplePlan, ScalarPred, Stratum,
+    UsageProfile,
+};
 
 /// One row of the comparison.
 #[derive(Clone, Debug, Serialize)]
@@ -37,12 +38,12 @@ pub fn run(samples: u64, seed: u64) -> Vec<Row> {
     let pc = &sys.constraint_set.pcs()[0];
     let domain = domain_box(&sys.domain);
     let profile = UsageProfile::uniform(2);
-    let mut pred = |p: &[f64]| pc.holds(p);
+    let pred = ScalarPred(|p: &[f64]| pc.holds(p));
+    let plan = SamplePlan::serial(seed);
 
     let mut rows = Vec::new();
 
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let plain = hit_or_miss(&mut pred, &domain, &profile, samples, &mut rng);
+    let plain = hit_or_miss_plan(&pred, &domain, &profile, samples, plan);
     rows.push(row("hit-or-miss (plain)", 1, plain));
 
     // The paper's Table 1 boxes.
@@ -53,15 +54,14 @@ pub fn run(samples: u64, seed: u64) -> Vec<Row> {
         Stratum::boundary([iv(0.5, 1.0), iv(-1.0, -0.5)].into_iter().collect()),
         Stratum::boundary([iv(-0.5, 0.5), iv(-0.5, 0.0)].into_iter().collect()),
     ];
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let strat_paper = stratified(
-        &mut pred,
+    let strat_paper = stratified_plan(
+        &pred,
         &paper_boxes,
         &domain,
         &profile,
         samples,
         Allocation::EqualPerStratum,
-        &mut rng,
+        plan,
     );
     rows.push(row("stratified (paper's 4 boxes)", 4, strat_paper));
 
@@ -75,15 +75,14 @@ pub fn run(samples: u64, seed: u64) -> Vec<Row> {
         .chain(paving.boundary.iter().cloned().map(Stratum::boundary))
         .collect();
     let n = strata.len();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let strat_icp = stratified(
-        &mut pred,
+    let strat_icp = stratified_plan(
+        &pred,
         &strata,
         &domain,
         &profile,
         samples,
         Allocation::EqualPerStratum,
-        &mut rng,
+        plan,
     );
     rows.push(row("stratified (ICP paving)", n, strat_icp));
     rows
@@ -132,19 +131,20 @@ pub fn per_box_table(samples_per_box: u64, seed: u64) -> Vec<(String, f64, f64, 
             false,
         ),
     ];
+    let pred = ScalarPred(|p: &[f64]| pc.holds(p));
+    let plan = SamplePlan::serial(seed);
     let mut out = Vec::new();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    for (name, boxed, certain) in boxes {
+    for (i, (name, boxed, certain)) in boxes.into_iter().enumerate() {
         let w = profile.box_probability(&boxed, &domain);
         let est = if certain {
             Estimate::ONE
         } else {
-            hit_or_miss(
-                &mut |p| pc.holds(p),
+            hit_or_miss_plan(
+                &pred,
                 &boxed,
                 &profile,
                 samples_per_box,
-                &mut rng,
+                plan.substream(i as u64),
             )
         };
         out.push((name.to_owned(), w, est.mean, est.variance));

@@ -11,15 +11,13 @@
 
 use std::time::Instant;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use serde::Serialize;
 
 use qcoral::{Analyzer, Options};
 use qcoral_baselines::plain_monte_carlo;
 use qcoral_constraints::{ConstraintSet, Domain};
 use qcoral_icp::domain_box;
-use qcoral_mc::UsageProfile;
+use qcoral_mc::{SamplePlan, UsageProfile};
 use qcoral_subjects::{aerospace_subjects_with, AerospaceSubject};
 use qcoral_symexec::SymConfig;
 
@@ -92,11 +90,10 @@ pub fn run_cell(
     // Monte Carlo column).
     const BASELINE_SAMPLE_CAP: u64 = 2_000_000;
     let t0 = Instant::now();
-    let mut rng = SmallRng::seed_from_u64(seed);
     let total = samples
         .saturating_mul(cs.len().max(1) as u64)
         .clamp(1, BASELINE_SAMPLE_CAP);
-    let base = plain_monte_carlo(cs, &dbox, &profile, total, &mut rng);
+    let base = plain_monte_carlo(cs, &dbox, &profile, total, SamplePlan::serial(seed));
     rows.push(Row {
         subject: name.to_owned(),
         pcs: cs.len(),

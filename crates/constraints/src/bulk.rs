@@ -48,12 +48,8 @@ pub const LANES: usize = 128;
 /// lane-register file; the allocator guarantees `dst` is distinct from
 /// the instruction's sources, so evaluation can split the file into one
 /// mutable destination and shared sources without aliasing.
-///
-/// Crate-visible so [`crate::jit`] can translate the exact same stream —
-/// schedule, register assignment and early-exit points included — into
-/// native code.
 #[derive(Copy, Clone, Debug)]
-pub(crate) enum Inst {
+enum Inst {
     /// Broadcast a constant across the destination register.
     Const { dst: u32, value: f64 },
     /// Load a contiguous slice of an input column.
@@ -273,14 +269,6 @@ impl BulkTape {
         self.nvars
     }
 
-    /// The register-allocated instruction stream, in evaluation order.
-    /// Consumed by [`crate::jit`] so native kernels share this tape's
-    /// schedule and early-exit structure exactly.
-    #[cfg(feature = "jit")]
-    pub(crate) fn insts(&self) -> &[Inst] {
-        &self.insts
-    }
-
     /// Evaluates one slab of `w <= LANES` samples starting at column
     /// offset `off`, returning the hit mask (bit `i` set ⇔ sample
     /// `off + i` satisfies every atom).
@@ -397,38 +385,7 @@ fn dst_srcs(
     (&mut dreg[..w], pick(a), pick(b))
 }
 
-/// Fixed chunk width of the `lane-kernel` inner loops: small enough to
-/// stay register-resident, wide enough for the autovectorizer to fill a
-/// vector unit from one chunk body.
-#[cfg(feature = "lane-kernel")]
-const LANE_CHUNK: usize = 8;
-
-/// Lane-loop driver for the unary kernels. With the `lane-kernel`
-/// feature the loop runs in fixed-width chunks whose trip count is a
-/// compile-time constant, plus a scalar tail; each lane still applies
-/// the same `f64` operation in the same order, so results are
-/// bit-identical with the feature on or off.
-#[cfg(feature = "lane-kernel")]
-#[inline(always)]
-fn map1(d: &mut [f64], s: &[f64], f: impl Fn(f64) -> f64) {
-    let n = d.len().min(s.len());
-    let split = n - n % LANE_CHUNK;
-    let (dc, dr) = d[..n].split_at_mut(split);
-    let (sc, sr) = s[..n].split_at(split);
-    for (dch, sch) in dc
-        .chunks_exact_mut(LANE_CHUNK)
-        .zip(sc.chunks_exact(LANE_CHUNK))
-    {
-        for i in 0..LANE_CHUNK {
-            dch[i] = f(sch[i]);
-        }
-    }
-    for (d, &x) in dr.iter_mut().zip(sr) {
-        *d = f(x);
-    }
-}
-
-#[cfg(not(feature = "lane-kernel"))]
+/// Applies `f` to every lane of `s`, writing `d` (the unary kernels).
 #[inline(always)]
 fn map1(d: &mut [f64], s: &[f64], f: impl Fn(f64) -> f64) {
     for (d, &x) in d.iter_mut().zip(s) {
@@ -436,31 +393,8 @@ fn map1(d: &mut [f64], s: &[f64], f: impl Fn(f64) -> f64) {
     }
 }
 
-/// Lane-loop driver for the binary kernels; see [`map1`] for the
-/// `lane-kernel` chunking contract.
-#[cfg(feature = "lane-kernel")]
-#[inline(always)]
-fn map2(d: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
-    let n = d.len().min(a.len()).min(b.len());
-    let split = n - n % LANE_CHUNK;
-    let (dc, dr) = d[..n].split_at_mut(split);
-    let (ac, ar) = a[..n].split_at(split);
-    let (bc, br) = b[..n].split_at(split);
-    for ((dch, ach), bch) in dc
-        .chunks_exact_mut(LANE_CHUNK)
-        .zip(ac.chunks_exact(LANE_CHUNK))
-        .zip(bc.chunks_exact(LANE_CHUNK))
-    {
-        for i in 0..LANE_CHUNK {
-            dch[i] = f(ach[i], bch[i]);
-        }
-    }
-    for ((d, &x), &y) in dr.iter_mut().zip(ar).zip(br) {
-        *d = f(x, y);
-    }
-}
-
-#[cfg(not(feature = "lane-kernel"))]
+/// Applies `f` to every lane pair of `a` and `b`, writing `d` (the binary
+/// kernels).
 #[inline(always)]
 fn map2(d: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
     for ((d, &x), &y) in d.iter_mut().zip(a).zip(b) {

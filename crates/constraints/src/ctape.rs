@@ -230,7 +230,7 @@ impl EvalTape {
         // constants it consumed. A reverse liveness sweep (children have
         // strictly smaller ids, so one pass suffices) drops every node no
         // atom reaches, and compaction keeps ids dense and topologically
-        // ordered — all four evaluation kinds shrink together.
+        // ordered — all three evaluation kinds shrink together.
         let mut live = vec![false; b.nodes.len()];
         for &(l, _, r) in &atoms {
             live[l as usize] = true;

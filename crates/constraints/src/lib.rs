@@ -46,8 +46,6 @@ pub mod ctape;
 pub mod domain;
 pub mod expr;
 pub mod ival;
-#[cfg(feature = "jit")]
-pub mod jit;
 pub mod lexer;
 pub mod parse;
 pub mod varset;

@@ -321,108 +321,3 @@ proptest! {
         }
     }
 }
-
-/// The fourth evaluation kind: native kernels emitted by [`JitTape`]
-/// must agree with the bulk interpreter *and* the scalar tape hit for
-/// hit on the same random DAGs — including NaN-heavy conjunctions,
-/// every relational operator and batch sizes that leave a ragged tail
-/// (which the JIT hands back to the interpreter). Compiled only with
-/// `--features jit`; each test no-ops on hosts where runtime CPU
-/// detection rejects the JIT, mirroring the production fallback.
-#[cfg(feature = "jit")]
-mod jit_equiv {
-    use super::*;
-    use qcoral_constraints::jit::{jit_available, JitScratch, JitTape};
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-        /// Hit-for-hit and mask-for-mask: the aggregate count through
-        /// the JIT entry point equals the scalar truth, and on every
-        /// full slab the native lane mask is bit-identical to the
-        /// interpreter's.
-        #[test]
-        fn jit_matches_bulk_and_scalar_hit_for_hit(
-            seed in 0u64..1_000_000,
-            size in 0usize..48,
-            natoms in 1usize..6,
-            n in 1usize..400,
-        ) {
-            if !jit_available() {
-                return;
-            }
-            let pc = random_pc(seed, size, natoms);
-            let tape = EvalTape::compile(&pc);
-            let bulk = BulkTape::compile(&tape);
-            let jit = JitTape::compile(&bulk).expect("jit_available, so compile succeeds");
-            let points = random_points(seed ^ 0xDEAD_BEEF, n);
-            let cols = columns(&points);
-            let scalar: Vec<bool> = points.iter().map(|p| tape.holds(p)).collect();
-            let hits = scalar.iter().filter(|&&h| h).count() as u64;
-
-            prop_assert_eq!(bulk.count_hits(&cols, n), hits);
-            prop_assert_eq!(jit.count_hits(&bulk, &cols, n), hits, "seed {}", seed);
-
-            let mut js = JitScratch::new();
-            let mut bs = BulkScratch::new();
-            let mut off = 0;
-            while off + LANES <= n {
-                let native = jit.hit_mask_slab(&cols, off, &mut js);
-                let interp = bulk.hit_mask(&cols, off, LANES, &mut bs);
-                prop_assert_eq!(native, interp, "seed {} slab at {}", seed, off);
-                off += LANES;
-            }
-        }
-
-        /// Forced-NaN conjunctions through the native kernels: a NaN
-        /// operand must miss under every relational operator (`!=`
-        /// included), exactly like the scalar and bulk paths.
-        #[test]
-        fn jit_nan_heavy_conjunctions_agree(seed in 0u64..1_000_000, n in 1usize..300) {
-            if !jit_available() {
-                return;
-            }
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let zero = Arc::new(Expr::constant(0.0));
-            // sqrt(-|x| - 0.5): NaN for every real x (and built from
-            // non-constant leaves, so the peephole cannot fold it away).
-            let nan_a = Arc::new(Expr::Unary(
-                UnOp::Sqrt,
-                Arc::new(Expr::Binary(
-                    BinOp::Sub,
-                    Arc::new(Expr::Unary(
-                        UnOp::Neg,
-                        Arc::new(Expr::Unary(UnOp::Abs, Arc::new(Expr::var(VarId(0))))),
-                    )),
-                    Arc::new(Expr::constant(0.5)),
-                )),
-            ));
-            // x * 0 / (x * 0) = 0/0 = NaN for finite x.
-            let x0 = Arc::new(Expr::Binary(
-                BinOp::Mul,
-                Arc::new(Expr::var(VarId(0))),
-                Arc::clone(&zero),
-            ));
-            let nan_b = Arc::new(Expr::Binary(BinOp::Div, Arc::clone(&x0), x0));
-            let y = Arc::new(Expr::var(VarId(1)));
-            let atoms = RELOPS
-                .iter()
-                .map(|&op| {
-                    let nan = if rng.gen_bool(0.5) { &nan_a } else { &nan_b };
-                    if rng.gen_bool(0.5) {
-                        Atom::new(Arc::clone(nan), op, Arc::clone(&y))
-                    } else {
-                        Atom::new(Arc::clone(&y), op, Arc::clone(nan))
-                    }
-                })
-                .collect();
-            let pc = PathCondition::from_atoms(atoms);
-            let tape = EvalTape::compile(&pc);
-            let bulk = BulkTape::compile(&tape);
-            let jit = JitTape::compile(&bulk).expect("jit_available, so compile succeeds");
-            let points = random_points(seed ^ 0x5EED, n);
-            let cols = columns(&points);
-            prop_assert_eq!(jit.count_hits(&bulk, &cols, n), 0);
-        }
-    }
-}

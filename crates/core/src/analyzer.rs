@@ -39,9 +39,9 @@ use qcoral_constraints::{ConstraintSet, Domain, PathCondition, VarId, VarSet};
 use qcoral_icp::{domain_box, tape_cache_stats, PaverConfig, PavingCache};
 use qcoral_interval::IntervalBox;
 use qcoral_mc::{
-    align_strata, hit_or_miss_plan_bulk, initial_allocation, mix_seed, neyman_allocation,
-    refine_plan_bulk, stratified_plan_bulk, Allocation, BulkPred, Deadline, Dist, Estimate,
-    IsEstimator, SamplePlan, Stratum, StratumAccum, UsageProfile,
+    align_strata, hit_or_miss_plan, initial_allocation, mix_seed, neyman_allocation, refine_plan,
+    stratified_plan, Allocation, BulkPred, Deadline, Dist, Estimate, IsEstimator, SamplePlan,
+    Stratum, StratumAccum, UsageProfile,
 };
 
 use crate::bulkpred::CompiledPred;
@@ -398,7 +398,8 @@ pub struct Stats {
     /// Factors whose boundary-region estimate came from the adaptive
     /// importance-sampling engine (see [`qcoral_mc::IsEstimator`]):
     /// under [`Allocation::ImportanceAdaptive`], the factors whose pilot
-    /// hit rate fell below [`Options::is_threshold`] and whose proposal
+    /// estimate (exact inner mass plus `Σ wᵢ·p̂ᵢ` over the boundary
+    /// strata) fell below [`Options::is_threshold`] and whose proposal
     /// produced hits. Always 0 under other allocations and for fully
     /// cache-answered runs.
     pub is_factors: u64,
@@ -418,12 +419,10 @@ pub struct Stats {
     /// Always `false` without a deadline.
     pub deadline_exceeded: bool,
     /// Predicate-evaluation backend the analysis used for tape-compiled
-    /// predicates: `"jit"` (native x86-64 kernels, `jit` feature on and
-    /// CPU supported), `"bulk"` (columnar interpreter — the default
-    /// build, or the runtime fallback on unsupported hosts), or
-    /// `"scalar"` (row-by-row closure predicates; not produced by the
-    /// standard analyzers). Empty on partial reports synthesized before
-    /// an analysis ran (e.g. shed-at-deadline replies).
+    /// predicates: always `"bulk"`, the columnar interpreter (kept for
+    /// wire compatibility; see [`crate::active_backend`]). Empty on
+    /// partial reports synthesized before an analysis ran (e.g.
+    /// shed-at-deadline replies).
     pub backend: String,
 }
 
@@ -1196,7 +1195,7 @@ fn strat_sampling(
     if !shared.opts.stratified {
         shared.samples_drawn.add(shared.opts.samples);
         let t_sample = shared.trace.map_or(0, Trace::now_us);
-        let e = hit_or_miss_plan_bulk(&*pred, sub_box, &local_profile, shared.opts.samples, plan);
+        let e = hit_or_miss_plan(&*pred, sub_box, &local_profile, shared.opts.samples, plan);
         if let Some(t) = shared.trace {
             t.record(
                 "sample",
@@ -1261,7 +1260,7 @@ fn strat_sampling(
     let e = if shared.opts.allocation == Allocation::ImportanceAdaptive {
         importance_stratified(shared, &*pred, &strata, sub_box, &local_profile, plan)
     } else {
-        stratified_plan_bulk(
+        stratified_plan(
             &*pred,
             &strata,
             sub_box,
@@ -1340,7 +1339,7 @@ where
     let sampled_weights: Vec<f64> = sampled.iter().map(|&i| weights[i]).collect();
     let refine_stratum = |j: usize, add: u64, accum: StratumAccum| -> StratumAccum {
         let i = sampled[j];
-        refine_plan_bulk(
+        refine_plan(
             pred,
             &strata[i].boxed,
             profile,

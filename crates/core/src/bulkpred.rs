@@ -18,13 +18,9 @@
 
 use std::sync::{Arc, OnceLock};
 
-#[cfg(feature = "jit")]
-use qcoral_constraints::jit::JitTape;
 use qcoral_constraints::{BulkTape, EvalTape, PathCondition};
 use qcoral_icp::CompileCache;
 use qcoral_mc::BulkPred;
-#[cfg(feature = "jit")]
-use qcoral_obs::{Counter, Registry};
 
 /// Process-wide compiled-predicate cache, keyed by the path condition's
 /// structural fingerprint (see
@@ -51,54 +47,17 @@ pub fn pred_cache_stats() -> (u64, u64) {
 }
 
 /// Name of the predicate-evaluation backend tape-compiled predicates
-/// use in this build and process: `"jit"` when the `jit` feature is on
-/// and runtime detection finds a CPU the native emitter supports,
-/// `"bulk"` for the columnar interpreter otherwise. (`"scalar"` names
-/// the row-by-row closure path of `qcoral_mc` — plan-layer callers that
-/// never compile a tape; the analyzers always compile one.) Surfaced as
-/// `Stats::backend` and by the service's `status` op.
+/// use: always `"bulk"`, the columnar interpreter. Surfaced as
+/// `Stats::backend` and by the service's `status` op, whose wire
+/// format keeps the field.
 pub fn active_backend() -> &'static str {
-    #[cfg(feature = "jit")]
-    {
-        if qcoral_constraints::jit::jit_available() {
-            return "jit";
-        }
-    }
     "bulk"
 }
 
-/// Process-wide JIT compilation counters in the global obs [`Registry`]:
-/// kernels emitted and cumulative emission time.
-#[cfg(feature = "jit")]
-struct JitMetrics {
-    compiles: Arc<Counter>,
-    compile_us: Arc<Counter>,
-}
-
-#[cfg(feature = "jit")]
-fn jit_metrics() -> &'static JitMetrics {
-    static METRICS: OnceLock<JitMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = Registry::global();
-        JitMetrics {
-            compiles: r.counter(
-                "qcoral_jit_compile_count",
-                "Predicates compiled to native x86-64 kernels.",
-            ),
-            compile_us: r.counter(
-                "qcoral_jit_compile_us",
-                "Cumulative wall-clock microseconds spent emitting native kernels.",
-            ),
-        }
-    })
-}
-
 /// A factor predicate compiled for both evaluation styles: the scalar
-/// row tape and the register-allocated columnar bulk tape. With the
-/// `jit` feature, also a native x86-64 kernel compiled from the bulk
-/// tape's instruction stream when the running CPU supports one.
+/// row tape and the register-allocated columnar bulk tape.
 ///
-/// All forms are compiled from the same hash-consed node pool, apply the
+/// Both forms are compiled from the same hash-consed node pool, apply the
 /// same `f64` operations in the same order per sample, and share the
 /// scalar NaN/early-exit semantics — so the [`BulkPred`] contract
 /// (columnar hit counts equal row-by-row hit counts, bit for bit) holds
@@ -107,51 +66,15 @@ fn jit_metrics() -> &'static JitMetrics {
 pub struct CompiledPred {
     scalar: EvalTape,
     bulk: BulkTape,
-    #[cfg(feature = "jit")]
-    jit: Option<Arc<JitTape>>,
 }
 
 impl CompiledPred {
-    /// Compiles all evaluation forms for a conjunction. Linear in DAG
-    /// size. With the `jit` feature this includes native-kernel
-    /// emission (counted in `qcoral_jit_compile_{count,us}`); when the
-    /// runtime CPU cannot execute one, the predicate silently keeps the
-    /// interpreter — results are bit-identical either way.
+    /// Compiles both evaluation forms for a conjunction. Linear in DAG
+    /// size.
     pub fn compile(pc: &PathCondition) -> CompiledPred {
         let scalar = EvalTape::compile(pc);
         let bulk = BulkTape::compile(&scalar);
-        #[cfg(feature = "jit")]
-        let jit = {
-            let t0 = std::time::Instant::now();
-            let jit = JitTape::compile(&bulk).map(Arc::new);
-            if jit.is_some() {
-                let m = jit_metrics();
-                m.compiles.inc();
-                m.compile_us.add(t0.elapsed().as_micros() as u64);
-            }
-            jit
-        };
-        CompiledPred {
-            scalar,
-            bulk,
-            #[cfg(feature = "jit")]
-            jit,
-        }
-    }
-
-    /// Compiles the scalar and bulk tapes only, never a native kernel —
-    /// the forced-fallback form, exercising exactly the path a
-    /// non-x86-64 host takes. Used by the differential suites and by
-    /// the hot-path bench to time the interpreter against the JIT.
-    pub fn compile_interpreter_only(pc: &PathCondition) -> CompiledPred {
-        let scalar = EvalTape::compile(pc);
-        let bulk = BulkTape::compile(&scalar);
-        CompiledPred {
-            scalar,
-            bulk,
-            #[cfg(feature = "jit")]
-            jit: None,
-        }
+        CompiledPred { scalar, bulk }
     }
 
     /// Compiles through the process-wide predicate cache: structurally
@@ -173,20 +96,6 @@ impl CompiledPred {
     pub fn bulk(&self) -> &BulkTape {
         &self.bulk
     }
-
-    /// Which backend [`BulkPred::count_hits`] dispatches to for *this*
-    /// predicate: `"jit"` when a native kernel was emitted, `"bulk"`
-    /// otherwise (feature off, unsupported CPU, or
-    /// [`CompiledPred::compile_interpreter_only`]).
-    pub fn backend(&self) -> &'static str {
-        #[cfg(feature = "jit")]
-        {
-            if self.jit.is_some() {
-                return "jit";
-            }
-        }
-        "bulk"
-    }
 }
 
 impl BulkPred for CompiledPred {
@@ -199,12 +108,6 @@ impl BulkPred for CompiledPred {
     }
 
     fn count_hits(&self, cols: &[Vec<f64>], n: usize) -> u64 {
-        #[cfg(feature = "jit")]
-        {
-            if let Some(jit) = &self.jit {
-                return jit.count_hits(&self.bulk, cols, n);
-            }
-        }
         self.bulk.count_hits(cols, n)
     }
 }
@@ -214,7 +117,7 @@ mod tests {
     use super::*;
     use qcoral_constraints::parse::parse_system;
     use qcoral_interval::{Interval, IntervalBox};
-    use qcoral_mc::{hit_or_miss_plan, hit_or_miss_plan_bulk, SamplePlan, UsageProfile};
+    use qcoral_mc::{hit_or_miss_plan, SamplePlan, ScalarPred, UsageProfile};
 
     fn pc_of(src: &str) -> PathCondition {
         parse_system(src).unwrap().constraint_set.pcs()[0].clone()
@@ -233,13 +136,13 @@ mod tests {
         let profile = UsageProfile::uniform(2);
         for n in [1u64, 4_095, 4_096, 12_345] {
             let scalar = hit_or_miss_plan(
-                &|p: &[f64]| pred.scalar().holds(p),
+                &ScalarPred(|p: &[f64]| pred.scalar().holds(p)),
                 &boxed,
                 &profile,
                 n,
                 SamplePlan::serial(5),
             );
-            let bulk = hit_or_miss_plan_bulk(&pred, &boxed, &profile, n, SamplePlan::serial(5));
+            let bulk = hit_or_miss_plan(&pred, &boxed, &profile, n, SamplePlan::serial(5));
             assert_eq!(scalar, bulk, "n = {n}");
         }
     }
@@ -256,62 +159,5 @@ mod tests {
         let (h1, m1) = pred_cache_stats();
         assert!(m1 > m0, "first compile misses");
         assert!(h1 > h0, "second compile hits");
-    }
-
-    #[test]
-    fn backend_names_are_consistent() {
-        let pc = pc_of("var x in [0, 1]; pc sin(x) > 0.8660977;");
-        let fallback = CompiledPred::compile_interpreter_only(&pc);
-        assert_eq!(fallback.backend(), "bulk");
-        let full = CompiledPred::compile(&pc);
-        // The full compile matches the process-wide answer: "jit" only
-        // when the feature is on and this CPU passed detection.
-        assert_eq!(full.backend(), active_backend());
-    }
-
-    /// Forced fallback vs native kernel, whole-pipeline bit identity:
-    /// the same seeded sampling plan over the same predicate must yield
-    /// the same estimate whether `count_hits` dispatches to the JIT or
-    /// to the interpreter it fell back from.
-    #[cfg(feature = "jit")]
-    #[test]
-    fn jit_and_forced_fallback_estimates_are_bit_identical() {
-        let pc = pc_of(
-            "var x in [-1, 1]; var y in [-1, 1];
-             pc sin(3 * x + y) > 0.25 && x * x + y * y <= 0.8;",
-        );
-        let native = CompiledPred::compile(&pc);
-        let fallback = CompiledPred::compile_interpreter_only(&pc);
-        if native.backend() != "jit" {
-            return; // runtime CPU detection rejected the JIT
-        }
-        let boxed: IntervalBox = [Interval::new(-1.0, 1.0), Interval::new(-1.0, 1.0)]
-            .into_iter()
-            .collect();
-        let profile = UsageProfile::uniform(2);
-        for n in [1u64, 127, 128, 4_096, 12_345] {
-            let jit = hit_or_miss_plan_bulk(&native, &boxed, &profile, n, SamplePlan::serial(5));
-            let interp =
-                hit_or_miss_plan_bulk(&fallback, &boxed, &profile, n, SamplePlan::serial(5));
-            assert_eq!(jit, interp, "n = {n}");
-        }
-    }
-
-    /// Emitting a kernel bumps the compile counters the metrics
-    /// endpoint exposes; the forced-fallback form never does.
-    #[cfg(feature = "jit")]
-    #[test]
-    fn jit_compile_counters_track_emission() {
-        let pc = pc_of("var x in [0, 1]; pc cos(x * 2.7172577) < 0.9170423;");
-        let before = jit_metrics().compiles.get();
-        let pred = CompiledPred::compile(&pc);
-        let mid = jit_metrics().compiles.get();
-        if pred.backend() == "jit" {
-            assert!(mid > before, "native emission counts a compile");
-        } else {
-            assert_eq!(mid, before, "no kernel, no compile counted");
-        }
-        let _ = CompiledPred::compile_interpreter_only(&pc);
-        assert_eq!(jit_metrics().compiles.get(), mid, "fallback never counts");
     }
 }

@@ -81,9 +81,8 @@ use qcoral_constraints::{ConstraintSet, Domain, PathCondition, VarId};
 use qcoral_icp::{domain_box, tape_cache_stats};
 use qcoral_interval::IntervalBox;
 use qcoral_mc::{
-    align_strata, initial_allocation, mix_seed, neyman_allocation, proportional_split,
-    refine_plan_bulk, Allocation, Deadline, Estimate, IsEstimator, SamplePlan, Stratum,
-    StratumAccum, UsageProfile,
+    align_strata, initial_allocation, mix_seed, neyman_allocation, proportional_split, refine_plan,
+    Allocation, Deadline, Estimate, IsEstimator, SamplePlan, Stratum, StratumAccum, UsageProfile,
 };
 
 use crate::analyzer::{
@@ -201,7 +200,7 @@ impl ActiveFactor {
         let mut out = Vec::with_capacity(self.accums.len());
         let mut spent = 0u64;
         for (j, &i) in self.sampled.iter().enumerate() {
-            out.push(refine_plan_bulk(
+            out.push(refine_plan(
                 &*self.pred,
                 &self.strata[i].boxed,
                 &self.profile,
@@ -540,7 +539,7 @@ impl Analyzer {
         // Round 1: the initial budget, statically allocated (for
         // `VarianceAdaptive` the adaptation *is* the later rounds, so
         // round 1 pilots with the equal split; `ImportanceAdaptive`
-        // pilots the same way — its hit rate decides the escalation
+        // pilots the same way — its estimate decides the escalation
         // below).
         let round1_alloc = match opts.allocation {
             Allocation::VarianceAdaptive | Allocation::ImportanceAdaptive => {

@@ -6,7 +6,8 @@
 //! model degenerates to `0 ± 0`, and variance-driven allocation has
 //! nothing to steer by. This module implements the cross-entropy-style
 //! adaptive importance-sampling (IS) estimator that the analyzer
-//! switches to when a pilot round's hit rate falls below a threshold —
+//! switches to when a factor's pilot *estimate* (exact inner mass plus
+//! `Σ wᵢ·p̂ᵢ` over the boundary strata) falls below a threshold —
 //! the approach of Luo et al., *Symbolic Parallel Adaptive Importance
 //! Sampling for Probabilistic Program Analysis* (SYMPAIS), grounded in
 //! this workspace's ICP paver instead of a general constraint solver.
@@ -69,7 +70,7 @@
 //! # Determinism
 //!
 //! Sampling follows the same counter-derived discipline as
-//! [`crate::sampler::refine_plan_bulk`]: chunk `c` of the estimator's
+//! [`crate::sampler::refine_plan`]: chunk `c` of the estimator's
 //! stream always seeds its RNG with `mix_seed(plan.seed, c)`, chunk
 //! results are reduced in chunk order, and the cross-entropy refit is a
 //! pure function of chunk-ordered sufficient statistics — so serial and

@@ -9,10 +9,10 @@
 //!   (§3). Uniform profiles match the paper's implementation; piecewise-
 //!   uniform (histogram) profiles implement the discretization extension
 //!   the paper attributes to Filieri et al. \[11\].
-//! * [`hit_or_miss`] — the Hit-or-Miss Monte Carlo estimator (§3.2,
-//!   Eq. 2).
-//! * [`stratified`] — stratified sampling over an ICP paving (§3.3,
-//!   Eq. 3).
+//! * [`hit_or_miss_plan`] — the Hit-or-Miss Monte Carlo estimator
+//!   (§3.2, Eq. 2).
+//! * [`stratified_plan`] — stratified sampling over an ICP paving (§3.3,
+//!   Eq. 3); [`refine_plan`] adds samples to one stratum round by round.
 //! * [`IsEstimator`] — paver-seeded adaptive importance sampling for
 //!   rare-event factors (the [`is`] module), following SYMPAIS.
 //!
@@ -20,14 +20,13 @@
 //!
 //! ```
 //! use qcoral_interval::{Interval, IntervalBox};
-//! use qcoral_mc::{hit_or_miss, UsageProfile};
-//! use rand::SeedableRng;
+//! use qcoral_mc::{hit_or_miss_plan, SamplePlan, ScalarPred, UsageProfile};
 //!
 //! let boxed: IntervalBox = [Interval::new(0.0, 1.0)].into_iter().collect();
 //! let profile = UsageProfile::uniform(1);
-//! let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
 //! // P[x < 0.25] over U[0, 1]
-//! let est = hit_or_miss(&mut |p| p[0] < 0.25, &boxed, &profile, 10_000, &mut rng);
+//! let pred = ScalarPred(|p: &[f64]| p[0] < 0.25);
+//! let est = hit_or_miss_plan(&pred, &boxed, &profile, 10_000, SamplePlan::serial(42));
 //! assert!((est.mean - 0.25).abs() < 0.02);
 //! ```
 
@@ -46,8 +45,7 @@ pub use profile::{
     parse_dist_spec, parse_profile_spec, std_normal_cdf, std_normal_quantile, Dist, UsageProfile,
 };
 pub use sampler::{
-    hit_or_miss, hit_or_miss_plan, hit_or_miss_plan_bulk, initial_allocation, mix_seed,
-    neyman_allocation, proportional_split, refine_plan, refine_plan_bulk, stratified,
-    stratified_plan, stratified_plan_bulk, Allocation, BulkPred, Deadline, SamplePlan, ScalarPred,
-    Stratum, StratumAccum, COLUMN_BLOCK,
+    hit_or_miss_plan, initial_allocation, mix_seed, neyman_allocation, proportional_split,
+    refine_plan, stratified_plan, Allocation, BulkPred, Deadline, SamplePlan, ScalarPred, Stratum,
+    StratumAccum, COLUMN_BLOCK,
 };

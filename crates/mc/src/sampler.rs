@@ -1,22 +1,18 @@
 //! Hit-or-miss Monte Carlo and stratified sampling.
 //!
-//! Two API layers share the estimator math:
-//!
-//! * the classic rng-threaded entry points [`hit_or_miss`] /
-//!   [`stratified`], which consume a caller-provided RNG sequentially, and
-//! * the *plan* layer ([`SamplePlan`], [`hit_or_miss_plan`],
-//!   [`stratified_plan`]), the hot path: samples are drawn in fixed-size
-//!   chunks, each chunk seeded from a counter ([`mix_seed`]) instead of a
-//!   shared RNG stream. Chunk hit-counts are integers and strata are
-//!   reduced in index order, so the returned [`Estimate`] is bit-identical
-//!   whether the chunks run on one thread or many.
+//! One entry point per strategy — [`hit_or_miss_plan`] (Eq. 2),
+//! [`stratified_plan`] (Eq. 3) and [`refine_plan`] (one more round for
+//! one stratum) — each generic over a [`BulkPred`]. Samples are drawn in
+//! fixed-size chunks under a [`SamplePlan`], each chunk seeded from a
+//! counter ([`mix_seed`]) instead of a shared RNG stream. Chunk
+//! hit-counts are integers and strata are reduced in index order, so the
+//! returned [`Estimate`] is bit-identical whether the chunks run on one
+//! thread or many.
 //!
 //! # Columnar bulk evaluation
 //!
-//! The plan layer's predicates are [`BulkPred`]s. A plain
-//! `Fn(&[f64]) -> bool` closure (wrapped in [`ScalarPred`], which the
-//! classic generic entry points do automatically) is evaluated row by
-//! row, exactly as before. A predicate that reports
+//! A plain `Fn(&[f64]) -> bool` closure, wrapped in [`ScalarPred`], is
+//! evaluated row by row. A predicate that reports
 //! [`BulkPred::columnar`] switches the chunk executor to
 //! structure-of-arrays form: samples are drawn into per-variable
 //! *column* buffers, one [`COLUMN_BLOCK`]-sized block at a time — in
@@ -30,7 +26,7 @@
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -194,9 +190,8 @@ pub trait BulkPred: Sync {
 }
 
 /// Adapter giving any `Fn(&[f64]) -> bool` closure the [`BulkPred`]
-/// row-path behaviour. The classic generic entry points ([`refine_plan`],
-/// [`hit_or_miss_plan`], [`stratified_plan`]) wrap their closure in this
-/// automatically, so existing callers are untouched.
+/// row-path behaviour: pass `&ScalarPred(closure)` to any sampler entry
+/// point.
 #[derive(Clone, Copy, Debug)]
 pub struct ScalarPred<F>(pub F);
 
@@ -358,26 +353,11 @@ impl StratumAccum {
 /// chunk hit counts are integers reduced by summation — so the result is
 /// identical across thread schedules and depends only on the budget
 /// sequence. `add == 0` (and refining a dead stratum) is a no-op.
-pub fn refine_plan<F>(
-    pred: &F,
-    boxed: &IntervalBox,
-    profile: &UsageProfile,
-    add: u64,
-    plan: SamplePlan,
-    acc: StratumAccum,
-) -> StratumAccum
-where
-    F: Fn(&[f64]) -> bool + Sync,
-{
-    refine_plan_bulk(&ScalarPred(pred), boxed, profile, add, plan, acc)
-}
-
-/// [`refine_plan`] over a [`BulkPred`]: the same counter-seeded chunk
-/// streams and integer reductions, but columnar predicates evaluate each
-/// chunk in one structure-of-arrays call. Samples are drawn in the
-/// identical RNG order either way, so the accumulator is bit-identical
-/// to the scalar row path.
-pub fn refine_plan_bulk<P>(
+///
+/// Columnar predicates evaluate each chunk in one structure-of-arrays
+/// call; samples are drawn in the identical RNG order either way, so the
+/// accumulator is bit-identical to the row path.
+pub fn refine_plan<P>(
     pred: &P,
     boxed: &IntervalBox,
     profile: &UsageProfile,
@@ -461,38 +441,21 @@ where
     }
 }
 
-/// Hit-or-miss Monte Carlo (Eq. 2) over counter-seeded chunks.
+/// Hit-or-miss Monte Carlo (Eq. 2) over counter-seeded chunks: draws
+/// `n` samples from `profile` conditioned on `boxed` and counts how many
+/// satisfy `pred`.
 ///
-/// Identical statistics to [`hit_or_miss`] but deterministic under any
-/// thread schedule: chunk `c` always draws from `mix_seed(plan.seed, c)`
-/// and the integer hit counts commute. If the box has zero probability
-/// mass under the profile the exact `0 ± 0` is returned.
+/// Deterministic under any thread schedule: chunk `c` always draws from
+/// `mix_seed(plan.seed, c)` and the integer hit counts commute. If the
+/// box has zero probability mass under the profile the exact `0 ± 0` is
+/// returned.
 ///
 /// Equivalent to one [`refine_plan`] round from [`StratumAccum::EMPTY`].
 ///
 /// # Panics
 ///
 /// Panics if `n == 0` or on box/profile dimension mismatch.
-pub fn hit_or_miss_plan<F>(
-    pred: &F,
-    boxed: &IntervalBox,
-    profile: &UsageProfile,
-    n: u64,
-    plan: SamplePlan,
-) -> Estimate
-where
-    F: Fn(&[f64]) -> bool + Sync,
-{
-    hit_or_miss_plan_bulk(&ScalarPred(pred), boxed, profile, n, plan)
-}
-
-/// [`hit_or_miss_plan`] over a [`BulkPred`] — columnar predicates ride
-/// the bulk chunk evaluator, with bit-identical estimates.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or on box/profile dimension mismatch.
-pub fn hit_or_miss_plan_bulk<P>(
+pub fn hit_or_miss_plan<P>(
     pred: &P,
     boxed: &IntervalBox,
     profile: &UsageProfile,
@@ -503,15 +466,22 @@ where
     P: BulkPred + ?Sized,
 {
     assert!(n > 0, "hit-or-miss needs at least one sample");
-    refine_plan_bulk(pred, boxed, profile, n, plan, StratumAccum::EMPTY).estimate()
+    refine_plan(pred, boxed, profile, n, plan, StratumAccum::EMPTY).estimate()
 }
 
-/// Stratified sampling (Eq. 3) over counter-seeded chunks.
+/// Stratified sampling over an ICP paving (§3.3, Eq. 3), on
+/// counter-seeded chunks.
+///
+/// Each stratum is analyzed with hit-or-miss Monte Carlo (inner strata are
+/// exact: mean 1, variance 0), weighted by its probability mass
+/// `wᵢ = P(Rᵢ)/P(D)` and combined with `E[X̂] = Σ wᵢE[X̂ᵢ]`,
+/// `Var[X̂] = Σ wᵢ²Var[X̂ᵢ]`. The region not covered by any stratum is
+/// known to contain no solutions and contributes exactly `0 ± 0`.
 ///
 /// Stratum `i` samples under the independent sub-stream
 /// `plan.substream(i)`; contributions are reduced in stratum order, so the
 /// result is bit-identical across thread schedules and to the serial
-/// plan. Semantics otherwise match [`stratified`].
+/// plan.
 ///
 /// Sample counts come from [`initial_allocation`] (plus a
 /// [`neyman_allocation`] follow-up pass under
@@ -521,37 +491,7 @@ where
 /// # Panics
 ///
 /// Panics on dimension mismatches between strata, `domain` and `profile`.
-pub fn stratified_plan<F>(
-    pred: &F,
-    strata: &[Stratum],
-    domain: &IntervalBox,
-    profile: &UsageProfile,
-    total_samples: u64,
-    allocation: Allocation,
-    plan: SamplePlan,
-) -> Estimate
-where
-    F: Fn(&[f64]) -> bool + Sync,
-{
-    stratified_plan_bulk(
-        &ScalarPred(pred),
-        strata,
-        domain,
-        profile,
-        total_samples,
-        allocation,
-        plan,
-    )
-}
-
-/// [`stratified_plan`] over a [`BulkPred`] — every stratum's chunk
-/// stream rides the bulk evaluator for columnar predicates, with
-/// bit-identical estimates to the scalar row path.
-///
-/// # Panics
-///
-/// Panics on dimension mismatches between strata, `domain` and `profile`.
-pub fn stratified_plan_bulk<P>(
+pub fn stratified_plan<P>(
     pred: &P,
     strata: &[Stratum],
     domain: &IntervalBox,
@@ -589,7 +529,7 @@ where
     let counts = initial_allocation(allocation, total_samples, &sampled_weights);
     let refine_stratum = |j: usize, add: u64, accum: StratumAccum| -> StratumAccum {
         let i = sampled[j];
-        refine_plan_bulk(
+        refine_plan(
             pred,
             &strata[i].boxed,
             profile,
@@ -635,53 +575,6 @@ where
         .zip(&sampled_weights)
         .map(|(a, &w)| a.estimate().scale(w))
         .fold(acc, Estimate::sum)
-}
-
-/// The Hit-or-Miss Monte Carlo estimator of §3.2 (Eq. 2): draws `n`
-/// samples from `profile` conditioned on `boxed` and counts how many
-/// satisfy `pred`.
-///
-/// If the box has zero probability mass under the profile, the exact
-/// estimate `0 ± 0` is returned.
-///
-/// # Panics
-///
-/// Panics if `n == 0` or on box/profile dimension mismatch.
-pub fn hit_or_miss(
-    pred: &mut dyn FnMut(&[f64]) -> bool,
-    boxed: &IntervalBox,
-    profile: &UsageProfile,
-    n: u64,
-    rng: &mut impl Rng,
-) -> Estimate {
-    assert!(n > 0, "hit-or-miss needs at least one sample");
-    match hits_with_rng(pred, boxed, profile, n, rng) {
-        // Zero conditional mass: the box contributes nothing.
-        None => Estimate::ZERO,
-        Some(hits) => Estimate::from_hits(hits, n),
-    }
-}
-
-/// Counts hits among `n` rng-threaded samples; `None` when the box has
-/// zero conditional mass under the profile.
-fn hits_with_rng(
-    pred: &mut dyn FnMut(&[f64]) -> bool,
-    boxed: &IntervalBox,
-    profile: &UsageProfile,
-    n: u64,
-    rng: &mut impl Rng,
-) -> Option<u64> {
-    let mut point = vec![0.0; boxed.ndim()];
-    let mut hits = 0u64;
-    for _ in 0..n {
-        if !profile.sample_in(boxed, boxed, rng, &mut point) {
-            return None;
-        }
-        if pred(&point) {
-            hits += 1;
-        }
-    }
-    Some(hits)
 }
 
 /// One stratum of a stratified-sampling plan: a box plus whether it is an
@@ -730,13 +623,13 @@ pub enum Allocation {
     /// across rounds.
     VarianceAdaptive,
     /// [`Allocation::VarianceAdaptive`] plus per-factor rare-event
-    /// escalation: when the pilot round's hit rate falls below the
+    /// escalation: when the factor's pilot *estimate* — exact inner mass
+    /// plus `Σ wᵢ·p̂ᵢ` over its sampled strata — falls below the
     /// analyzer's threshold, the factor's boundary budget is handed to
     /// the paver-seeded adaptive importance-sampling engine
     /// ([`crate::is::IsEstimator`]) instead of further stratified
-    /// rounds. At this layer (plain stratified entry points, which have
-    /// no pilot/escalation machinery) it behaves exactly like
-    /// `VarianceAdaptive`.
+    /// rounds. At this layer ([`stratified_plan`], which has no
+    /// escalation machinery) it behaves exactly like `VarianceAdaptive`.
     ImportanceAdaptive,
 }
 
@@ -889,114 +782,11 @@ pub fn neyman_allocation(total: u64, weights: &[f64], stddevs: &[f64]) -> Vec<u6
     proportional_split(total, &scores)
 }
 
-/// Stratified sampling over an ICP paving (§3.3, Eq. 3).
-///
-/// Each stratum is analyzed with hit-or-miss Monte Carlo (inner strata are
-/// exact: mean 1, variance 0), weighted by its probability mass
-/// `wᵢ = P(Rᵢ)/P(D)` and combined with `E[X̂] = Σ wᵢE[X̂ᵢ]`,
-/// `Var[X̂] = Σ wᵢ²Var[X̂ᵢ]`. The region not covered by any stratum is
-/// known to contain no solutions and contributes exactly `0 ± 0`.
-///
-/// `total_samples` is divided among the non-certain strata according to
-/// `allocation` (each non-certain stratum receives at least one sample).
-///
-/// # Panics
-///
-/// Panics on dimension mismatches between strata, `domain` and `profile`.
-pub fn stratified(
-    pred: &mut dyn FnMut(&[f64]) -> bool,
-    strata: &[Stratum],
-    domain: &IntervalBox,
-    profile: &UsageProfile,
-    total_samples: u64,
-    allocation: Allocation,
-    rng: &mut impl Rng,
-) -> Estimate {
-    let weights: Vec<f64> = strata
-        .iter()
-        .map(|s| profile.box_probability(&s.boxed, domain))
-        .collect();
-    let sampled: Vec<usize> = strata
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !s.certain)
-        .map(|(i, _)| i)
-        .collect();
-
-    let mut acc = Estimate::ZERO;
-    // Certain strata contribute their exact mass.
-    for (i, s) in strata.iter().enumerate() {
-        if s.certain {
-            acc = acc.sum(Estimate::ONE.scale(weights[i]));
-        }
-    }
-    if sampled.is_empty() {
-        return acc;
-    }
-
-    // Skip zero-weight strata up front so the allocation splits the
-    // budget over strata that can actually contribute.
-    let sampled: Vec<usize> = sampled.into_iter().filter(|&i| weights[i] > 0.0).collect();
-    if sampled.is_empty() {
-        return acc;
-    }
-    let sampled_weights: Vec<f64> = sampled.iter().map(|&i| weights[i]).collect();
-    let counts = initial_allocation(allocation, total_samples, &sampled_weights);
-    // First (or only) pass, rng threaded through strata in index order.
-    let mut tallies: Vec<Option<(u64, u64)>> = Vec::with_capacity(sampled.len());
-    for (j, &i) in sampled.iter().enumerate() {
-        let tally =
-            hits_with_rng(pred, &strata[i].boxed, profile, counts[j], rng).map(|h| (h, counts[j]));
-        tallies.push(tally);
-    }
-    if matches!(
-        allocation,
-        Allocation::VarianceAdaptive | Allocation::ImportanceAdaptive
-    ) {
-        // Neyman follow-up from the pilot: exact strata get no more
-        // samples; the rng keeps threading in stratum order.
-        let spent: u64 = counts.iter().sum();
-        let stddevs: Vec<f64> = tallies
-            .iter()
-            .map(|t| match t {
-                Some((h, n)) if *n > 0 => {
-                    let p = *h as f64 / *n as f64;
-                    (p * (1.0 - p)).sqrt()
-                }
-                _ => 0.0,
-            })
-            .collect();
-        let follow = neyman_allocation(
-            total_samples.saturating_sub(spent),
-            &sampled_weights,
-            &stddevs,
-        );
-        for (j, &i) in sampled.iter().enumerate() {
-            if follow[j] == 0 {
-                continue;
-            }
-            if let Some((h, n)) = tallies[j] {
-                tallies[j] = hits_with_rng(pred, &strata[i].boxed, profile, follow[j], rng)
-                    .map(|h2| (h + h2, n + follow[j]));
-            }
-        }
-    }
-    for (tally, &w) in tallies.iter().zip(&sampled_weights) {
-        let est = match tally {
-            Some((h, n)) if *n > 0 => Estimate::from_hits(*h, *n),
-            _ => Estimate::ZERO,
-        };
-        acc = acc.sum(est.scale(w));
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qcoral_interval::Interval;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn unit_square() -> IntervalBox {
         [Interval::new(-1.0, 1.0), Interval::new(-1.0, 1.0)]
@@ -1004,11 +794,26 @@ mod tests {
             .collect()
     }
 
+    /// The paper's Table 1 boxes (b1..b4) over `[−1,1]²`.
+    fn figure2_strata() -> Vec<Stratum> {
+        let boxed = |x: (f64, f64), y: (f64, f64)| -> IntervalBox {
+            [Interval::new(x.0, x.1), Interval::new(y.0, y.1)]
+                .into_iter()
+                .collect()
+        };
+        vec![
+            Stratum::boundary(boxed((-1.0, -0.5), (-1.0, -0.5))),
+            Stratum::inner(boxed((-0.5, 0.5), (-1.0, -0.5))),
+            Stratum::boundary(boxed((0.5, 1.0), (-1.0, -0.5))),
+            Stratum::boundary(boxed((-0.5, 0.5), (-0.5, 0.0))),
+        ]
+    }
+
     #[test]
     fn unexpired_deadline_is_bit_invisible() {
         let b = unit_square();
         let p = UsageProfile::uniform(2);
-        let pred = |x: &[f64]| x[0] > 0.0;
+        let pred = ScalarPred(|x: &[f64]| x[0] > 0.0);
         let far = Deadline::after(Duration::from_secs(3600));
         for plan in [SamplePlan::serial(7), SamplePlan::parallel(7)] {
             let bare = hit_or_miss_plan(&pred, &b, &p, 20_000, plan);
@@ -1021,7 +826,7 @@ mod tests {
     fn expired_deadline_stops_drawing_but_stays_sound() {
         let b = unit_square();
         let p = UsageProfile::uniform(2);
-        let pred = |x: &[f64]| x[0] > 0.0;
+        let pred = ScalarPred(|x: &[f64]| x[0] > 0.0);
         let past = Deadline::at(Instant::now() - Duration::from_secs(1));
         for plan in [SamplePlan::serial(7), SamplePlan::parallel(7)] {
             let plan = plan.with_deadline(Some(past));
@@ -1045,8 +850,8 @@ mod tests {
     fn hit_or_miss_half_space() {
         let b = unit_square();
         let p = UsageProfile::uniform(2);
-        let mut rng = SmallRng::seed_from_u64(42);
-        let est = hit_or_miss(&mut |x| x[0] > 0.0, &b, &p, 20_000, &mut rng);
+        let pred = ScalarPred(|x: &[f64]| x[0] > 0.0);
+        let est = hit_or_miss_plan(&pred, &b, &p, 20_000, SamplePlan::serial(42));
         assert!((est.mean - 0.5).abs() < 0.02, "{}", est.mean);
         assert!(est.variance > 0.0);
     }
@@ -1055,10 +860,10 @@ mod tests {
     fn hit_or_miss_never_and_always() {
         let b = unit_square();
         let p = UsageProfile::uniform(2);
-        let mut rng = SmallRng::seed_from_u64(42);
-        let never = hit_or_miss(&mut |_| false, &b, &p, 100, &mut rng);
+        let plan = SamplePlan::serial(42);
+        let never = hit_or_miss_plan(&ScalarPred(|_: &[f64]| false), &b, &p, 100, plan);
         assert_eq!(never, Estimate::ZERO);
-        let always = hit_or_miss(&mut |_| true, &b, &p, 100, &mut rng);
+        let always = hit_or_miss_plan(&ScalarPred(|_: &[f64]| true), &b, &p, 100, plan);
         assert_eq!(always.mean, 1.0);
         assert_eq!(always.variance, 0.0);
     }
@@ -1069,45 +874,19 @@ mod tests {
     /// at the same total sample count.
     #[test]
     fn figure2_stratification_reduces_variance() {
-        let pc = |x: &[f64]| x[0] <= -x[1] && x[1] <= x[0];
+        let pc = ScalarPred(|x: &[f64]| x[0] <= -x[1] && x[1] <= x[0]);
         let domain = unit_square();
         let profile = UsageProfile::uniform(2);
-
-        let mut rng = SmallRng::seed_from_u64(1234);
-        let plain = hit_or_miss(&mut |x| pc(x), &domain, &profile, 10_000, &mut rng);
-
-        // The paper's Table 1 boxes (b1..b4).
-        let strata = vec![
-            Stratum::boundary(
-                [Interval::new(-1.0, -0.5), Interval::new(-1.0, -0.5)]
-                    .into_iter()
-                    .collect(),
-            ),
-            Stratum::inner(
-                [Interval::new(-0.5, 0.5), Interval::new(-1.0, -0.5)]
-                    .into_iter()
-                    .collect(),
-            ),
-            Stratum::boundary(
-                [Interval::new(0.5, 1.0), Interval::new(-1.0, -0.5)]
-                    .into_iter()
-                    .collect(),
-            ),
-            Stratum::boundary(
-                [Interval::new(-0.5, 0.5), Interval::new(-0.5, 0.0)]
-                    .into_iter()
-                    .collect(),
-            ),
-        ];
-        let mut rng2 = SmallRng::seed_from_u64(1234);
-        let strat = stratified(
-            &mut |x| pc(x),
-            &strata,
+        let plan = SamplePlan::serial(1234);
+        let plain = hit_or_miss_plan(&pc, &domain, &profile, 10_000, plan);
+        let strat = stratified_plan(
+            &pc,
+            &figure2_strata(),
             &domain,
             &profile,
             10_000,
             Allocation::EqualPerStratum,
-            &mut rng2,
+            plan,
         );
         assert!((plain.mean - 0.25).abs() < 0.02, "plain {}", plain.mean);
         assert!((strat.mean - 0.25).abs() < 0.01, "strat {}", strat.mean);
@@ -1128,21 +907,20 @@ mod tests {
                 .into_iter()
                 .collect(),
         )];
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut calls = 0usize;
-        let est = stratified(
-            &mut |_| {
-                calls += 1;
+        let calls = AtomicUsize::new(0);
+        let est = stratified_plan(
+            &ScalarPred(|_: &[f64]| {
+                calls.fetch_add(1, Ordering::Relaxed);
                 true
-            },
+            }),
             &strata,
             &domain,
             &profile,
             1000,
             Allocation::EqualPerStratum,
-            &mut rng,
+            SamplePlan::serial(5),
         );
-        assert_eq!(calls, 0, "inner strata must not be sampled");
+        assert_eq!(calls.into_inner(), 0, "inner strata must not be sampled");
         assert!((est.mean - 0.5).abs() < 1e-12);
         assert_eq!(est.variance, 0.0);
     }
@@ -1151,22 +929,21 @@ mod tests {
     fn empty_strata_list_is_zero() {
         let domain = unit_square();
         let profile = UsageProfile::uniform(2);
-        let mut rng = SmallRng::seed_from_u64(5);
-        let est = stratified(
-            &mut |_| true,
+        let est = stratified_plan(
+            &ScalarPred(|_: &[f64]| true),
             &[],
             &domain,
             &profile,
             1000,
             Allocation::EqualPerStratum,
-            &mut rng,
+            SamplePlan::serial(5),
         );
         assert_eq!(est, Estimate::ZERO);
     }
 
     #[test]
     fn proportional_allocation_matches_mean() {
-        let pc = |x: &[f64]| x[0] <= -x[1] && x[1] <= x[0];
+        let pc = ScalarPred(|x: &[f64]| x[0] <= -x[1] && x[1] <= x[0]);
         let domain = unit_square();
         let profile = UsageProfile::uniform(2);
         let strata = vec![
@@ -1181,15 +958,14 @@ mod tests {
                     .collect(),
             ),
         ];
-        let mut rng = SmallRng::seed_from_u64(77);
-        let est = stratified(
-            &mut |x| pc(x),
+        let est = stratified_plan(
+            &pc,
             &strata,
             &domain,
             &profile,
             20_000,
             Allocation::Proportional,
-            &mut rng,
+            SamplePlan::serial(77),
         );
         assert!((est.mean - 0.25).abs() < 0.02, "{}", est.mean);
     }
@@ -1201,8 +977,13 @@ mod tests {
         let domain: IntervalBox = [Interval::new(-1.0, 1.0)].into_iter().collect();
         let profile = UsageProfile::uniform(1)
             .with_dist(0, Dist::piecewise(vec![-1.0, 0.0, 1.0], vec![4.0, 1.0]));
-        let mut rng = SmallRng::seed_from_u64(9);
-        let est = hit_or_miss(&mut |x| x[0] > 0.0, &domain, &profile, 20_000, &mut rng);
+        let est = hit_or_miss_plan(
+            &ScalarPred(|x: &[f64]| x[0] > 0.0),
+            &domain,
+            &profile,
+            20_000,
+            SamplePlan::serial(9),
+        );
         assert!((est.mean - 0.2).abs() < 0.02, "{}", est.mean);
     }
 
@@ -1291,18 +1072,18 @@ mod tests {
         }
         let b = unit_square();
         let p = UsageProfile::uniform(2);
-        let pred = |x: &[f64]| x[0] + x[1] > 0.3;
+        let pred = ScalarPred(|x: &[f64]| x[0] + x[1] > 0.3);
         for chunk in [1u64, 100, 4096] {
             let mut plan = SamplePlan::serial(7);
             plan.chunk = chunk;
             let row = hit_or_miss_plan(&pred, &b, &p, 9_777, plan);
-            let col = hit_or_miss_plan_bulk(&ColumnarHalfSpace, &b, &p, 9_777, plan);
+            let col = hit_or_miss_plan(&ColumnarHalfSpace, &b, &p, 9_777, plan);
             assert_eq!(row, col, "chunk {chunk}: columnar diverged");
             let mut par = SamplePlan::parallel(7);
             par.chunk = chunk;
             assert_eq!(
                 col,
-                hit_or_miss_plan_bulk(&ColumnarHalfSpace, &b, &p, 9_777, par)
+                hit_or_miss_plan(&ColumnarHalfSpace, &b, &p, 9_777, par)
             );
         }
         // Round-split refinement continues the identical chunk streams.
@@ -1315,7 +1096,7 @@ mod tests {
         let col = [500u64, 1_311, 96]
             .iter()
             .fold(StratumAccum::EMPTY, |acc, &add| {
-                refine_plan_bulk(&ColumnarHalfSpace, &b, &p, add, plan, acc)
+                refine_plan(&ColumnarHalfSpace, &b, &p, add, plan, acc)
             });
         assert_eq!(row, col);
         // Stratified composition with mixed certain/boundary strata.
@@ -1340,7 +1121,7 @@ mod tests {
             Allocation::Proportional,
             plan,
         );
-        let scol = stratified_plan_bulk(
+        let scol = stratified_plan(
             &ColumnarHalfSpace,
             &strata,
             &b,
@@ -1359,7 +1140,7 @@ mod tests {
     fn refine_plan_rounds_are_deterministic() {
         let b = unit_square();
         let p = UsageProfile::uniform(2);
-        let pred = |x: &[f64]| x[0] > 0.0;
+        let pred = ScalarPred(|x: &[f64]| x[0] > 0.0);
         let plan = SamplePlan::serial(99);
         let one_shot = refine_plan(&pred, &b, &p, 5_000, plan, StratumAccum::EMPTY);
         assert_eq!(
@@ -1394,34 +1175,13 @@ mod tests {
     /// budget on the noisy strata of the paper's Figure 2 paving.
     #[test]
     fn variance_adaptive_matches_mean_and_beats_plain() {
-        let pc = |x: &[f64]| x[0] <= -x[1] && x[1] <= x[0];
+        let pc = ScalarPred(|x: &[f64]| x[0] <= -x[1] && x[1] <= x[0]);
         let domain = unit_square();
         let profile = UsageProfile::uniform(2);
-        let strata = vec![
-            Stratum::boundary(
-                [Interval::new(-1.0, -0.5), Interval::new(-1.0, -0.5)]
-                    .into_iter()
-                    .collect(),
-            ),
-            Stratum::inner(
-                [Interval::new(-0.5, 0.5), Interval::new(-1.0, -0.5)]
-                    .into_iter()
-                    .collect(),
-            ),
-            Stratum::boundary(
-                [Interval::new(0.5, 1.0), Interval::new(-1.0, -0.5)]
-                    .into_iter()
-                    .collect(),
-            ),
-            Stratum::boundary(
-                [Interval::new(-0.5, 0.5), Interval::new(-0.5, 0.0)]
-                    .into_iter()
-                    .collect(),
-            ),
-        ];
+        let strata = figure2_strata();
         let plan = SamplePlan::serial(1234);
         let adaptive = stratified_plan(
-            &|x: &[f64]| pc(x),
+            &pc,
             &strata,
             &domain,
             &profile,
@@ -1430,7 +1190,7 @@ mod tests {
             plan,
         );
         assert!((adaptive.mean - 0.25).abs() < 0.01, "{}", adaptive.mean);
-        let plain = hit_or_miss_plan(&|x: &[f64]| pc(x), &domain, &profile, 10_000, plan);
+        let plain = hit_or_miss_plan(&pc, &domain, &profile, 10_000, plan);
         assert!(
             adaptive.variance < plain.variance / 2.0,
             "adaptive {} should beat plain {}",
@@ -1439,7 +1199,7 @@ mod tests {
         );
         // Parallel execution is bit-identical.
         let par = stratified_plan(
-            &|x: &[f64]| pc(x),
+            &pc,
             &strata,
             &domain,
             &profile,
@@ -1448,18 +1208,6 @@ mod tests {
             SamplePlan::parallel(1234),
         );
         assert_eq!(adaptive, par);
-        // The rng-threaded twin agrees statistically.
-        let mut rng = SmallRng::seed_from_u64(77);
-        let legacy = stratified(
-            &mut |x| pc(x),
-            &strata,
-            &domain,
-            &profile,
-            10_000,
-            Allocation::VarianceAdaptive,
-            &mut rng,
-        );
-        assert!((legacy.mean - 0.25).abs() < 0.01, "{}", legacy.mean);
     }
 
     #[test]
@@ -1472,15 +1220,14 @@ mod tests {
         let strata = vec![Stratum::inner(
             [Interval::new(0.0, 1.0)].into_iter().collect(),
         )];
-        let mut rng = SmallRng::seed_from_u64(13);
-        let est = stratified(
-            &mut |_| unreachable!("inner strata are not sampled"),
+        let est = stratified_plan(
+            &ScalarPred(|_: &[f64]| -> bool { unreachable!("inner strata are not sampled") }),
             &strata,
             &domain,
             &profile,
             100,
             Allocation::EqualPerStratum,
-            &mut rng,
+            SamplePlan::serial(13),
         );
         assert!((est.mean - 0.2).abs() < 1e-12);
         assert_eq!(est.variance, 0.0);

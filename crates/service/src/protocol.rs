@@ -62,12 +62,12 @@ use qcoral_mc::{Dist, UsageProfile};
 /// required `is_factors`/`is_fallbacks` counters (v5 clients fail to
 /// decode v6 reports).
 ///
-/// v7: the JIT backend. `Stats` gained the required `backend` field
-/// (which predicate-evaluation backend served the analysis — `"jit"`,
-/// `"bulk"` or `"scalar"`; the breaking change: v6 clients fail to
-/// decode v7 reports) and [`ServerStatus`] gained `backend` (what this
-/// server process would use, fixed at build/startup by the `jit`
-/// feature and runtime CPU detection).
+/// v7: `Stats` gained the required `backend` field (which
+/// predicate-evaluation backend served the analysis; the breaking
+/// change: v6 clients fail to decode v7 reports) and [`ServerStatus`]
+/// gained `backend` (what this server process uses). The JIT backend
+/// that motivated the field is gone: both now always read `"bulk"`, and
+/// the fields stay so the wire format does not change.
 pub const PROTOCOL_VERSION: u32 = 7;
 
 /// One named marginal of a program request's usage profile: programs
@@ -213,8 +213,7 @@ pub struct ServerStatus {
     /// Jobs of the current micro-batch not yet finished (live).
     pub inflight: u64,
     /// Predicate-evaluation backend this server uses for tape-compiled
-    /// predicates (`"jit"` or `"bulk"`; fixed per process by the `jit`
-    /// build feature and runtime CPU detection).
+    /// predicates: always `"bulk"`, the columnar interpreter.
     pub backend: String,
 }
 

@@ -144,7 +144,7 @@ fn arb_outcome() -> impl Strategy<Value = Outcome> {
                     batches_dispatched: a / 2,
                     queue_depth: b % 5,
                     inflight: a % 5,
-                    backend: if a % 2 == 0 { "bulk" } else { "jit" }.to_string(),
+                    backend: if a % 2 == 0 { "bulk" } else { "scalar" }.to_string(),
                 }),
                 _ => Outcome::Report(AnalysisResponse {
                     report: Report {

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use qcoral::{Analyzer, CompiledPred, FactorStore, Options};
 use qcoral_icp::{domain_box, PavingCache};
 use qcoral_mc::{
-    hit_or_miss_plan, hit_or_miss_plan_bulk, mix_seed, stratified_plan, stratified_plan_bulk,
-    Allocation, SamplePlan, Stratum, UsageProfile,
+    hit_or_miss_plan, mix_seed, stratified_plan, Allocation, SamplePlan, ScalarPred, Stratum,
+    UsageProfile,
 };
 use qcoral_subjects::{nonuniform_subjects, rare_subjects, table3_subjects};
 use qcoral_symexec::SymConfig;
@@ -268,12 +268,12 @@ fn bulk_path_matches_scalar_path_bit_for_bit() {
         let boxed = domain_box(&domain);
         for (i, pc) in cs.pcs().iter().enumerate().take(6) {
             let pred = CompiledPred::compile(pc);
-            let scalar_pred = |x: &[f64]| pred.scalar().holds(x);
+            let scalar_pred = ScalarPred(|x: &[f64]| pred.scalar().holds(x));
             let plan = SamplePlan::serial(mix_seed(97, i as u64));
             let scalar = hit_or_miss_plan(&scalar_pred, &boxed, &profile, 3_000, plan);
-            let bulk = hit_or_miss_plan_bulk(&pred, &boxed, &profile, 3_000, plan);
+            let bulk = hit_or_miss_plan(&pred, &boxed, &profile, 3_000, plan);
             assert_eq!(scalar, bulk, "{}[pc {i}]: bulk diverged", subj.name);
-            let par = hit_or_miss_plan_bulk(
+            let par = hit_or_miss_plan(
                 &pred,
                 &boxed,
                 &profile,
@@ -302,7 +302,7 @@ fn bulk_path_matches_scalar_path_bit_for_bit() {
                 Allocation::Proportional,
                 plan,
             );
-            let s_bulk = stratified_plan_bulk(
+            let s_bulk = stratified_plan(
                 &pred,
                 &strata,
                 &boxed,
@@ -343,15 +343,8 @@ fn bulk_path_warm_restart_is_bit_identical() {
     assert_eq!(warm.stats.pavings, 0, "warm run must not pave");
 }
 
-/// Every report names the backend that served it, and the name is the
-/// process-wide one: `"jit"` exactly when the `jit` feature is on and
-/// runtime CPU detection accepted this host, `"bulk"` otherwise. The
-/// CI matrix runs this suite with the feature on and off, and
-/// `bulk_path_matches_scalar_path_bit_for_bit` above compiles its
-/// predicates through the same full `CompiledPred::compile` path — so
-/// under `--features jit` that test pins native kernels == scalar tape
-/// bit for bit on every subject, and this one pins that the report
-/// admits which path ran.
+/// Every report names the backend that served it: the columnar
+/// interpreter, `"bulk"`, the only one there is.
 #[test]
 fn reported_backend_matches_process_backend() {
     let subjects = table3_subjects();
@@ -360,13 +353,6 @@ fn reported_backend_matches_process_backend() {
     let profile = UsageProfile::uniform(domain.len());
     let opts = Options::strat_partcache().with_samples(1_000).with_seed(41);
     let report = Analyzer::new(opts).analyze(&cs, &domain, &profile);
-    assert_eq!(report.stats.backend, qcoral::active_backend());
-    assert!(
-        report.stats.backend == "jit" || report.stats.backend == "bulk",
-        "unexpected backend {:?}",
-        report.stats.backend
-    );
-    #[cfg(not(feature = "jit"))]
     assert_eq!(report.stats.backend, "bulk");
 }
 
