@@ -1,51 +1,45 @@
 //! The qCORAL analyzer: Algorithms 1–3 of the paper.
 //!
-//! [`Analyzer::analyze`] implements Algorithm 1 (iterate over path
-//! conditions, sum the estimates per Theorem 1), delegating to
-//! `analyzeConjunction` (Algorithm 2: split the conjunction along the
-//! dependency partition, multiply the factor estimators per Eq. 7–8, with
-//! optional caching) and `stratSampling` (Algorithm 3: pave the factor's
+//! [`Analyzer::analyze`] implements Algorithm 1 (sum the path conditions'
+//! estimates per Theorem 1), Algorithm 2 (split each conjunction along
+//! the dependency partition and multiply the factor estimators per
+//! Eq. 7–8, with optional caching) and Algorithm 3 (pave each factor's
 //! sub-domain with ICP, then run stratified hit-or-miss Monte Carlo per
-//! Eq. 3).
+//! Eq. 3). [`Analyzer::analyze_iterative`] runs the same pipeline with a
+//! variance-driven sampling schedule.
 //!
 //! # Parallelism and determinism
 //!
-//! The pipeline is embarrassingly parallel at three levels, and
+//! Both entry points find every factor occurrence of every path
+//! condition and deduplicate them before any fan-out. The pipeline is
+//! then embarrassingly parallel at three levels, and
 //! [`Options::parallel`] fans all three out:
 //!
-//! 1. **path conditions** (Theorem 1 — disjoint estimators add),
-//! 2. **independent factors** of each conjunction (Eq. 7–8 — independent
-//!    estimators multiply), and
-//! 3. **sample chunks / strata** inside each factor's stratified run.
+//! 1. **distinct factors** (independent estimators: Eq. 7–8 multiplies
+//!    them within a path condition, Theorem 1 adds the path conditions),
+//! 2. **strata** of each factor's paving, and
+//! 3. **sample chunks** inside each stratum.
 //!
 //! Every random stream is derived from *what* is being sampled — the
-//! canonical factor key or the `(pc, factor)` index pair, plus the chunk
-//! counter — never from execution order. Combined with fixed reduction
-//! orders, a parallel run returns the bit-identical [`Report`] estimate
-//! of the serial run (provided the ICP time budget does not bind, the
-//! same caveat the serial path already carries).
+//! canonical factor key or the `(pc, factor)` index pair, plus the
+//! stratum and chunk counters — never from execution order. Combined
+//! with fixed reduction orders, a parallel run returns the bit-identical
+//! [`Report`] of the serial run, counters included (except the
+//! process-global tape-cache deltas), provided the ICP time budget does
+//! not bind, the same caveat the serial path already carries.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::Mutex;
-use qcoral_obs::trace::arg;
 use qcoral_obs::{Counter, Histogram, Registry, Trace, TraceData};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use qcoral_constraints::{ConstraintSet, Domain, PathCondition, VarId, VarSet};
-use qcoral_icp::{domain_box, tape_cache_stats, PaverConfig, PavingCache};
+use qcoral_constraints::{ConstraintSet, Domain, PathCondition};
+use qcoral_icp::{PaverConfig, PavingCache};
 use qcoral_interval::IntervalBox;
-use qcoral_mc::{
-    align_strata, hit_or_miss_plan, initial_allocation, mix_seed, neyman_allocation, refine_plan,
-    stratified_plan, Allocation, BulkPred, Deadline, Dist, Estimate, IsEstimator, SamplePlan,
-    Stratum, StratumAccum, UsageProfile,
-};
+use qcoral_mc::{Allocation, Deadline, Dist, Estimate, SamplePlan, UsageProfile};
 
-use crate::bulkpred::CompiledPred;
-use crate::depend::dependency_partition;
+use crate::engine::{self, Schedule};
 use crate::factor_store::{FactorKey, FactorStore};
 
 /// Feature configuration for the analyzer. The paper's named
@@ -68,8 +62,14 @@ pub struct Options {
     pub stratified: bool,
     /// Decompose conjunctions along the dependency partition (§4.2).
     pub partition: bool,
-    /// Cache and reuse partition results across path conditions (the
-    /// caching half of the paper's `PARTCACHE`). Requires `partition`.
+    /// Deduplicate factors across path conditions by canonical key and
+    /// exchange their estimates with an attached [`FactorStore`] (the
+    /// caching half of the paper's `PARTCACHE`): a factor shared by
+    /// several path conditions is paved and sampled once per run, on
+    /// streams seeded from its key. Off, every `(pc, factor)` occurrence
+    /// is sampled on its own streams, seeded from that index pair, and
+    /// no store is consulted. Both entry points follow the same rule.
+    /// Meant for use with `partition`.
     pub cache: bool,
     /// Sample allocation across strata (paper: equal per stratum).
     /// [`Allocation::ImportanceAdaptive`] additionally arms the
@@ -91,9 +91,9 @@ pub struct Options {
     pub is_threshold: f64,
     /// ICP paver budget (paper defaults: 10 boxes, 3 digits, 2 s).
     pub paver: PaverConfig,
-    /// Fan out path conditions, independent factors and sample chunks
-    /// across threads (Theorem 1 explicitly allows it). Results are
-    /// deterministic regardless of scheduling.
+    /// Fan out distinct factors, strata and sample chunks across threads
+    /// (Theorem 1 explicitly allows it). Results are deterministic
+    /// regardless of scheduling.
     pub parallel: bool,
     /// Samples per RNG chunk: the parallel work granule of the sampler.
     /// Affects which stream each sample draws from (so changing it changes
@@ -219,7 +219,7 @@ impl Options {
         self
     }
 
-    /// Enables or disables parallel PC analysis.
+    /// Enables or disables parallel fan-out (see [`Options::parallel`]).
     pub fn with_parallel(mut self, parallel: bool) -> Options {
         self.parallel = parallel;
         self
@@ -336,6 +336,12 @@ impl Options {
         ] {
             h = fnv_fold(h, word);
         }
+        // Unstratified factors moved their one stratum onto the factor's
+        // own stream (the one-shot hit-or-miss stream), so their stale
+        // entries go cold; stratified keys stay as they were.
+        if !self.stratified {
+            h = fnv_fold(h, WHOLE_BOX_TAG);
+        }
         h
     }
 }
@@ -350,9 +356,13 @@ impl Default for Options {
 /// Cumulative counters gathered during an analysis.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Stats {
-    /// Partition-cache hits (Algorithm 2).
+    /// Partition-cache hits (Algorithm 2): factor occurrences answered by
+    /// an earlier occurrence of the same canonical factor in this run
+    /// (occurrences minus distinct factors). 0 when [`Options::cache`]
+    /// is off.
     pub cache_hits: u64,
-    /// Partition-cache misses.
+    /// Partition-cache misses: the distinct factors of the run, each
+    /// prepared and sampled once. 0 when [`Options::cache`] is off.
     pub cache_misses: u64,
     /// ICP inner boxes across all pavings.
     pub inner_boxes: u64,
@@ -380,7 +390,12 @@ pub struct Stats {
     pub factor_store_misses: u64,
     /// Monte Carlo sampling budget charged, across all sampled factors.
     /// Zero means every factor came from a cache — no RNG was touched.
-    /// (Exact inner strata may draw fewer samples than budgeted.)
+    /// The two entry points charge differently:
+    /// [`Analyzer::analyze`] charges [`Options::samples`] for every
+    /// factor that was paved satisfiable or is unstratified, even when
+    /// exact strata leave less (or nothing) to draw;
+    /// [`Analyzer::analyze_iterative`] charges the counts it allocates,
+    /// round by round, including the importance-sampling pilot.
     pub samples_drawn: u64,
     /// Sampling rounds executed by [`Analyzer::analyze_iterative`]
     /// (0 for one-shot `analyze`; 1 when every factor was answered from
@@ -482,7 +497,7 @@ pub struct Analyzer {
     /// Clones of the analyzer share the cache.
     pub(crate) paving_cache: Arc<PavingCache>,
     /// Optional cross-run factor-estimate store (see [`FactorStore`]):
-    /// consulted between the in-run partition cache and fresh sampling,
+    /// consulted before a factor is paved and sampled,
     /// shared across analyzers, requests and — once persisted — restarts.
     pub(crate) factor_store: Option<Arc<FactorStore>>,
     /// Optional absolute cutoff (see [`Analyzer::with_deadline`]); takes
@@ -551,41 +566,6 @@ pub(crate) fn profile_bits(profile: &UsageProfile, epsilon: f64) -> Vec<u64> {
     out
 }
 
-struct Shared<'a> {
-    opts: &'a Options,
-    deadline: Option<Deadline>,
-    domain_box: IntervalBox,
-    profile: &'a UsageProfile,
-    partition: Vec<VarSet>,
-    pavings_cache: &'a PavingCache,
-    store: Option<&'a FactorStore>,
-    opts_fp: u64,
-    /// Span collector of this run, when tracing (one branch when not).
-    trace: Option<&'a Trace>,
-    /// In-run partition cache, one cell per factor key: set once by the
-    /// PC that computes the key, `None` when a deadline cut that
-    /// computation short.
-    cache: Mutex<HashMap<FactorKey, Arc<OnceLock<Option<Estimate>>>>>,
-    // Per-analysis counters on the `qcoral-obs` primitives (the same
-    // type the process-wide registry serves), so `Stats` and the metrics
-    // exposition share one counting substrate. Kept per-run — not
-    // registry-minted — because tests and callers rely on exact
-    // per-analysis numbers even when analyses run concurrently; the
-    // totals are folded into the global registry by `publish_report`.
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    store_hits: Arc<Counter>,
-    store_misses: Arc<Counter>,
-    inner_boxes: Arc<Counter>,
-    boundary_boxes: Arc<Counter>,
-    pavings: Arc<Counter>,
-    paving_hits: Arc<Counter>,
-    paving_misses: Arc<Counter>,
-    samples_drawn: Arc<Counter>,
-    is_factors: Arc<Counter>,
-    is_fallbacks: Arc<Counter>,
-}
-
 impl Analyzer {
     /// Creates an analyzer with the given options.
     pub fn new(opts: Options) -> Analyzer {
@@ -617,8 +597,8 @@ impl Analyzer {
     }
 
     /// Attaches a cross-run [`FactorStore`]. With [`Options::cache`]
-    /// enabled, factor estimates are looked up there after the in-run
-    /// cache and deposited there after sampling. Store hits return
+    /// enabled, factor estimates are looked up there before paving and
+    /// deposited there after sampling. Store hits return
     /// bit-identical estimates (all sampling seeds derive from the
     /// canonical factor key), so attaching a store never changes results.
     pub fn with_factor_store(mut self, store: Arc<FactorStore>) -> Analyzer {
@@ -679,118 +659,83 @@ impl Analyzer {
     }
 
     /// Quantifies `Pr[input ∼ profile satisfies any PC in cs]` over the
-    /// bounded `domain` (Algorithm 1). Returns the combined estimate, the
-    /// per-PC breakdown and counters.
+    /// bounded `domain` (Algorithm 1), spending [`Options::samples`] on
+    /// each distinct factor. Returns the combined estimate, the per-PC
+    /// breakdown and counters.
     ///
     /// # Panics
     ///
     /// Panics if the constraint set references variables outside `domain`
     /// or if `profile.len() != domain.len()`.
     pub fn analyze(&self, cs: &ConstraintSet, domain: &Domain, profile: &UsageProfile) -> Report {
-        assert_eq!(
-            profile.len(),
-            domain.len(),
-            "profile and domain must cover the same variables"
-        );
-        assert!(
-            cs.var_bound() <= domain.len(),
-            "constraint set references undeclared variables"
-        );
-        let start = Instant::now();
-        let trace = self.run_trace();
-        let trace_t0 = qcoral_obs::trace::span_start(&trace);
-        let nvars = domain.len();
-        let partition = normalized_partition(&self.opts, cs, nvars);
+        engine::run(self, cs, domain, profile, Schedule::OneShot)
+    }
 
-        let (tape_hits0, tape_misses0) = tape_cache_stats();
-        let shared = Shared {
-            opts: &self.opts,
-            deadline: self.effective_deadline(),
-            domain_box: domain_box(domain),
-            profile,
-            partition,
-            pavings_cache: &self.paving_cache,
-            store: self.factor_store.as_deref(),
-            opts_fp: self.opts.sampling_fingerprint(),
-            trace: trace.as_deref(),
-            cache: Mutex::new(HashMap::new()),
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
-            store_hits: Counter::new(),
-            store_misses: Counter::new(),
-            inner_boxes: Counter::new(),
-            boundary_boxes: Counter::new(),
-            pavings: Counter::new(),
-            paving_hits: Counter::new(),
-            paving_misses: Counter::new(),
-            samples_drawn: Counter::new(),
-            is_factors: Counter::new(),
-            is_fallbacks: Counter::new(),
-        };
-
-        // Algorithm 1, fanned out per Theorem 1: each path condition's
-        // estimator is independent of the others, and all seeds are
-        // derived from (pc index, factor) — not from execution order — so
-        // the parallel collect is bit-identical to the serial map.
-        let pcs = cs.pcs();
-        let per_pc: Vec<Estimate> = if self.opts.parallel && pcs.len() > 1 {
-            (0..pcs.len())
-                .into_par_iter()
-                .map(|i| analyze_conjunction(&shared, &pcs[i], i))
-                .collect()
-        } else {
-            pcs.iter()
-                .enumerate()
-                .map(|(i, pc)| analyze_conjunction(&shared, pc, i))
-                .collect()
-        };
-
-        // Theorem 1: disjoint PCs sum; variance adds as an upper bound.
-        // (Fixed input-order reduction — independent of thread schedule.)
-        let estimate = per_pc.iter().fold(Estimate::ZERO, |acc, e| acc.sum(*e));
-
-        let (tape_hits1, tape_misses1) = tape_cache_stats();
-        let stats = Stats {
-            cache_hits: shared.cache_hits.get(),
-            cache_misses: shared.cache_misses.get(),
-            inner_boxes: shared.inner_boxes.get(),
-            boundary_boxes: shared.boundary_boxes.get(),
-            pavings: shared.pavings.get(),
-            paving_cache_hits: shared.paving_hits.get(),
-            paving_cache_misses: shared.paving_misses.get(),
-            tape_cache_hits: tape_hits1 - tape_hits0,
-            tape_cache_misses: tape_misses1 - tape_misses0,
-            factor_store_hits: shared.store_hits.get(),
-            factor_store_misses: shared.store_misses.get(),
-            samples_drawn: shared.samples_drawn.get(),
-            rounds: 0,
-            refine_samples: 0,
-            target_met: false,
-            is_factors: shared.is_factors.get(),
-            is_fallbacks: shared.is_fallbacks.get(),
-            deadline_exceeded: shared.expired(),
-            backend: crate::bulkpred::active_backend().to_string(),
-        };
-        if let Some(t) = &trace {
-            t.record(
-                "analyze",
-                "core",
-                trace_t0,
-                vec![
-                    arg("pcs", per_pc.len()),
-                    arg("samples_drawn", stats.samples_drawn),
-                ],
-            );
-        }
-        let report = Report {
-            estimate,
-            per_pc,
-            stats,
-            wall: start.elapsed(),
-            trace: trace.map(|t| t.take()),
-        };
-        publish_report(&report);
-        report
+    /// Iterative, variance-driven quantification: round 1 spends
+    /// [`Options::samples`] per factor like `analyze`, then each further
+    /// round places [`Options::round_budget`] where the variance lives,
+    /// until the composed standard error reaches
+    /// [`Options::target_stderr`] or [`Options::max_rounds`] is
+    /// exhausted. [`Stats::rounds`], [`Stats::refine_samples`] and
+    /// [`Stats::target_met`] record the trajectory.
+    ///
+    /// After a round the analyzer knows where the variance lives, at the
+    /// three levels of the paper's composition — disjoint estimators add
+    /// (Theorem 1), independent factors multiply (Eq. 7–8) and strata
+    /// combine by Eq. 3:
+    ///
+    /// 1. **Across path conditions**: a round's budget is split across
+    ///    PCs proportional to their variance contribution to the sum.
+    /// 2. **Across factors**: each PC spends its share on the factor with
+    ///    the largest *exact* contribution to the PC product's variance
+    ///    (`varⱼ · Π_{i≠j}(meanᵢ² + varᵢ)`). A factor shared by several
+    ///    PCs pools their shares and is refined once.
+    /// 3. **Across strata**: within that factor the share is placed
+    ///    Neyman-style, proportional to `weight × stddev`
+    ///    ([`qcoral_mc::neyman_allocation`]); strata that turned out
+    ///    exact receive nothing further.
+    ///
+    /// The loop also stops when no factor can absorb budget (everything
+    /// exact or frozen). With [`Options::cache`] set, factors are
+    /// deduplicated by canonical key and final estimates are exchanged
+    /// with the attached [`FactorStore`] under
+    /// [`Options::iterative_fingerprint`], so a warm repeat answers every
+    /// factor from the store and recomposes bit-identically with zero
+    /// pavings and samples. A *partially* warm store can allocate
+    /// refinement differently than the cold run did (frozen factors
+    /// expose their final variances, not their round-by-round ones), so
+    /// fresh factors may converge to different — equally valid —
+    /// estimates; first-write-wins inserts keep whichever landed first.
+    ///
+    /// # Rare events
+    ///
+    /// Eq. 2's estimator reports variance `p̂(1−p̂)/n`, which is **zero**
+    /// at `p̂ ∈ {0, 1}`: a stratum whose samples all missed (or all hit)
+    /// looks exact, gets no further samples and no longer holds the
+    /// composed standard error above the target. On a stratum whose true
+    /// probability is far below `1/round-1-samples`, the run can report
+    /// `target_met` while carrying a bias of up to roughly `3/n` of that
+    /// stratum's weight at 95% confidence. Either size
+    /// [`Options::samples`] so round 1 can see the event, or select
+    /// [`Allocation::ImportanceAdaptive`]: after round 1, a factor whose
+    /// estimate fell below [`Options::is_threshold`] pilots a
+    /// paver-seeded [`qcoral_mc::IsEstimator`] with another `samples`,
+    /// and each further round adapts that proposal instead of re-running
+    /// Neyman. A pilot with zero hits falls back to stratified sampling
+    /// deterministically, flagged in [`Stats::is_fallbacks`].
+    /// [`Options::iterative_worst_case`] bounds what one factor can draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the constraint set references variables outside
+    /// `domain` or if `profile.len() != domain.len()` (as `analyze`).
+    pub fn analyze_iterative(
+        &self,
+        cs: &ConstraintSet,
+        domain: &Domain,
+        profile: &UsageProfile,
+    ) -> Report {
+        engine::run(self, cs, domain, profile, Schedule::Iterative)
     }
 }
 
@@ -902,229 +847,6 @@ pub(crate) fn publish_report(report: &Report) {
     m.duration_us.record(report.wall.as_micros() as u64);
 }
 
-impl Shared<'_> {
-    /// Whether this run's deadline (if any) has passed.
-    fn expired(&self) -> bool {
-        self.deadline.is_some_and(Deadline::expired)
-    }
-}
-
-/// The variable partition Algorithm 2 factors each conjunction along:
-/// the dependency partition when [`Options::partition`] is set, one
-/// whole-domain class otherwise. Classes are normalized to full-domain
-/// capacity (`FromIterator for VarSet` sizes to the max index, which the
-/// empty-domain edge case trips over).
-pub(crate) fn normalized_partition(
-    opts: &Options,
-    cs: &ConstraintSet,
-    nvars: usize,
-) -> Vec<VarSet> {
-    let partition = if opts.partition {
-        dependency_partition(cs, nvars)
-    } else {
-        // A single class containing every variable: Algorithm 2
-        // degenerates to whole-PC analysis.
-        vec![(0..nvars as u32).map(VarId).collect::<VarSet>()]
-    };
-    partition
-        .into_iter()
-        .map(|s| {
-            let mut full = VarSet::new(nvars);
-            for v in s.iter() {
-                full.insert(v);
-            }
-            full
-        })
-        .collect()
-}
-
-/// Algorithm 2: analyze one conjunction by independent factors.
-///
-/// Factors are independent by construction (disjoint variable classes),
-/// so under [`Options::parallel`] they are estimated concurrently; the
-/// product (Eq. 7–8) is reduced in partition order either way.
-fn analyze_conjunction(shared: &Shared<'_>, pc: &PathCondition, pc_idx: usize) -> Estimate {
-    // Graceful degradation: once the deadline has passed, path
-    // conditions that have not started contribute the sound (if
-    // pessimistic) `0 ± 0` instead of pinning the worker further. The
-    // report is flagged `deadline_exceeded`, so the caller knows the sum
-    // is a lower bound on the work requested.
-    if shared.expired() {
-        return Estimate::ZERO;
-    }
-    let t0 = shared.trace.map_or(0, Trace::now_us);
-    // Project each class once; a class no constraint touches contributes
-    // exactly 1 and is dropped here.
-    let factors: Vec<(usize, &VarSet, PathCondition)> = shared
-        .partition
-        .iter()
-        .enumerate()
-        .filter_map(|(i, class)| {
-            let part = pc.project(class);
-            (!part.is_empty()).then_some((i, class, part))
-        })
-        .collect();
-    let estimate_factor = |(factor_idx, class, part): &(usize, &VarSet, PathCondition)| {
-        analyze_factor(shared, part, pc_idx, *factor_idx, class)
-    };
-    let per_factor: Vec<Estimate> = if shared.opts.parallel && factors.len() > 1 {
-        factors.par_iter().map(estimate_factor).collect()
-    } else {
-        factors.iter().map(estimate_factor).collect()
-    };
-    // Eq. 7–8: independent factors multiply.
-    let product = per_factor
-        .into_iter()
-        .fold(Estimate::ONE, Estimate::product);
-    if let Some(t) = shared.trace {
-        t.record(
-            "pc",
-            "core",
-            t0,
-            vec![arg("pc", pc_idx), arg("factors", factors.len())],
-        );
-    }
-    product
-}
-
-/// One independent factor of Algorithm 2: canonicalize the projected
-/// conjunction, consult the estimate cache, and sample on a miss.
-/// Records one `factor` span per call, annotated with where the answer
-/// came from (`partition_cache`, `factor_store`, or `sampled`).
-fn analyze_factor(
-    shared: &Shared<'_>,
-    part: &PathCondition,
-    pc_idx: usize,
-    factor_idx: usize,
-    class: &VarSet,
-) -> Estimate {
-    let t0 = shared.trace.map_or(0, Trace::now_us);
-    let (estimate, source) = analyze_factor_impl(shared, part, pc_idx, factor_idx, class);
-    if let Some(t) = shared.trace {
-        t.record(
-            "factor",
-            "sampling",
-            t0,
-            vec![
-                arg("pc", pc_idx),
-                arg("factor", factor_idx),
-                arg("source", source),
-            ],
-        );
-    }
-    estimate
-}
-
-/// The body of [`analyze_factor`], returning the estimate plus the
-/// source label for its span.
-fn analyze_factor_impl(
-    shared: &Shared<'_>,
-    part: &PathCondition,
-    pc_idx: usize,
-    factor_idx: usize,
-    class: &VarSet,
-) -> (Estimate, &'static str) {
-    let indices = class.indices();
-    // Re-index onto a dense local variable space aligned with the
-    // projected box.
-    let mut local_of = HashMap::new();
-    for (local, &global) in indices.iter().enumerate() {
-        local_of.insert(global as u32, local as u32);
-    }
-    let local_pc = part.remap_vars(&|v: VarId| VarId(local_of[&v.0]));
-    let sub_box = shared.domain_box.project(&indices);
-
-    if shared.opts.cache {
-        let key = factor_key(
-            &local_pc,
-            &sub_box,
-            &shared.profile.project(&indices),
-            shared.opts.profile_epsilon,
-        );
-        // Single flight: the first PC to reach the key computes it inside
-        // `get_or_init`; a PC sharing the key blocks on the same cell
-        // instead of paving and sampling it again, so every counter in
-        // `Stats` is independent of the thread schedule.
-        let cell = Arc::clone(shared.cache.lock().entry(key.clone()).or_default());
-        let mut computed = None;
-        let cached = *cell.get_or_init(|| {
-            shared.cache_misses.inc();
-            let (e, source, reusable) = compute_factor(shared, &key, &local_pc, &sub_box, &indices);
-            computed = Some((e, source));
-            reusable.then_some(e)
-        });
-        match (computed, cached) {
-            (Some(answer), _) => answer,
-            (None, Some(e)) => {
-                shared.cache_hits.inc();
-                (e, "partition_cache")
-            }
-            // The computing PC ran out of time and left nothing reusable:
-            // answer as a miss, without caching (past the deadline this
-            // costs at most a store lookup).
-            (None, None) => {
-                shared.cache_misses.inc();
-                let (e, source, _) = compute_factor(shared, &key, &local_pc, &sub_box, &indices);
-                (e, source)
-            }
-        }
-    } else {
-        let e = strat_sampling(
-            shared,
-            &local_pc,
-            &sub_box,
-            &indices,
-            mix_seed(shared.opts.seed, (pc_idx as u64) << 32 | factor_idx as u64),
-        );
-        (e, "sampled")
-    }
-}
-
-/// A partition-cache miss: answers the factor from the cross-run store or
-/// by fresh sampling. Returns the estimate, its source label, and whether
-/// it may be reused for the key (not when a deadline cut it short).
-fn compute_factor(
-    shared: &Shared<'_>,
-    key: &FactorKey,
-    local_pc: &PathCondition,
-    sub_box: &IntervalBox,
-    indices: &[usize],
-) -> (Estimate, &'static str, bool) {
-    // Cross-run store, between the in-run cache and fresh sampling: a
-    // hit skips paving and sampling entirely and is bit-identical to
-    // recomputing (the sampling seed below is a pure function of the
-    // key).
-    if let Some(store) = shared.store {
-        if let Some(e) = store.get(shared.opts_fp, key) {
-            shared.store_hits.inc();
-            return (e, "factor_store", true);
-        }
-        shared.store_misses.inc();
-    }
-    // Key-derived seed: identical sub-problems produce identical
-    // estimates no matter which PC (or thread) computes them, keeping
-    // parallel runs deterministic.
-    let e = strat_sampling(
-        shared,
-        local_pc,
-        sub_box,
-        indices,
-        mix_seed(shared.opts.seed, hash_key(key)),
-    );
-    // A deadline that expired during sampling means `e` may be a
-    // truncated partial estimate: report it (flagged), but never let it
-    // into the in-run cache or the cross-run store, where it would
-    // masquerade as the full-budget, bit-reproducible estimate for this
-    // key.
-    if shared.expired() {
-        return (e, "sampled", false);
-    }
-    if let Some(store) = shared.store {
-        store.insert(shared.opts_fp, key.clone(), e);
-    }
-    (e, "sampled", true)
-}
-
 /// Canonical cache identity of one independent factor: structural
 /// fingerprint of the conjunction (linear in DAG size — never a rendered
 /// tree), the exact sub-box bits, and the projected marginals (with the
@@ -1147,285 +869,14 @@ pub(crate) fn factor_key(
     )
 }
 
-/// Ceiling on profile-aligned sub-strata per paving stratum (see
-/// [`qcoral_mc::align_strata`]): bounds stratification fan-out on peaked
-/// profiles while leaving plenty of room for mass-resolved allocation.
-pub(crate) const ALIGN_CAP: usize = 64;
-
-/// Algorithm 3: stratified sampling of one independent factor. Pavings
-/// come from the shared [`PavingCache`]; sampling runs on the
-/// deterministic chunked plan (serial and parallel draws are identical).
-fn strat_sampling(
-    shared: &Shared<'_>,
-    local_pc: &PathCondition,
-    sub_box: &IntervalBox,
-    global_indices: &[usize],
-    seed: u64,
-) -> Estimate {
-    // Checked before paving, not just in the chunk loops: the paver can
-    // legally spend its whole time budget, which an expired request no
-    // longer has. `0 ± 0` zeroes the factor's conjunction — still a
-    // sound lower bound for the flagged partial report.
-    if shared.expired() {
-        return Estimate::ZERO;
-    }
-    let local_profile = shared.profile.project(global_indices);
-    // Compile the predicate once per factor *process-wide*: the scalar
-    // tape evaluates each distinct sub-expression once per sample (where
-    // `PathCondition::holds` would recompute a shared sub-term at every
-    // occurrence), and its columnar [`CompiledPred`] twin lets the
-    // chunked samplers evaluate 128-sample lane slabs per instruction —
-    // same samples, same hits, bit-identical estimates.
-    let t_compile = shared.trace.map_or(0, Trace::now_us);
-    let pred = CompiledPred::compile_cached(local_pc);
-    if let Some(t) = shared.trace {
-        t.record(
-            "compile",
-            "tape",
-            t_compile,
-            vec![arg("vars", sub_box.dims().len())],
-        );
-    }
-    let plan = SamplePlan {
-        seed,
-        chunk: shared.opts.chunk.max(1),
-        parallel: shared.opts.parallel,
-        deadline: shared.deadline,
-    };
-    if !shared.opts.stratified {
-        shared.samples_drawn.add(shared.opts.samples);
-        let t_sample = shared.trace.map_or(0, Trace::now_us);
-        let e = hit_or_miss_plan(&*pred, sub_box, &local_profile, shared.opts.samples, plan);
-        if let Some(t) = shared.trace {
-            t.record(
-                "sample",
-                "sampling",
-                t_sample,
-                vec![arg("strata", 1), arg("budget", shared.opts.samples)],
-            );
-        }
-        return e;
-    }
-    // The counted variant attributes the hit/miss to *this* analysis:
-    // the cache may be shared service-wide, and deltas of its global
-    // counters would charge concurrent requests' pavings to each other.
-    let t_pave = shared.trace.map_or(0, Trace::now_us);
-    let (paving, was_hit) =
-        shared
-            .pavings_cache
-            .pave_cached_counted(local_pc, sub_box, &shared.opts.paver);
-    if let Some(t) = shared.trace {
-        t.record(
-            "paving",
-            "icp",
-            t_pave,
-            vec![
-                arg("inner", paving.inner.len()),
-                arg("boundary", paving.boundary.len()),
-                arg("cache_hit", was_hit),
-            ],
-        );
-    }
-    if was_hit {
-        shared.paving_hits.inc();
-    } else {
-        shared.paving_misses.inc();
-    }
-    shared.pavings.inc();
-    shared.inner_boxes.add(paving.inner.len() as u64);
-    shared.boundary_boxes.add(paving.boundary.len() as u64);
-    if paving.is_unsat() {
-        return Estimate::ZERO;
-    }
-    shared.samples_drawn.add(shared.opts.samples);
-    let strata: Vec<Stratum> = paving
-        .inner
-        .iter()
-        .cloned()
-        .map(Stratum::inner)
-        .chain(paving.boundary.iter().cloned().map(Stratum::boundary))
-        .collect();
-    // Profile-aligned stratification: slice boundary strata along the
-    // discretized profile's mass edges so stratum weights (and therefore
-    // proportional/Neyman allocation) follow probability mass. A no-op
-    // under uniform profiles.
-    let strata = align_strata(
-        strata,
-        &local_profile,
-        sub_box,
-        shared.opts.profile_epsilon,
-        ALIGN_CAP,
-    );
-    let t_sample = shared.trace.map_or(0, Trace::now_us);
-    let e = if shared.opts.allocation == Allocation::ImportanceAdaptive {
-        importance_stratified(shared, &*pred, &strata, sub_box, &local_profile, plan)
-    } else {
-        stratified_plan(
-            &*pred,
-            &strata,
-            sub_box,
-            &local_profile,
-            shared.opts.samples,
-            shared.opts.allocation,
-            plan,
-        )
-    };
-    if let Some(t) = shared.trace {
-        t.record(
-            "sample",
-            "sampling",
-            t_sample,
-            vec![
-                arg("strata", strata.len()),
-                arg("budget", shared.opts.samples),
-            ],
-        );
-    }
-    e
-}
-
-/// Sub-stream tag of a factor's importance-sampling chunk stream: far
-/// outside the small stratum indices ([`SamplePlan::substream`] per
-/// stratum), so IS draws never collide with stratified ones.
-pub(crate) const IS_STREAM: u64 = 0x15AD_AB0C_5EED_0001;
-
-/// Adaptation rounds the one-shot engine gives the IS proposal (the
-/// iterative engine adapts once per refinement round instead).
-pub(crate) const IS_ROUNDS: u64 = 4;
-
-/// [`Allocation::ImportanceAdaptive`] sampling of one factor: a
-/// stratified equal-split pilot over half the budget estimates the
-/// factor's probability; factors whose pilot estimate reaches
-/// [`Options::is_threshold`] finish with the usual Neyman follow-up
-/// (exactly `VarianceAdaptive`'s policy), while rare-event factors
-/// hand the remaining budget to the paver-seeded
-/// [`IsEstimator`] — seeded from the factor's boundary strata, adapted
-/// over [`IS_ROUNDS`] rounds — and compose `exact inner mass + IS
-/// boundary estimate`. A proposal whose first round finds zero hits is
-/// degenerate: the factor deterministically falls back to the Neyman
-/// follow-up (flagged in [`Stats::is_fallbacks`]).
-fn importance_stratified<P>(
-    shared: &Shared<'_>,
-    pred: &P,
-    strata: &[Stratum],
-    sub_box: &IntervalBox,
-    profile: &UsageProfile,
-    plan: SamplePlan,
-) -> Estimate
-where
-    P: BulkPred + ?Sized,
-{
-    let total = shared.opts.samples;
-    let expired = || plan.deadline.is_some_and(|d| d.expired());
-    let weights: Vec<f64> = strata
-        .iter()
-        .map(|s| profile.box_probability(&s.boxed, sub_box))
-        .collect();
-    let mut exact = Estimate::ZERO;
-    for (i, s) in strata.iter().enumerate() {
-        if s.certain {
-            exact = exact.sum(Estimate::ONE.scale(weights[i]));
-        }
-    }
-    let sampled: Vec<usize> = strata
-        .iter()
-        .enumerate()
-        .filter(|(i, s)| !s.certain && weights[*i] > 0.0)
-        .map(|(i, _)| i)
-        .collect();
-    if sampled.is_empty() {
-        return exact;
-    }
-    let sampled_weights: Vec<f64> = sampled.iter().map(|&i| weights[i]).collect();
-    let refine_stratum = |j: usize, add: u64, accum: StratumAccum| -> StratumAccum {
-        let i = sampled[j];
-        refine_plan(
-            pred,
-            &strata[i].boxed,
-            profile,
-            add,
-            plan.substream(i as u64),
-            accum,
-        )
-    };
-    let fan_out = |counts: &[u64], accums: &[StratumAccum]| -> Vec<StratumAccum> {
-        if plan.parallel && sampled.len() > 1 {
-            (0..sampled.len())
-                .into_par_iter()
-                .map(|j| refine_stratum(j, counts[j], accums[j]))
-                .collect()
-        } else {
-            (0..sampled.len())
-                .map(|j| refine_stratum(j, counts[j], accums[j]))
-                .collect()
-        }
-    };
-    // Stratified pilot, equal-split like `VarianceAdaptive`'s opening
-    // round but over a *quarter* of the budget: under this policy the
-    // pilot only needs to detect rarity (and measure the strata for
-    // the non-rare Neyman follow-up), while a rare factor wants the
-    // lion's share of the budget in the IS stage.
-    let pilot = initial_allocation(Allocation::ImportanceAdaptive, total / 2, &sampled_weights);
-    let mut accums = fan_out(&pilot, &vec![StratumAccum::EMPTY; sampled.len()]);
-    let mut remaining = total.saturating_sub(pilot.iter().sum());
-    let drawn: u64 = accums.iter().map(|a| a.n).sum();
-    // The rarity signal is the pilot *estimate*, not the raw conditional
-    // hit rate: boundary strata hug the constraint surface, so their
-    // conditional rates are O(1) even when the event's probability is
-    // 1e-8 — the rarity lives in the stratum weights.
-    let pilot_estimate = exact.mean
-        + accums
-            .iter()
-            .zip(&sampled_weights)
-            .map(|(a, &w)| w * a.estimate().mean)
-            .sum::<f64>();
-    let rare = drawn > 0 && pilot_estimate < shared.opts.is_threshold;
-    if rare && remaining > 0 && !expired() {
-        let boundary: Vec<IntervalBox> = sampled.iter().map(|&i| strata[i].boxed.clone()).collect();
-        if let Some(mut is) = IsEstimator::seeded(&boundary, profile, sub_box) {
-            // Adaptation schedule: `IS_ROUNDS − 1` equal warm-up rounds
-            // refine the proposal, then a final round drawing half the
-            // IS budget from the best mixture dominates the
-            // accumulator. (Equal splits leave the typical round too
-            // small to see the heavy tail's top weights, which reads
-            // as a stable underestimate.) Round 1 takes the warm-up
-            // remainder so it is never empty while `remaining > 0`.
-            let half = remaining / 2;
-            let per = half / (IS_ROUNDS - 1);
-            let first = remaining - half - (IS_ROUNDS - 2) * per;
-            let is_plan = plan.substream(IS_STREAM);
-            let r1 = is.round(pred, profile, sub_box, first, is_plan);
-            if r1.hits > 0 {
-                for _ in 2..IS_ROUNDS {
-                    is.round(pred, profile, sub_box, per, is_plan);
-                }
-                is.round(pred, profile, sub_box, half, is_plan);
-                shared.is_factors.inc();
-                return exact.sum(is.estimate());
-            }
-            // Degenerate proposal: zero hits in the IS pilot round. Fall
-            // back to the stratified follow-up with what is left.
-            remaining -= first;
-        }
-        shared.is_fallbacks.inc();
-    }
-    if remaining > 0 && !expired() {
-        let stddevs: Vec<f64> = accums.iter().map(StratumAccum::std_dev).collect();
-        let follow = neyman_allocation(remaining, &sampled_weights, &stddevs);
-        accums = fan_out(&follow, &accums);
-    }
-    accums
-        .iter()
-        .zip(&sampled_weights)
-        .map(|(a, &w)| a.estimate().scale(w))
-        .fold(exact, Estimate::sum)
-}
-
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Domain-separation word folded into [`Options::iterative_fingerprint`].
 const ITERATIVE_TAG: u64 = 0x17E2_A71F_ADA9_71FE;
+
+/// Folded into [`Options::iterative_fingerprint`] for unstratified runs.
+const WHOLE_BOX_TAG: u64 = 0x0B0C_5EED_0000_0001;
 
 /// One FNV-1a step over a 64-bit word.
 fn fnv_fold(h: u64, word: u64) -> u64 {
@@ -1459,6 +910,7 @@ pub(crate) fn hash_key(key: &FactorKey) -> u64 {
 mod tests {
     use super::*;
     use qcoral_constraints::parse::parse_system;
+    use qcoral_mc::mix_seed;
 
     fn paper_system() -> (ConstraintSet, Domain, UsageProfile) {
         let sys = parse_system(
@@ -1559,7 +1011,8 @@ mod tests {
     fn paving_cache_dedups_repeated_factors() {
         // Partitioning without the estimate cache: the shared sin(y)
         // factor is re-sampled per PC but paved only once, and a second
-        // analysis on the same analyzer hits for every factor.
+        // analysis on the same analyzer hits for every factor. Both
+        // schedules treat `cache = false` alike: no deduplication.
         let sys = parse_system(
             "var x in [0, 1]; var y in [0, 1];
              pc x < 0.5 && sin(y) > 0.5;
@@ -1569,15 +1022,19 @@ mod tests {
         let prof = UsageProfile::uniform(2);
         let mut opts = Options::strat().with_samples(1_000);
         opts.partition = true;
-        let analyzer = Analyzer::new(opts);
-        let r = analyzer.analyze(&sys.constraint_set, &sys.domain, &prof);
-        assert_eq!(r.stats.pavings, 4, "two factors per PC requested");
-        assert_eq!(r.stats.paving_cache_misses, 3, "x<.5, x>=.5, sin(y)");
-        assert_eq!(r.stats.paving_cache_hits, 1, "second sin(y) reuses");
-        let r2 = analyzer.analyze(&sys.constraint_set, &sys.domain, &prof);
-        assert_eq!(r2.stats.paving_cache_hits, 4);
-        assert_eq!(r2.stats.paving_cache_misses, 0);
-        assert_eq!(r.estimate, r2.estimate);
+        type Entry = fn(&Analyzer, &ConstraintSet, &Domain, &UsageProfile) -> Report;
+        for run in [Analyzer::analyze as Entry, Analyzer::analyze_iterative] {
+            let analyzer = Analyzer::new(opts.clone());
+            let r = run(&analyzer, &sys.constraint_set, &sys.domain, &prof);
+            assert_eq!(r.stats.pavings, 4, "two factors per PC requested");
+            assert_eq!(r.stats.paving_cache_misses, 3, "x<.5, x>=.5, sin(y)");
+            assert_eq!(r.stats.paving_cache_hits, 1, "second sin(y) reuses");
+            assert_eq!(r.stats.cache_hits, 0, "no estimate cache");
+            let r2 = run(&analyzer, &sys.constraint_set, &sys.domain, &prof);
+            assert_eq!(r2.stats.paving_cache_hits, 4);
+            assert_eq!(r2.stats.paving_cache_misses, 0);
+            assert_eq!(r.estimate, r2.estimate);
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Cross-run factor-estimate store: Algorithm 2's compositional cache
 //! lifted beyond a single analysis.
 //!
-//! The per-analysis partition cache (`PARTCACHE`) pays off when factors
+//! The per-analysis partition cache (`PARTCACHE`: each run samples a
+//! factor shared by several path conditions once) pays off when factors
 //! recur across path conditions of *one* query. A long-lived service sees
 //! the same independent factors recur across *queries* — and, with a
 //! persisted snapshot, across process restarts. [`FactorStore`] keys
-//! estimates by the same canonical factor identity the in-run cache uses
+//! estimates by the same canonical factor identity a run deduplicates by
 //! (structural fingerprint × sub-box bits × projected profile) plus a
 //! fingerprint of every analyzer option that affects the sampled value
 //! (budget, seed, chunking, stratification, allocation, paver limits).

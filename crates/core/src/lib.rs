@@ -54,8 +54,8 @@
 pub mod analyzer;
 pub mod bulkpred;
 pub mod depend;
+mod engine;
 pub mod factor_store;
-pub mod iterative;
 
 pub use analyzer::{Analyzer, Options, Report, Stats};
 pub use bulkpred::{active_backend, pred_cache_stats, CompiledPred};

@@ -7,7 +7,7 @@
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -260,13 +260,14 @@ impl PavingKey {
 /// the paper's PARTCACHE observation), so the analyzer asks for the same
 /// `(conjunction, sub-box)` paving over and over — sometimes from several
 /// threads at once. The cache compiles and pavés once and shares the
-/// result as an [`Arc<Paving>`]. On a race, whichever paving lands first
-/// wins, and *every* caller gets that one, keeping all consumers of a key
-/// consistent within a run. Bounded: past [`PavingCache::CAP`] distinct
-/// keys, the least-recently-used pavings are evicted in batches — a
-/// process-lifetime cache (e.g. a long-lived service sharing one across
-/// all requests) keeps tracking the current working set instead of
-/// freezing on the first `CAP` keys it ever saw.
+/// result as an [`Arc<Paving>`]. Lookups are single-flight: callers that
+/// race on a key wait for the one paving in progress instead of paving
+/// again, so every caller gets the same paving and the hit/miss split
+/// does not depend on the thread schedule. Bounded: past
+/// [`PavingCache::CAP`] distinct keys, the least-recently-used pavings
+/// are evicted in batches — a process-lifetime cache (e.g. a long-lived
+/// service sharing one across all requests) keeps tracking the current
+/// working set instead of freezing on the first `CAP` keys it ever saw.
 #[derive(Debug, Default)]
 pub struct PavingCache {
     map: Mutex<PavingMap>,
@@ -292,9 +293,12 @@ pub fn batch_lru_cutoff(mut ticks: Vec<u64>, cap: usize) -> u64 {
     ticks[drop_n - 1]
 }
 
+/// One key's slot: set once by the caller that paves it.
+type PavingCell = Arc<OnceLock<Arc<Paving>>>;
+
 #[derive(Debug, Default)]
 struct PavingMap {
-    map: HashMap<PavingKey, (Arc<Paving>, u64)>,
+    map: HashMap<PavingKey, (PavingCell, u64)>,
     tick: u64,
 }
 
@@ -329,32 +333,31 @@ impl PavingCache {
         config: &PaverConfig,
     ) -> (Arc<Paving>, bool) {
         let key = PavingKey::new(pc, domain, config);
-        {
+        let cell = {
             let mut inner = self.map.lock();
             inner.tick += 1;
             let tick = inner.tick;
-            if let Some((p, last_used)) = inner.map.get_mut(&key) {
-                *last_used = tick;
-                let p = Arc::clone(p);
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return (p, true);
+            let slot = inner.map.entry(key).or_default();
+            slot.1 = tick;
+            let cell = Arc::clone(&slot.0);
+            if inner.map.len() > Self::CAP {
+                let ticks: Vec<u64> = inner.map.values().map(|&(_, t)| t).collect();
+                let cutoff = batch_lru_cutoff(ticks, Self::CAP);
+                inner.map.retain(|_, &mut (_, t)| t > cutoff);
             }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Pave outside the lock: pavings can take the full time budget and
-        // must not serialize unrelated lookups.
-        let fresh = Arc::new(pave(pc, domain, config));
-        let mut inner = self.map.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let shared = Arc::clone(&inner.map.entry(key).or_insert((fresh, tick)).0);
-        if inner.map.len() > Self::CAP {
-            let ticks: Vec<u64> = inner.map.values().map(|&(_, t)| t).collect();
-            let cutoff = batch_lru_cutoff(ticks, Self::CAP);
-            inner.map.retain(|_, &mut (_, t)| t > cutoff);
-        }
-        (shared, false)
+            cell
+        };
+        // Pave outside the map lock: pavings can take the full time
+        // budget and must not serialize unrelated lookups. Only callers
+        // of this key wait.
+        let mut hit = true;
+        let paving = Arc::clone(cell.get_or_init(|| {
+            hit = false;
+            Arc::new(pave(pc, domain, config))
+        }));
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (paving, hit)
     }
 
     /// Number of distinct pavings held.

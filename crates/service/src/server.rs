@@ -645,27 +645,21 @@ fn validate(
     }
     if let Some(target) = options.target_stderr {
         // Iterative requests: the target itself must be sane, and the
-        // worst-case spend (initial budget plus every refinement round)
-        // must respect the same per-request sample ceiling, or a single
-        // frame with a huge round plan could pin a worker far past
-        // `max_samples`.
+        // worst-case spend per factor (initial budget, importance-sampling
+        // pilot and every refinement round) must respect the same sample
+        // ceiling, or a single frame with a huge round plan could pin a
+        // worker far past `max_samples`.
         if !target.is_finite() || target < 0.0 {
             return reject(format!(
                 "options.target_stderr must be a finite non-negative number, got {target}"
             ));
         }
-        let worst_case = options.samples.saturating_add(
-            options
-                .max_rounds
-                .max(1)
-                .saturating_sub(1)
-                .saturating_mul(options.round_budget),
-        );
+        let worst_case = options.iterative_worst_case();
         if worst_case > shared.cfg.max_samples {
             return reject(format!(
-                "iterative worst case of {} samples (samples + (max_rounds - 1) × round_budget) \
-                 exceeds this server's limit of {}",
-                worst_case, shared.cfg.max_samples
+                "iterative worst case of {worst_case} samples per factor exceeds this \
+                 server's limit of {}",
+                shared.cfg.max_samples
             ));
         }
     }

@@ -14,7 +14,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
-use qcoral::{Analyzer, Options};
+use qcoral::{Allocation, Analyzer, Options};
 use qcoral_mc::{Dist, UsageProfile};
 use qcoral_repro::pipeline::analyze_program;
 use qcoral_service::{Client, Outcome, Server, ServiceConfig};
@@ -398,6 +398,31 @@ fn target_stderr_requests_converge_and_warm_repeats_are_free() {
         }
         other => panic!("hostile round plan not rejected: {other:?}"),
     }
+    server.shutdown();
+
+    // The worst case counts the importance-sampling pilot: one round of
+    // 6 000 samples fits a 10 000-sample ceiling, but not with an IS
+    // pilot of another 6 000 on top.
+    let (server, mut client) = start(ServiceConfig {
+        max_samples: 10_000,
+        ..ServiceConfig::default()
+    });
+    let single_round = Options::default()
+        .with_samples(6_000)
+        .with_target_stderr(1e-3)
+        .with_max_rounds(1);
+    let importance = single_round
+        .clone()
+        .with_allocation(Allocation::ImportanceAdaptive);
+    match client.analyze_system(source, importance, None) {
+        Err(qcoral_service::ClientError::Remote(m)) => {
+            assert!(m.contains("worst case"), "unexpected message: {m}")
+        }
+        other => panic!("IS pilot not counted in the worst case: {other:?}"),
+    }
+    client
+        .analyze_system(source, single_round, None)
+        .expect("equal-per-stratum twin fits the ceiling");
     server.shutdown();
 }
 
@@ -841,7 +866,7 @@ fn traced_requests_return_spans_and_identical_estimates() {
     let trace = traced.report.trace.as_ref().expect("trace in response");
     assert!(!trace.spans.is_empty());
     let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
-    for expected in ["queue_wait", "analyze", "pc", "factor"] {
+    for expected in ["queue_wait", "analyze", "factor"] {
         assert!(
             names.contains(&expected),
             "span {expected} missing: {names:?}"
