@@ -3,8 +3,12 @@
 //! regression of more than the threshold (default 25%).
 //!
 //! ```text
-//! perf_gate --baseline ci-baselines --fresh . [--max-regression 1.25]
+//! perf_gate --baseline ci-baselines --fresh . [--fresh DIR ...] [--max-regression 1.25]
 //! ```
+//!
+//! `--fresh` may be given more than once, one directory per repeated
+//! smoke run: each (subject, field) is then gated on its median across
+//! the fresh copies that have it, so one noisy run cannot trip the gate.
 //!
 //! Noise tolerance by design: the gate compares *ratios* of matched
 //! metrics (per file, per subject, per field), never absolute times —
@@ -19,9 +23,9 @@
 //!   benches — deterministic efficiency measures where a jump means an
 //!   algorithmic regression.
 //!
-//! Files present only in the baseline fail the gate (the smoke run did
-//! not produce them); files present only fresh are noted and skipped
-//! (a newly added bench without a committed baseline yet).
+//! Files present only in the baseline fail the gate (no smoke run
+//! produced them); files present only fresh are noted and skipped (a
+//! newly added bench without a committed baseline yet).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -82,6 +86,17 @@ fn extract(text: &str, fields: &[&str]) -> BTreeMap<(String, String), f64> {
     out
 }
 
+/// Median of a non-empty sample (mean of the middle pair when even).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
 fn geomean(ratios: &[f64]) -> f64 {
     if ratios.is_empty() {
         return 1.0;
@@ -90,47 +105,62 @@ fn geomean(ratios: &[f64]) -> f64 {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: perf_gate --baseline DIR --fresh DIR [--max-regression RATIO]");
+    eprintln!(
+        "usage: perf_gate --baseline DIR --fresh DIR [--fresh DIR ...] [--max-regression RATIO]"
+    );
     exit(2)
 }
 
 fn main() {
     let mut baseline_dir = None;
-    let mut fresh_dir = None;
+    let mut fresh_dirs = Vec::new();
     let mut max_regression = 1.25f64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
             "--baseline" => baseline_dir = Some(value()),
-            "--fresh" => fresh_dir = Some(value()),
+            "--fresh" => fresh_dirs.push(value()),
             "--max-regression" => {
                 max_regression = value().parse().unwrap_or_else(|_| usage());
             }
             _ => usage(),
         }
     }
-    let (Some(baseline_dir), Some(fresh_dir)) = (baseline_dir, fresh_dir) else {
+    let Some(baseline_dir) = baseline_dir else {
         usage()
     };
+    if fresh_dirs.is_empty() {
+        usage()
+    }
 
     let mut failed = false;
     for (file, fields) in GATED {
         let base_path = Path::new(&baseline_dir).join(file);
-        let fresh_path = Path::new(&fresh_dir).join(file);
         let Ok(base_text) = std::fs::read_to_string(&base_path) else {
             println!("perf_gate: {file}: no committed baseline yet, skipping");
             continue;
         };
-        let Ok(fresh_text) = std::fs::read_to_string(&fresh_path) else {
+        let copies: Vec<BTreeMap<(String, String), f64>> = fresh_dirs
+            .iter()
+            .filter_map(|dir| std::fs::read_to_string(Path::new(dir).join(file)).ok())
+            .map(|text| extract(&text, fields))
+            .collect();
+        if copies.is_empty() {
             println!(
-                "perf_gate: FAIL {file}: baseline exists but the smoke run produced no fresh copy"
+                "perf_gate: FAIL {file}: baseline exists but no smoke run produced a fresh copy"
             );
             failed = true;
             continue;
-        };
+        }
+        let n_runs = copies.len();
+        let mut runs: BTreeMap<(String, String), Vec<f64>> = BTreeMap::new();
+        for (key, v) in copies.into_iter().flatten() {
+            runs.entry(key).or_default().push(v);
+        }
+        let fresh: BTreeMap<(String, String), f64> =
+            runs.into_iter().map(|(k, vs)| (k, median(vs))).collect();
         let base = extract(&base_text, fields);
-        let fresh = extract(&fresh_text, fields);
         let mut ratios = Vec::new();
         let mut rated: Vec<(&(String, String), f64)> = Vec::new();
         for (key, &b) in &base {
@@ -158,7 +188,7 @@ fn main() {
             "ok"
         };
         println!(
-            "perf_gate: {verdict} {file}: geomean ratio {g:.3} over {} metrics (threshold {max_regression:.2})",
+            "perf_gate: {verdict} {file}: geomean ratio {g:.3} over {} metrics, medians of {n_runs} fresh run(s) (threshold {max_regression:.2})",
             ratios.len()
         );
         // Per-file worst-regressing row, so a tripped (or near-tripped)

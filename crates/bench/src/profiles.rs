@@ -134,7 +134,8 @@ pub fn reweighted_run(
     let mut total = Estimate::ZERO;
     let mut samples = 0u64;
     for (pc_idx, pc) in cs.pcs().iter().enumerate() {
-        let (paving, _) = cache.pave_cached_counted(pc, dbox, paver);
+        let tape = Arc::new(EvalTape::compile(pc));
+        let (paving, _) = cache.pave_cached(pc.fingerprint(), &tape, dbox, paver);
         if paving.is_unsat() {
             continue;
         }

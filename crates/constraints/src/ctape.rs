@@ -103,7 +103,7 @@ impl PathCondition {
 ///
 /// This is the unified IR's instruction form: [`crate::bulk`] recompiles
 /// the node pool into a register-allocated columnar tape, and
-/// [`crate::ival`] reinterprets the same pool over intervals with HC4
+/// [`crate::ival`] evaluates the same pool over intervals with HC4
 /// backward contraction. Exposed so differential suites can walk the
 /// pool and cross-check every evaluation kind node by node.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -249,7 +249,7 @@ impl EvalTape {
             }
         }
         let mut remap = vec![u32::MAX; b.nodes.len()];
-        let mut nodes = Vec::new();
+        let mut nodes = Vec::with_capacity(live.iter().filter(|&&l| l).count());
         for (id, node) in b.nodes.into_iter().enumerate() {
             if live[id] {
                 remap[id] = nodes.len() as u32;
@@ -283,9 +283,21 @@ impl EvalTape {
 
     /// The deduplicated node pool, children strictly before parents —
     /// the unified IR consumed by [`crate::bulk::BulkTape::compile`] and
-    /// [`crate::ival::IntervalTape::compile`].
+    /// walked in place by the interval kind ([`crate::ival`]).
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
+    }
+
+    /// One past the highest variable index the pool reads.
+    pub fn var_bound(&self) -> usize {
+        self.nodes
+            .iter()
+            .filter_map(|n| match n {
+                Node::Var(v) => Some(*v as usize + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     /// The `(lhs node, op, rhs node)` triple per atom, in conjunction

@@ -4,15 +4,16 @@
 //!
 //! [`EvalTape`] is the IR — a hash-consed node pool in topological order
 //! plus the `(lhs, op, rhs)` triple per atom. [`crate::bulk::BulkTape`]
-//! recompiles that pool into register-allocated float lanes;
-//! [`IntervalTape`] reinterprets the *same* pool over [`Interval`]s. No
-//! register allocation happens here: the backward pass needs every
-//! node's forward interval, so the pool is evaluated in place, one row
-//! of lane values per node.
+//! recompiles that pool into register-allocated float lanes; this module
+//! runs the *same* pool over [`Interval`]s as methods of [`EvalTape`],
+//! so the interval kind keeps no copy of the nodes or atoms. No register
+//! allocation happens here: the backward pass needs every node's forward
+//! interval, so the pool is evaluated in place, one row of lane values
+//! per node.
 //!
 //! # Batched contraction
 //!
-//! [`IntervalTape::contract_batch`] narrows many candidate boxes in one
+//! [`EvalTape::contract_batch`] narrows many candidate boxes in one
 //! call, mirroring `BulkTape`'s structure-of-arrays layout: node `i`'s
 //! values for all lanes live in the contiguous row `vals[i·B .. i·B+B]`,
 //! and each kernel matches its operator once and then loops over lanes.
@@ -28,7 +29,7 @@
 //! invalidates the rows from the narrowed variable's leaf onward; a pass
 //! that leaves a lane's box unchanged settles the lane. Certainty
 //! classification is served separately by
-//! [`IntervalTape::eval_atoms_batch`]: narrowed node values enclose the
+//! [`EvalTape::eval_atoms_batch`]: narrowed node values enclose the
 //! *solution* set, not the whole box, so deciding whether an atom holds
 //! over every point of a box needs one clean forward evaluation.
 
@@ -37,19 +38,6 @@ use qcoral_interval::{Interval, IntervalBox};
 use crate::atom::RelOp;
 use crate::ctape::{EvalTape, Node};
 use crate::expr::{BinOp, UnOp};
-
-/// The interval/HC4 kind of the unified IR, compiled from an
-/// [`EvalTape`]'s node pool. See the [module docs](self) for the layout.
-#[derive(Clone, Debug)]
-pub struct IntervalTape {
-    nodes: Vec<Node>,
-    atoms: Vec<(u32, RelOp, u32)>,
-    /// `(node id, variable index)` per variable leaf, for narrowing
-    /// write-back into the box. One entry per variable (hash-consing
-    /// dedups the leaves).
-    var_nodes: Vec<(u32, u32)>,
-    var_bound: u32,
-}
 
 /// Per-lane contraction status.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -62,9 +50,9 @@ enum LaneState {
     Unsat,
 }
 
-/// Reusable scratch for [`IntervalTape`] batch calls: node-value rows,
-/// atom images, and per-lane bookkeeping. Allocation-free across calls
-/// once warm.
+/// Reusable scratch for the interval batch calls of [`EvalTape`]:
+/// node-value rows, atom images, and per-lane bookkeeping.
+/// Allocation-free across calls once warm.
 #[derive(Default, Debug)]
 pub struct IvalScratch {
     lanes: usize,
@@ -88,25 +76,27 @@ impl IvalScratch {
     }
 
     /// Whether the lane's box survived the last
-    /// [`IntervalTape::contract_batch`] call (was not proven empty).
+    /// [`EvalTape::contract_batch`] call (was not proven empty).
     pub fn sat(&self, lane: usize) -> bool {
         self.state[lane] != LaneState::Unsat
     }
 
     /// The `(lhs, rhs)` interval images of `atom` on `lane`'s box from
-    /// the last [`IntervalTape::eval_atoms_batch`] call. Both entries
+    /// the last [`EvalTape::eval_atoms_batch`] call. Both entries
     /// are empty for a lane whose box was empty.
     pub fn image(&self, atom: usize, lane: usize) -> (Interval, Interval) {
         self.images[atom * self.lanes + lane]
     }
 
-    fn begin(&mut self, tape: &IntervalTape, lanes: usize, ndim: usize) {
+    fn begin(&mut self, tape: &EvalTape, lanes: usize, ndim: usize) {
         self.lanes = lanes;
         self.vals.clear();
-        self.vals.resize(tape.nodes.len() * lanes, Interval::EMPTY);
+        self.vals.resize(tape.len() * lanes, Interval::EMPTY);
         self.images.clear();
-        self.images
-            .resize(tape.atoms.len() * lanes, (Interval::EMPTY, Interval::EMPTY));
+        self.images.resize(
+            tape.atom_nodes().len() * lanes,
+            (Interval::EMPTY, Interval::EMPTY),
+        );
         self.state.clear();
         self.state.resize(lanes, LaneState::Active);
         self.valid.clear();
@@ -126,56 +116,15 @@ fn mark_unsat(lane: usize, boxes: &mut [IntervalBox], state: &mut [LaneState]) {
     }
 }
 
-impl IntervalTape {
-    /// Compiles the interval kind from the shared IR. Linear in pool
-    /// size; the pool and atom triples are reused as-is.
-    pub fn compile(tape: &EvalTape) -> IntervalTape {
-        let nodes = tape.nodes().to_vec();
-        let atoms = tape.atom_nodes().to_vec();
-        let mut var_nodes = Vec::new();
-        let mut var_bound = 0u32;
-        for (i, node) in nodes.iter().enumerate() {
-            if let Node::Var(v) = node {
-                var_nodes.push((i as u32, *v));
-                var_bound = var_bound.max(v + 1);
-            }
-        }
-        IntervalTape {
-            nodes,
-            atoms,
-            var_nodes,
-            var_bound,
-        }
-    }
-
-    /// Number of pool nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of atoms in the conjunction.
-    pub fn num_atoms(&self) -> usize {
-        self.atoms.len()
-    }
-
-    /// The `(lhs node, op, rhs node)` triple per atom.
-    pub fn atoms(&self) -> &[(u32, RelOp, u32)] {
-        &self.atoms
-    }
-
-    /// One past the highest variable index read by the pool.
-    pub fn var_bound(&self) -> usize {
-        self.var_bound as usize
-    }
-
+impl EvalTape {
     /// Clean forward evaluation of every pool node over one box, filling
     /// `vals` (resized as needed). `vals[i]` is a superset of node `i`'s
     /// image over the box; an empty entry means the sub-expression is
     /// undefined everywhere on it (e.g. `sqrt` of a negative range).
-    pub fn forward(&self, boxed: &IntervalBox, vals: &mut Vec<Interval>) {
+    pub fn forward_intervals(&self, boxed: &IntervalBox, vals: &mut Vec<Interval>) {
         vals.clear();
-        vals.reserve(self.nodes.len());
-        for node in &self.nodes {
+        vals.reserve(self.len());
+        for node in self.nodes() {
             let v = match node {
                 Node::Const(c) => Interval::point(*c),
                 Node::Var(v) => boxed[*v as usize],
@@ -206,7 +155,7 @@ impl IntervalTape {
     /// kernel. Every box is narrowed independently (lanes never
     /// interact); a box proven empty is emptied in place and its lane
     /// reports `!scratch.sat(lane)`. All boxes must share one dimension
-    /// count covering [`IntervalTape::var_bound`].
+    /// count covering [`EvalTape::var_bound`].
     pub fn contract_batch(
         &self,
         boxes: &mut [IntervalBox],
@@ -238,8 +187,8 @@ impl IntervalTape {
                     }
                 }
             }
-            for k in 0..self.atoms.len() {
-                self.atom_pass(k, boxes, scratch);
+            for &atom in self.atom_nodes() {
+                self.atom_pass(atom, boxes, scratch);
             }
             for (ln, bx) in boxes.iter().enumerate() {
                 if scratch.state[ln] != LaneState::Active {
@@ -261,12 +210,16 @@ impl IntervalTape {
         }
     }
 
-    /// One HC4-revise step for atom `k` across all active lanes:
+    /// One HC4-revise step for one atom across all active lanes:
     /// forward up to the operand rows, cross-narrow them through the
     /// relation, project backward, and write variable narrowings into
     /// the boxes.
-    fn atom_pass(&self, k: usize, boxes: &mut [IntervalBox], scratch: &mut IvalScratch) {
-        let (l, op, r) = self.atoms[k];
+    fn atom_pass(
+        &self,
+        (l, op, r): (u32, RelOp, u32),
+        boxes: &mut [IntervalBox],
+        scratch: &mut IvalScratch,
+    ) {
         let (l, r) = (l as usize, r as usize);
         let need = l.max(r) + 1;
         let b = scratch.lanes;
@@ -322,7 +275,7 @@ impl IntervalTape {
                 any |= g;
             }
             if any {
-                node_row(&self.nodes, i, boxes, vals, b, mask);
+                node_row(self.nodes(), i, boxes, vals, b, mask);
             }
         }
         for ln in 0..b {
@@ -340,7 +293,7 @@ impl IntervalTape {
             if !state.contains(&LaneState::Active) {
                 return;
             }
-            match &self.nodes[i] {
+            match &self.nodes()[i] {
                 Node::Const(_) | Node::Var(_) => {}
                 Node::Unary(op, c) => {
                     let (pre, rest) = vals.split_at_mut(i * b);
@@ -437,16 +390,16 @@ impl IntervalTape {
     /// Intersects narrowed variable rows into the boxes. A changed
     /// dimension truncates the lane's valid prefix to the variable's
     /// leaf (earlier rows cannot read a later node, so they stay valid).
+    /// Hash-consing gives each variable one leaf.
     fn writeback(&self, boxes: &mut [IntervalBox], need: usize, scratch: &mut IvalScratch) {
         let b = scratch.lanes;
         let IvalScratch {
             vals, state, valid, ..
         } = scratch;
-        for &(nid, var) in &self.var_nodes {
-            let nid = nid as usize;
-            if nid >= need {
+        for (nid, node) in self.nodes()[..need].iter().enumerate() {
+            let Node::Var(var) = *node else {
                 continue;
-            }
+            };
             let row = &mut vals[nid * b..][..b];
             for ln in 0..b {
                 if state[ln] != LaneState::Active {
@@ -479,13 +432,14 @@ impl IntervalTape {
         if b == 0 {
             return;
         }
-        if scratch.lanes != b || scratch.vals.len() != self.nodes.len() * b {
+        if scratch.lanes != b || scratch.vals.len() != self.len() * b {
             scratch.begin(self, b, boxes[0].ndim());
         }
         scratch.images.clear();
-        scratch
-            .images
-            .resize(self.atoms.len() * b, (Interval::EMPTY, Interval::EMPTY));
+        scratch.images.resize(
+            self.atom_nodes().len() * b,
+            (Interval::EMPTY, Interval::EMPTY),
+        );
         let IvalScratch {
             vals, valid, mask, ..
         } = scratch;
@@ -494,10 +448,10 @@ impl IntervalTape {
             // The rows are about to be overwritten with clean values.
             valid[ln] = 0;
         }
-        for i in 0..self.nodes.len() {
-            node_row(&self.nodes, i, boxes, vals, b, mask);
+        for i in 0..self.len() {
+            node_row(self.nodes(), i, boxes, vals, b, mask);
         }
-        for (k, &(l, _, r)) in self.atoms.iter().enumerate() {
+        for (k, &(l, _, r)) in self.atom_nodes().iter().enumerate() {
             for ln in 0..b {
                 scratch.images[k * b + ln] = if scratch.mask[ln] {
                     (
@@ -938,8 +892,8 @@ mod tests {
         Expr::var(VarId(1))
     }
 
-    fn tape_of(atoms: Vec<Atom>) -> IntervalTape {
-        IntervalTape::compile(&EvalTape::compile(&PathCondition::from_atoms(atoms)))
+    fn tape_of(atoms: Vec<Atom>) -> EvalTape {
+        EvalTape::compile(&PathCondition::from_atoms(atoms))
     }
 
     fn bx(dims: &[(f64, f64)]) -> IntervalBox {
@@ -958,8 +912,8 @@ mod tests {
         let e = x().mul(y()).sin().add(x().sqrt());
         let t = tape_of(vec![Atom::new(e, RelOp::Gt, Expr::constant(0.0))]);
         let mut vals = Vec::new();
-        t.forward(&bx(&[(4.0, 4.0), (0.5, 0.5)]), &mut vals);
-        let (l, _, _) = t.atoms()[0];
+        t.forward_intervals(&bx(&[(4.0, 4.0), (0.5, 0.5)]), &mut vals);
+        let (l, _, _) = t.atom_nodes()[0];
         let r = vals[l as usize];
         let exact = (4.0f64 * 0.5).sin() + 2.0;
         assert!(r.contains(exact), "{r} should contain {exact}");
@@ -970,8 +924,8 @@ mod tests {
     fn forward_empty_for_undefined() {
         let t = tape_of(vec![Atom::new(x().sqrt(), RelOp::Gt, Expr::constant(0.0))]);
         let mut vals = Vec::new();
-        t.forward(&bx(&[(-3.0, -1.0)]), &mut vals);
-        let (l, _, _) = t.atoms()[0];
+        t.forward_intervals(&bx(&[(-3.0, -1.0)]), &mut vals);
+        let (l, _, _) = t.atom_nodes()[0];
         assert!(vals[l as usize].is_empty());
     }
 

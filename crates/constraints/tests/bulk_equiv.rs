@@ -6,7 +6,7 @@
 //!   evenly — including NaN-producing operations (`sqrt` of negatives,
 //!   `ln` of non-positives, `asin` outside its domain, negative bases
 //!   under `pow`, `0/0`) and every relational operator;
-//! * the interval kind ([`IntervalTape`]) must **enclose** the scalar
+//! * the interval kind (the HC4 methods of [`EvalTape`]) must **enclose** the scalar
 //!   results: for random boxes, every node's forward interval contains
 //!   the scalar value of that node at every sampled point of the box,
 //!   and HC4 contraction never loses a satisfying point.
@@ -23,8 +23,8 @@ use rand::{Rng, SeedableRng};
 
 use qcoral_constraints::bulk::LANES;
 use qcoral_constraints::{
-    Atom, BinOp, BulkScratch, BulkTape, EvalTape, Expr, IntervalTape, IvalScratch, Node,
-    PathCondition, RelOp, UnOp, VarId,
+    Atom, BinOp, BulkScratch, BulkTape, EvalTape, Expr, IvalScratch, Node, PathCondition, RelOp,
+    UnOp, VarId,
 };
 use qcoral_interval::{Interval, IntervalBox};
 
@@ -265,10 +265,9 @@ proptest! {
     ) {
         let pc = random_pc(seed, size, natoms);
         let tape = EvalTape::compile(&pc);
-        let ival = IntervalTape::compile(&tape);
         let bx = random_box(seed ^ 0xB0B0);
         let mut ivals = Vec::new();
-        ival.forward(&bx, &mut ivals);
+        tape.forward_intervals(&bx, &mut ivals);
         let points = points_in_box(seed ^ 0xCAFE, &bx, n);
         for p in &points {
             let (svals, defined) = scalar_node_values(tape.nodes(), p);
@@ -298,7 +297,6 @@ proptest! {
     ) {
         let pc = random_pc(seed, size, natoms);
         let tape = EvalTape::compile(&pc);
-        let ival = IntervalTape::compile(&tape);
         let bx = random_box(seed ^ 0xB0B0);
         let points = points_in_box(seed ^ 0xF00D, &bx, n);
         let hits: Vec<&Vec<f64>> = points
@@ -310,7 +308,7 @@ proptest! {
             .collect();
         let mut contracted = bx.clone();
         let mut scratch = IvalScratch::new();
-        let sat = ival.contract(&mut contracted, 8, &mut scratch);
+        let sat = tape.contract(&mut contracted, 8, &mut scratch);
         for p in hits {
             prop_assert!(sat, "seed {}: box with solution {:?} declared unsat", seed, p);
             prop_assert!(

@@ -24,9 +24,10 @@
 //! canonical factor key or the `(pc, factor)` index pair, plus the
 //! stratum and chunk counters — never from execution order. Combined
 //! with fixed reduction orders, a parallel run returns the bit-identical
-//! [`Report`] of the serial run, counters included (except the
-//! process-global tape-cache deltas), provided the ICP time budget does
-//! not bind, the same caveat the serial path already carries.
+//! [`Report`] of the serial run, counters included, provided the ICP time
+//! budget does not bind, the same caveat the serial path already carries.
+//! (The tape-cache counters count the run's own lookups exactly; whether
+//! a lookup hits depends on what the process compiled before.)
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -34,7 +35,7 @@ use std::time::Duration;
 use qcoral_obs::{Counter, Histogram, Registry, Trace, TraceData};
 use serde::{Deserialize, Serialize};
 
-use qcoral_constraints::{ConstraintSet, Domain, PathCondition};
+use qcoral_constraints::{ConstraintSet, Domain};
 use qcoral_icp::{PaverConfig, PavingCache};
 use qcoral_interval::IntervalBox;
 use qcoral_mc::{Allocation, Deadline, Dist, Estimate, SamplePlan, UsageProfile};
@@ -377,11 +378,14 @@ pub struct Stats {
     pub paving_cache_hits: u64,
     /// Paving-cache misses during this analysis (same accounting).
     pub paving_cache_misses: u64,
-    /// Compiled-tape cache hits during this analysis. The tape cache is
-    /// process-wide, so this is a delta of global counters: exact unless
-    /// other analyses run concurrently in the same process.
+    /// Compile-cache hits during this analysis: factors whose compiled
+    /// conjunction was already in the process-wide compile cache (or
+    /// being compiled by another caller). Each prepared factor makes one
+    /// lookup, and the analysis counts its own lookups, so the number is
+    /// exact even when other analyses share the cache concurrently.
     pub tape_cache_hits: u64,
-    /// Compiled-tape cache misses during this analysis (same caveat).
+    /// Compile-cache misses during this analysis: factors whose
+    /// conjunction it compiled (same accounting).
     pub tape_cache_misses: u64,
     /// Cross-run factor-store hits: factors answered from a
     /// [`FactorStore`] without paving or sampling anything.
@@ -749,6 +753,8 @@ struct GlobalAnalysisMetrics {
     pavings: Arc<Counter>,
     paving_hits: Arc<Counter>,
     paving_misses: Arc<Counter>,
+    tape_hits: Arc<Counter>,
+    tape_misses: Arc<Counter>,
     partition_hits: Arc<Counter>,
     partition_misses: Arc<Counter>,
     inner_boxes: Arc<Counter>,
@@ -784,6 +790,14 @@ fn global_metrics() -> &'static GlobalAnalysisMetrics {
             paving_misses: r.counter(
                 "qcoral_paving_cache_misses_total",
                 "Paving requests that ran branch-and-prune.",
+            ),
+            tape_hits: r.counter(
+                "qcoral_tape_cache_hits_total",
+                "Compiled-tape lookups answered from the process-wide compile cache.",
+            ),
+            tape_misses: r.counter(
+                "qcoral_tape_cache_misses_total",
+                "Compiled-tape lookups that compiled the conjunction.",
             ),
             partition_hits: r.counter(
                 "qcoral_partition_cache_hits_total",
@@ -836,6 +850,8 @@ pub(crate) fn publish_report(report: &Report) {
     m.pavings.add(s.pavings);
     m.paving_hits.add(s.paving_cache_hits);
     m.paving_misses.add(s.paving_cache_misses);
+    m.tape_hits.add(s.tape_cache_hits);
+    m.tape_misses.add(s.tape_cache_misses);
     m.partition_hits.add(s.cache_hits);
     m.partition_misses.add(s.cache_misses);
     m.inner_boxes.add(s.inner_boxes);
@@ -853,13 +869,13 @@ pub(crate) fn publish_report(report: &Report) {
 /// discretization ε, where it shapes the estimate) — the estimate
 /// depends on all three.
 pub(crate) fn factor_key(
-    local_pc: &PathCondition,
+    fingerprint: u128,
     sub_box: &IntervalBox,
     projected: &UsageProfile,
     epsilon: f64,
 ) -> FactorKey {
     (
-        local_pc.fingerprint(),
+        fingerprint,
         sub_box
             .dims()
             .iter()
@@ -1195,10 +1211,11 @@ mod tests {
 
     #[test]
     fn tape_cache_counters_are_observable() {
-        // Unique constants make the factor's expressions fresh, so the
-        // first analysis must compile (miss) and a repeat on a fresh
-        // analyzer must reuse (hit). Counters are process-global deltas,
-        // so only lower bounds are asserted (other tests run in parallel).
+        // Unique constants make the factor's conjunction fresh, so the
+        // first analysis must compile it (one miss) and a repeat on a
+        // fresh analyzer must reuse it (one hit). The counts come from
+        // the run's own lookups, so they are exact even while other
+        // tests use the process-wide cache.
         let sys = parse_system(
             "var x in [0, 1]; pc sin(x * 0.123456789) > 0.987654321 && x < 0.3141592;",
         )
@@ -1206,14 +1223,16 @@ mod tests {
         let prof = UsageProfile::uniform(1);
         let opts = Options::strat().with_samples(200);
         let r1 = Analyzer::new(opts.clone()).analyze(&sys.constraint_set, &sys.domain, &prof);
-        assert!(
-            r1.stats.tape_cache_misses >= 1,
+        assert_eq!(
+            (r1.stats.tape_cache_hits, r1.stats.tape_cache_misses),
+            (0, 1),
             "first compile misses: {:?}",
             r1.stats
         );
         let r2 = Analyzer::new(opts).analyze(&sys.constraint_set, &sys.domain, &prof);
-        assert!(
-            r2.stats.tape_cache_hits >= 1,
+        assert_eq!(
+            (r2.stats.tape_cache_hits, r2.stats.tape_cache_misses),
+            (1, 0),
             "recompile hits the cache: {:?}",
             r2.stats
         );

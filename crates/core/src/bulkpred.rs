@@ -1,49 +1,40 @@
-//! The analyzer's compiled predicate: a scalar [`EvalTape`] paired with
-//! its columnar [`BulkTape`], behind the process-wide predicate cache.
+//! The analyzer's compiled conjunction, [`CompiledPred`], behind the
+//! process-wide compile cache.
 //!
-//! Every factor the quantifier samples bottoms out in "evaluate the
-//! path-condition predicate on a sample". [`CompiledPred`] carries both
-//! evaluation forms — the row-oriented scalar tape (used for one-off
-//! points and as the semantic reference) and the register-allocated
-//! columnar tape (used by the bulk chunk executor in `qcoral-mc`, which
-//! amortizes interpreter dispatch across 128-sample lane chunks) — and
+//! Every factor the quantifier paves and samples is one conjunction,
+//! compiled once into one artifact: its scalar [`EvalTape`], whose node
+//! pool the paver's interval kind also runs over, plus the
+//! register-allocated columnar [`BulkTape`], built the first time the
+//! factor is sampled (the bulk chunk executor in `qcoral-mc` amortizes
+//! interpreter dispatch across 128-sample lane chunks). [`CompiledPred`]
 //! implements [`BulkPred`] so the plan-layer samplers ride the columnar
 //! path automatically.
 //!
-//! [`CompiledPred::compile_cached`] memoizes compilation process-wide by
-//! the condition's structural fingerprint, mirroring the HC4 tape cache
-//! in `qcoral-icp`: recurring factors — the workload's defining
-//! redundancy, and the steady state of `qcoral-service` — compile their
-//! tapes once per process instead of once per request.
+//! `compile_cached` memoizes compilation process-wide by the
+//! conjunction's structural fingerprint: recurring factors — the
+//! workload's defining redundancy, and the steady state of
+//! `qcoral-service` — compile once per process instead of once per
+//! request.
 
 use std::sync::{Arc, OnceLock};
 
 use qcoral_constraints::{BulkTape, EvalTape, PathCondition};
-use qcoral_icp::CompileCache;
+use qcoral_icp::LruCache;
 use qcoral_mc::BulkPred;
 
-/// Process-wide compiled-predicate cache, keyed by the path condition's
-/// structural fingerprint (see
-/// [`PathCondition::fingerprint`](qcoral_constraints::PathCondition::fingerprint)).
-/// Shares the bounded [`CompileCache`] machinery with the HC4 tape
-/// cache in `qcoral-icp`.
-static PRED_CACHE: OnceLock<CompileCache<CompiledPred>> = OnceLock::new();
+/// Cap on cached conjunctions; past it the least-recently-used are
+/// evicted in batches.
+const TAPE_CACHE_CAP: usize = 4096;
 
-/// Cap on cached predicates; beyond it compilation still succeeds but
-/// results are no longer retained (bounds memory on adversarial
-/// workloads), mirroring the HC4 tape cache.
-const PRED_CACHE_CAP: usize = 4096;
-
-fn pred_cache() -> &'static CompileCache<CompiledPred> {
-    PRED_CACHE.get_or_init(|| CompileCache::new_named(PRED_CACHE_CAP, "pred_cache"))
-}
-
-/// Cumulative `(hits, misses)` of the process-wide predicate cache.
-/// Counters are monotone; callers wanting per-analysis numbers snapshot
-/// before and after (exact when no other analysis runs concurrently in
-/// the process).
-pub fn pred_cache_stats() -> (u64, u64) {
-    pred_cache().stats()
+/// Returns the compiled conjunction `pc` from the process-wide compile
+/// cache, compiling it on a miss, and whether it was cached or in flight
+/// (`true` = hit). `fingerprint` must be `pc.fingerprint()`, which the
+/// engine computes once per factor for every key.
+pub(crate) fn compile_cached(fingerprint: u128, pc: &PathCondition) -> (Arc<CompiledPred>, bool) {
+    static CACHE: OnceLock<LruCache<u128, CompiledPred>> = OnceLock::new();
+    CACHE
+        .get_or_init(|| LruCache::new(TAPE_CACHE_CAP))
+        .get_or_insert_with(fingerprint, || CompiledPred::compile(pc))
 }
 
 /// Name of the predicate-evaluation backend tape-compiled predicates
@@ -54,47 +45,38 @@ pub fn active_backend() -> &'static str {
     "bulk"
 }
 
-/// A factor predicate compiled for both evaluation styles: the scalar
-/// row tape and the register-allocated columnar bulk tape.
+/// A compiled conjunction: the scalar row tape and, once the factor is
+/// sampled, the register-allocated columnar bulk tape.
 ///
-/// Both forms are compiled from the same hash-consed node pool, apply the
-/// same `f64` operations in the same order per sample, and share the
-/// scalar NaN/early-exit semantics — so the [`BulkPred`] contract
-/// (columnar hit counts equal row-by-row hit counts, bit for bit) holds
-/// by construction and is pinned by the workspace's equivalence suites.
-#[derive(Clone, Debug)]
+/// Both forms come from the same hash-consed node pool, apply the same
+/// `f64` operations in the same order per sample, and share the scalar
+/// NaN/early-exit semantics — so the [`BulkPred`] contract (columnar hit
+/// counts equal row-by-row hit counts, bit for bit) holds by
+/// construction and is pinned by the workspace's equivalence suites.
+#[derive(Debug)]
 pub struct CompiledPred {
-    scalar: EvalTape,
-    bulk: BulkTape,
+    scalar: Arc<EvalTape>,
+    bulk: OnceLock<BulkTape>,
 }
 
 impl CompiledPred {
-    /// Compiles both evaluation forms for a conjunction. Linear in DAG
-    /// size.
+    /// Compiles the scalar tape of a conjunction. Linear in DAG size.
     pub fn compile(pc: &PathCondition) -> CompiledPred {
-        let scalar = EvalTape::compile(pc);
-        let bulk = BulkTape::compile(&scalar);
-        CompiledPred { scalar, bulk }
+        CompiledPred {
+            scalar: Arc::new(EvalTape::compile(pc)),
+            bulk: OnceLock::new(),
+        }
     }
 
-    /// Compiles through the process-wide predicate cache: structurally
-    /// equal conditions share one compiled predicate across factors,
-    /// path conditions, analyses, threads and service requests.
-    pub fn compile_cached(pc: &PathCondition) -> Arc<CompiledPred> {
-        // Fingerprinting happens outside the cache lock, like the
-        // compilation itself: both can be heavy.
-        let key = pc.fingerprint();
-        pred_cache().get_or_compile(key, || CompiledPred::compile(pc))
-    }
-
-    /// The scalar row tape.
-    pub fn scalar(&self) -> &EvalTape {
+    /// The scalar row tape, whose node pool the paver shares.
+    pub fn scalar(&self) -> &Arc<EvalTape> {
         &self.scalar
     }
 
-    /// The columnar bulk tape.
+    /// The columnar bulk tape, compiled from the scalar tape on the first
+    /// call.
     pub fn bulk(&self) -> &BulkTape {
-        &self.bulk
+        self.bulk.get_or_init(|| BulkTape::compile(&self.scalar))
     }
 }
 
@@ -108,7 +90,7 @@ impl BulkPred for CompiledPred {
     }
 
     fn count_hits(&self, cols: &[Vec<f64>], n: usize) -> u64 {
-        self.bulk.count_hits(cols, n)
+        self.bulk().count_hits(cols, n)
     }
 }
 
@@ -152,12 +134,9 @@ mod tests {
         // Unique constants keep this test's keys disjoint from others.
         let a = pc_of("var x in [0, 1]; pc sin(x * 0.5417261) > 0.1234987;");
         let b = pc_of("var x in [0, 1]; pc sin(x * 0.5417261) > 0.1234987;");
-        let (h0, m0) = pred_cache_stats();
-        let pa = CompiledPred::compile_cached(&a);
-        let pb = CompiledPred::compile_cached(&b);
+        let (pa, hit_a) = compile_cached(a.fingerprint(), &a);
+        let (pb, hit_b) = compile_cached(b.fingerprint(), &b);
         assert!(Arc::ptr_eq(&pa, &pb), "separate parses share one tape");
-        let (h1, m1) = pred_cache_stats();
-        assert!(m1 > m0, "first compile misses");
-        assert!(h1 > h0, "second compile hits");
+        assert_eq!((hit_a, hit_b), (false, true));
     }
 }

@@ -9,10 +9,13 @@
 //!    slot's streams are seeded from the key); with it off, one slot per
 //!    `(pc, factor)` occurrence (seeded from the index pair). Two path
 //!    conditions therefore never race on one factor.
+//!    Discovery fingerprints each occurrence's conjunction once; the
+//!    fingerprint keys the factor, the compiled tape and the paving.
 //! 2. **Prep**, once per slot, in order: factor-store lookup, deadline
-//!    check, paving (Algorithm 3), profile-aligned strata, and — only
-//!    for factors with strata left to sample — predicate compilation.
-//!    An unstratified factor is one stratum of weight exactly 1 covering
+//!    check, one compile-cache lookup for the conjunction, paving over
+//!    that tape (Algorithm 3), profile-aligned strata, and — only for
+//!    factors with strata left to sample — the columnar tape. An
+//!    unstratified factor is one stratum of weight exactly 1 covering
 //!    its sub-box, sampled on the factor's own stream.
 //! 3. **Sampling** by one of two schedules, over the same [`Factor`]
 //!    state and its two moves, [`Factor::refine`] and
@@ -46,7 +49,7 @@ use qcoral_obs::Trace;
 use rayon::prelude::*;
 
 use qcoral_constraints::{ConstraintSet, Domain, PathCondition, VarId, VarSet};
-use qcoral_icp::{domain_box, tape_cache_stats, PavingCache};
+use qcoral_icp::{domain_box, PavingCache};
 use qcoral_interval::IntervalBox;
 use qcoral_mc::{
     align_strata, initial_allocation, mix_seed, neyman_allocation, proportional_split, refine_plan,
@@ -54,7 +57,7 @@ use qcoral_mc::{
 };
 
 use crate::analyzer::{factor_key, hash_key, publish_report, Analyzer, Options, Report, Stats};
-use crate::bulkpred::CompiledPred;
+use crate::bulkpred::{compile_cached, CompiledPred};
 use crate::depend::dependency_partition;
 use crate::factor_store::{FactorKey, FactorStore};
 
@@ -107,6 +110,8 @@ struct Slot {
     key: Option<FactorKey>,
     /// The factor's conjunction over dense local variables.
     local_pc: PathCondition,
+    /// `local_pc.fingerprint()`.
+    fingerprint: u128,
     /// The factor's projected domain box.
     sub_box: IntervalBox,
     /// Global indices of the factor's variables.
@@ -281,7 +286,6 @@ pub(crate) fn run(
     let trace = analyzer.run_trace();
     let trace_t0 = qcoral_obs::trace::span_start(&trace);
     let opts = &analyzer.opts;
-    let (tape_hits0, tape_misses0) = tape_cache_stats();
     let (slots, pc_slots, occurrences) = discover(opts, cs, &domain_box(domain), profile);
     let run = Run {
         opts,
@@ -305,9 +309,6 @@ pub(crate) fn run(
         stats.cache_misses = slots.len() as u64;
         stats.cache_hits = occurrences - stats.cache_misses;
     }
-    let (tape_hits1, tape_misses1) = tape_cache_stats();
-    stats.tape_cache_hits = tape_hits1 - tape_hits0;
-    stats.tape_cache_misses = tape_misses1 - tape_misses0;
     stats.deadline_exceeded = run.expired();
     stats.backend = crate::bulkpred::active_backend().to_string();
     if let Some(t) = &trace {
@@ -391,12 +392,14 @@ fn discover(
                 .map(|(local, &global)| (global as u32, local as u32))
                 .collect();
             let local_pc = part.remap_vars(&|v: VarId| VarId(local_of[&v.0]));
+            let fingerprint = local_pc.fingerprint();
             let sub_box = dbox.project(&indices);
             if !opts.cache {
                 mine.push(slots.len());
                 slots.push(Slot {
                     key: None,
                     local_pc,
+                    fingerprint,
                     sub_box,
                     indices,
                     seed: mix_seed(opts.seed, (pc_idx as u64) << 32 | factor_idx as u64),
@@ -404,7 +407,7 @@ fn discover(
                 continue;
             }
             let key = factor_key(
-                &local_pc,
+                fingerprint,
                 &sub_box,
                 &profile.project(&indices),
                 opts.profile_epsilon,
@@ -417,6 +420,7 @@ fn discover(
                     slots.push(Slot {
                         key: Some(e.key().clone()),
                         local_pc,
+                        fingerprint,
                         sub_box,
                         indices,
                         seed: mix_seed(opts.seed, hash_key(e.key())),
@@ -489,6 +493,8 @@ fn add(stats: &mut Stats, slot: &Stats) {
     stats.samples_drawn += slot.samples_drawn;
     stats.is_factors += slot.is_factors;
     stats.is_fallbacks += slot.is_fallbacks;
+    stats.tape_cache_hits += slot.tape_cache_hits;
+    stats.tape_cache_misses += slot.tape_cache_misses;
 }
 
 impl Run<'_> {
@@ -511,7 +517,8 @@ impl Run<'_> {
     }
 
     /// Prep of one slot, counting into `tally`: store lookup, deadline
-    /// check, paving, strata, then compilation for factors that sample.
+    /// check, compile-cache lookup, paving, strata, then the columnar
+    /// tape for factors that sample.
     fn prepare(&self, slot: &Slot, tally: &mut Stats) -> Prepared {
         let done = |estimate, charged| Prepared::Done { estimate, charged };
         if let (Some(store), Some(key)) = (self.store, &slot.key) {
@@ -535,16 +542,29 @@ impl Run<'_> {
             parallel: opts.parallel,
             deadline: self.deadline,
         };
+        // Both caches are counted per call: they are shared process- or
+        // service-wide, and deltas of their global counters would charge
+        // concurrent requests' work to each other.
+        let t0 = self.now();
+        let (pred, hit) = compile_cached(slot.fingerprint, &slot.local_pc);
+        self.record("compile", "tape", t0, || {
+            vec![
+                arg("vars", slot.sub_box.dims().len()),
+                arg("cache_hit", hit),
+            ]
+        });
+        tally.tape_cache_hits = hit as u64;
+        tally.tape_cache_misses = !hit as u64;
         let mut exact = Estimate::ZERO;
         let mut strata = Vec::new();
         if opts.stratified {
-            // Counted per call: the cache may be shared service-wide, and
-            // deltas of its global counters would charge concurrent
-            // requests' pavings to each other.
             let t0 = self.now();
-            let (paving, hit) =
-                self.paving_cache
-                    .pave_cached_counted(&slot.local_pc, &slot.sub_box, &opts.paver);
+            let (paving, hit) = self.paving_cache.pave_cached(
+                slot.fingerprint,
+                pred.scalar(),
+                &slot.sub_box,
+                &opts.paver,
+            );
             self.record("paving", "icp", t0, || {
                 vec![
                     arg("inner", paving.inner.len()),
@@ -603,13 +623,13 @@ impl Run<'_> {
         if strata.is_empty() {
             return done(exact, true);
         }
-        // Compiled once per conjunction process-wide: the columnar tape
-        // evaluates whole sample blocks per instruction, with the same
-        // samples, hits and estimates as the scalar tape.
+        // The columnar tape evaluates whole sample blocks per instruction,
+        // with the same samples, hits and estimates as the scalar tape.
+        // The first factor of the conjunction that samples builds it.
         let t0 = self.now();
-        let pred = CompiledPred::compile_cached(&slot.local_pc);
+        pred.bulk();
         self.record("compile", "tape", t0, || {
-            vec![arg("vars", slot.sub_box.dims().len())]
+            vec![arg("vars", slot.sub_box.dims().len()), arg("kind", "bulk")]
         });
         Prepared::Live(Box::new(Factor {
             pred,

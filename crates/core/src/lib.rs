@@ -58,7 +58,7 @@ mod engine;
 pub mod factor_store;
 
 pub use analyzer::{Analyzer, Options, Report, Stats};
-pub use bulkpred::{active_backend, pred_cache_stats, CompiledPred};
+pub use bulkpred::{active_backend, CompiledPred};
 pub use depend::{dependency_partition, UnionFind};
 pub use factor_store::{FactorStore, FactorStoreEntry, InsertHook, DEFAULT_STORE_CAP};
 

@@ -1,10 +1,9 @@
 //! HC4 contractors over conjunctions of atoms.
 //!
-//! A [`Contractor`] is built once from a [`PathCondition`]; the whole
-//! conjunction is compiled into one [`IntervalTape`] — the interval kind
-//! of the unified tape IR shared with the scalar and columnar float
-//! evaluators — and then offers two operations used by the paver and the
-//! analyses:
+//! A [`Contractor`] holds one compiled conjunction, an [`EvalTape`]: the
+//! unified tape IR whose node pool the scalar, columnar and interval
+//! evaluators all run over. It offers two operations used by the paver
+//! and the analyses:
 //!
 //! * [`Contractor::contract`] — shrink a box without losing any solution
 //!   (HC4-revise per atom, iterated to a fixpoint),
@@ -18,7 +17,7 @@
 
 use std::sync::Arc;
 
-use qcoral_constraints::{EvalTape, IntervalTape, IvalScratch, PathCondition, RelOp};
+use qcoral_constraints::{EvalTape, IvalScratch, PathCondition, RelOp};
 use qcoral_interval::{Interval, IntervalBox};
 
 /// Reusable working memory for [`Contractor::contract_with`] and
@@ -60,12 +59,9 @@ impl Tri {
 }
 
 /// A compiled conjunction of atoms with HC4 forward/backward machinery.
-/// Tapes are shared through the process-wide cache
-/// ([`crate::tape::compile_cached`]), so contractors for recurring
-/// factors reuse one compiled tape per distinct conjunction.
 #[derive(Clone, Debug)]
 pub struct Contractor {
-    tape: Arc<IntervalTape>,
+    tape: Arc<EvalTape>,
     nvars: usize,
     max_passes: usize,
 }
@@ -77,34 +73,23 @@ impl Contractor {
     ///
     /// Panics if the condition references a variable index `≥ nvars`.
     pub fn new(pc: &PathCondition, nvars: usize) -> Contractor {
-        assert!(
-            pc.var_bound() <= nvars,
-            "path condition references variable beyond domain ({} > {nvars})",
-            pc.var_bound()
-        );
-        Contractor {
-            tape: crate::tape::compile_cached(pc),
-            nvars,
-            max_passes: 8,
-        }
+        Contractor::from_tape(Arc::new(EvalTape::compile(pc)), nvars)
     }
 
-    /// Like [`Contractor::new`] but bypassing the process-wide tape
-    /// cache. Use for throwaway conjunctions that will never recur (the
-    /// symbolic executor's per-path pruning queries), so they neither
-    /// fill the cache's cap nor pin memory.
+    /// A contractor over an already compiled conjunction, sharing its
+    /// node pool.
     ///
     /// # Panics
     ///
-    /// Panics if the condition references a variable index `≥ nvars`.
-    pub fn new_uncached(pc: &PathCondition, nvars: usize) -> Contractor {
+    /// Panics if the tape reads a variable index `≥ nvars`.
+    pub(crate) fn from_tape(tape: Arc<EvalTape>, nvars: usize) -> Contractor {
         assert!(
-            pc.var_bound() <= nvars,
+            tape.var_bound() <= nvars,
             "path condition references variable beyond domain ({} > {nvars})",
-            pc.var_bound()
+            tape.var_bound()
         );
         Contractor {
-            tape: Arc::new(IntervalTape::compile(&EvalTape::compile(pc))),
+            tape,
             nvars,
             max_passes: 8,
         }
@@ -118,12 +103,13 @@ impl Contractor {
 
     /// Number of compiled atoms.
     pub fn len(&self) -> usize {
-        self.tape.num_atoms()
+        self.tape.atom_nodes().len()
     }
 
-    /// Returns `true` if the conjunction has no atoms (always true).
+    /// Returns `true` if the conjunction has no atoms, so every box
+    /// satisfies it.
     pub fn is_empty(&self) -> bool {
-        self.tape.num_atoms() == 0
+        self.tape.is_empty()
     }
 
     /// Number of domain variables the contractor was compiled for.
@@ -215,7 +201,7 @@ impl Contractor {
     /// Folds per-atom certainties for one lane of the scratch's images.
     fn classify_lane(&self, lane: usize, scratch: &IvalScratch) -> Tri {
         let mut acc = Tri::True;
-        for (k, &(_, op, _)) in self.tape.atoms().iter().enumerate() {
+        for (k, &(_, op, _)) in self.tape.atom_nodes().iter().enumerate() {
             let (l, r) = scratch.image(k, lane);
             acc = acc.and(atom_certainty(l, op, r));
             if acc == Tri::False {

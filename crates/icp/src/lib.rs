@@ -42,12 +42,10 @@
 pub mod cache;
 pub mod contract;
 pub mod paver;
-pub mod tape;
 
-pub use cache::CompileCache;
+pub use cache::{batch_lru_cutoff, LruCache};
 pub use contract::{ContractScratch, Contractor, Tri};
-pub use paver::{batch_lru_cutoff, pave, Paver, PaverConfig, Paving, PavingCache};
-pub use tape::tape_cache_stats;
+pub use paver::{pave, Paver, PaverConfig, Paving, PavingCache};
 
 use qcoral_constraints::Domain;
 use qcoral_interval::{Interval, IntervalBox};
@@ -64,10 +62,7 @@ pub fn domain_box(domain: &Domain) -> IntervalBox {
 /// `false` only if interval propagation *proves* the conjunction has no
 /// solution inside `boxed`. A `true` answer means "possibly satisfiable".
 pub fn maybe_satisfiable(pc: &qcoral_constraints::PathCondition, boxed: &IntervalBox) -> bool {
-    // Uncached: symbolic execution queries path-specific conjunctions
-    // that never recur; caching them would only fill the tape cache's
-    // cap and crowd out the analyzer's recurring factors.
-    let contractor = Contractor::new_uncached(pc, boxed.ndim());
+    let contractor = Contractor::new(pc, boxed.ndim());
     let mut b = boxed.clone();
     contractor.contract(&mut b)
 }

@@ -5,17 +5,16 @@
 //! solutions. Regions outside the paving are proven solution-free — the
 //! qCORAL stratified sampler never needs to sample them (paper §3.3).
 
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use qcoral_constraints::PathCondition;
+use qcoral_constraints::{EvalTape, PathCondition};
 use qcoral_interval::IntervalBox;
 
+use crate::cache::LruCache;
 use crate::contract::{ContractScratch, Contractor, Tri};
 
 /// Stop criteria for the paver, mirroring the RealPaver configuration the
@@ -121,7 +120,7 @@ impl Ord for WorkItem {
 /// Number of work items popped and contracted per batched dispatch. A
 /// batch amortizes the per-atom kernel dispatch over many boxes (the
 /// structure-of-arrays layout of
-/// `qcoral_constraints::IntervalTape::contract_batch`); larger batches
+/// `qcoral_constraints::EvalTape::contract_batch`); larger batches
 /// also commit the paver to refining more boxes per round, so the size
 /// stays modest to keep best-first ordering meaningful.
 const PAVE_BATCH: usize = 16;
@@ -136,7 +135,11 @@ pub struct Paver {
 impl Paver {
     /// Compiles `pc` for paving over boxes with `nvars` dimensions.
     pub fn new(pc: &PathCondition, nvars: usize, config: PaverConfig) -> Paver {
-        let contractor = Contractor::new(pc, nvars).with_max_passes(config.max_passes);
+        Paver::with_contractor(Contractor::new(pc, nvars), config)
+    }
+
+    fn with_contractor(contractor: Contractor, config: PaverConfig) -> Paver {
+        let contractor = contractor.with_max_passes(config.max_passes);
         Paver { contractor, config }
     }
 
@@ -236,10 +239,54 @@ struct PavingKey {
     max_passes: usize,
 }
 
-impl PavingKey {
-    fn new(pc: &PathCondition, domain: &IntervalBox, config: &PaverConfig) -> PavingKey {
-        PavingKey {
-            pc: pc.fingerprint(),
+/// A concurrent cache of pavings keyed by the conjunction's fingerprint,
+/// the queried box, and the budget-relevant paver knobs.
+///
+/// Independent factors recur across path conditions (the empirical core of
+/// the paper's PARTCACHE observation), so the analyzer asks for the same
+/// `(conjunction, sub-box)` paving over and over — sometimes from several
+/// threads at once. The cache pavés once and shares the result as an
+/// [`Arc<Paving>`]. It is an [`LruCache`]: lookups are single-flight, so
+/// every caller gets the same paving and the hit/miss split does not
+/// depend on the thread schedule, and past [`PavingCache::CAP`] distinct
+/// keys the least-recently-used pavings are evicted in batches.
+#[derive(Debug)]
+pub struct PavingCache {
+    map: LruCache<PavingKey, Paving>,
+}
+
+impl Default for PavingCache {
+    fn default() -> PavingCache {
+        PavingCache::new()
+    }
+}
+
+impl PavingCache {
+    /// Maximum retained pavings (each holds up to `max_boxes` boxes).
+    pub const CAP: usize = 1024;
+
+    /// Creates an empty cache.
+    pub fn new() -> PavingCache {
+        PavingCache {
+            map: LruCache::new(Self::CAP),
+        }
+    }
+
+    /// Returns the paving of the conjunction compiled into `tape` over
+    /// `domain`, computing it at most once per distinct live key, and
+    /// whether it was answered from the cache (`true` = hit).
+    /// `fingerprint` must be the [`PathCondition::fingerprint`] of the
+    /// conjunction `tape` was compiled from: it names the conjunction in
+    /// the key, so the tape is only read on a miss.
+    pub fn pave_cached(
+        &self,
+        fingerprint: u128,
+        tape: &Arc<EvalTape>,
+        domain: &IntervalBox,
+        config: &PaverConfig,
+    ) -> (Arc<Paving>, bool) {
+        let key = PavingKey {
+            pc: fingerprint,
             box_bits: domain
                 .dims()
                 .iter()
@@ -249,138 +296,11 @@ impl PavingKey {
             precision_digits: config.precision_digits,
             time_budget_ns: config.time_budget.as_nanos(),
             max_passes: config.max_passes,
-        }
-    }
-}
-
-/// A concurrent cache of pavings keyed by the canonicalized conjunction,
-/// the queried box, and the budget-relevant paver knobs.
-///
-/// Independent factors recur across path conditions (the empirical core of
-/// the paper's PARTCACHE observation), so the analyzer asks for the same
-/// `(conjunction, sub-box)` paving over and over — sometimes from several
-/// threads at once. The cache compiles and pavés once and shares the
-/// result as an [`Arc<Paving>`]. Lookups are single-flight: callers that
-/// race on a key wait for the one paving in progress instead of paving
-/// again, so every caller gets the same paving and the hit/miss split
-/// does not depend on the thread schedule. Bounded: past
-/// [`PavingCache::CAP`] distinct keys, the least-recently-used pavings
-/// are evicted in batches — a process-lifetime cache (e.g. a long-lived
-/// service sharing one across all requests) keeps tracking the current
-/// working set instead of freezing on the first `CAP` keys it ever saw.
-#[derive(Debug, Default)]
-pub struct PavingCache {
-    map: Mutex<PavingMap>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Cutoff tick for one batch-LRU eviction round over a map whose entries
-/// carry `last_used` ticks: the caller drops every entry with
-/// `last_used <= cutoff`. Evicts the overflow past `cap` plus a ~12%
-/// batch margin — amortized batches instead of per-insert scans — always
-/// at least one entry and never all of them, so the most recently
-/// touched entry survives. Shared by [`PavingCache`] and the core
-/// crate's `FactorStore` so the two bounded caches cannot drift apart.
-///
-/// Callers must invoke this only when `ticks.len() > cap >= 1`.
-pub fn batch_lru_cutoff(mut ticks: Vec<u64>, cap: usize) -> u64 {
-    let len = ticks.len();
-    debug_assert!(len > cap && cap >= 1);
-    let excess = len.saturating_sub(cap);
-    let drop_n = (excess + cap / 8).clamp(1, len - 1);
-    ticks.sort_unstable();
-    ticks[drop_n - 1]
-}
-
-/// One key's slot: set once by the caller that paves it.
-type PavingCell = Arc<OnceLock<Arc<Paving>>>;
-
-#[derive(Debug, Default)]
-struct PavingMap {
-    map: HashMap<PavingKey, (PavingCell, u64)>,
-    tick: u64,
-}
-
-impl PavingCache {
-    /// Maximum retained pavings (each holds up to `max_boxes` boxes).
-    pub const CAP: usize = 1024;
-
-    /// Creates an empty cache.
-    pub fn new() -> PavingCache {
-        PavingCache::default()
-    }
-
-    /// Returns the paving of `pc` over `domain`, computing it at most once
-    /// per distinct live key.
-    pub fn pave_cached(
-        &self,
-        pc: &PathCondition,
-        domain: &IntervalBox,
-        config: &PaverConfig,
-    ) -> Arc<Paving> {
-        self.pave_cached_counted(pc, domain, config).0
-    }
-
-    /// [`PavingCache::pave_cached`], additionally reporting whether the
-    /// paving was answered from the cache (`true` = hit). The flag gives
-    /// per-caller accounting: the cache-global [`PavingCache::stats`]
-    /// counters mix every concurrent user of a shared cache.
-    pub fn pave_cached_counted(
-        &self,
-        pc: &PathCondition,
-        domain: &IntervalBox,
-        config: &PaverConfig,
-    ) -> (Arc<Paving>, bool) {
-        let key = PavingKey::new(pc, domain, config);
-        let cell = {
-            let mut inner = self.map.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            let slot = inner.map.entry(key).or_default();
-            slot.1 = tick;
-            let cell = Arc::clone(&slot.0);
-            if inner.map.len() > Self::CAP {
-                let ticks: Vec<u64> = inner.map.values().map(|&(_, t)| t).collect();
-                let cutoff = batch_lru_cutoff(ticks, Self::CAP);
-                inner.map.retain(|_, &mut (_, t)| t > cutoff);
-            }
-            cell
         };
-        // Pave outside the map lock: pavings can take the full time
-        // budget and must not serialize unrelated lookups. Only callers
-        // of this key wait.
-        let mut hit = true;
-        let paving = Arc::clone(cell.get_or_init(|| {
-            hit = false;
-            Arc::new(pave(pc, domain, config))
-        }));
-        let counter = if hit { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-        (paving, hit)
-    }
-
-    /// Number of distinct pavings held.
-    pub fn len(&self) -> usize {
-        self.map.lock().map.len()
-    }
-
-    /// Returns `true` if no paving is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `(hits, misses)` counters since creation.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Drops all cached pavings (counters are retained).
-    pub fn clear(&self) {
-        self.map.lock().map.clear();
+        self.map.get_or_insert_with(key, || {
+            let contractor = Contractor::from_tape(Arc::clone(tape), domain.ndim());
+            Paver::with_contractor(contractor, config.clone()).pave(domain)
+        })
     }
 }
 
@@ -636,59 +556,33 @@ mod tests {
 
     #[test]
     fn paving_cache_computes_each_key_once() {
+        // Single-flight and eviction are the generic map's (tested in
+        // `cache`); this checks what the paving key distinguishes.
         let sys =
             parse_system("var x in [-1, 1]; var y in [-1, 1]; pc x * x + y * y <= 1;").unwrap();
-        let pc = sys.constraint_set.pcs()[0].clone();
+        let pc = &sys.constraint_set.pcs()[0];
+        let (fp, tape) = (pc.fingerprint(), Arc::new(EvalTape::compile(pc)));
         let dom = crate::domain_box(&sys.domain);
         let cache = PavingCache::new();
         let cfg = PaverConfig::default();
-        let a = cache.pave_cached(&pc, &dom, &cfg);
-        let b = cache.pave_cached(&pc, &dom, &cfg);
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "second request is a hit");
-        assert_eq!(cache.stats(), (1, 1));
-        assert_eq!(cache.len(), 1);
+        let (a, hit_a) = cache.pave_cached(fp, &tape, &dom, &cfg);
+        let (b, hit_b) = cache.pave_cached(fp, &tape, &dom, &cfg);
+        assert!(Arc::ptr_eq(&a, &b), "second request is a hit");
+        assert_eq!((hit_a, hit_b), (false, true));
+        assert_eq!(a.len(), pave(pc, &dom, &cfg).len());
         // A different box is a different key.
         let half: IntervalBox = [Interval::new(0.0, 1.0), Interval::new(0.0, 1.0)]
             .into_iter()
             .collect();
-        let c = cache.pave_cached(&pc, &half, &cfg);
-        assert!(!std::sync::Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.stats(), (1, 2));
+        let (c, hit_c) = cache.pave_cached(fp, &tape, &half, &cfg);
+        assert!(!Arc::ptr_eq(&a, &c) && !hit_c);
         // So is a different budget.
         let small = PaverConfig {
             max_boxes: 4,
             ..PaverConfig::default()
         };
-        let d = cache.pave_cached(&pc, &dom, &small);
-        assert!(d.len() <= 4);
-        assert_eq!(cache.stats(), (1, 3));
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn paving_cache_evicts_lru_instead_of_freezing() {
-        // A process-lifetime cache must keep admitting new keys past CAP
-        // (evicting the least-recently-used), and a hot key must survive.
-        let sys = parse_system("var x in [0, 1]; pc x > 0.5;").unwrap();
-        let pc = sys.constraint_set.pcs()[0].clone();
-        let cache = PavingCache::new();
-        let cfg = PaverConfig {
-            max_boxes: 2,
-            ..PaverConfig::default()
-        };
-        let boxed = |lo: f64| -> IntervalBox { [Interval::new(lo, 1.0)].into_iter().collect() };
-        let hot = boxed(0.0);
-        cache.pave_cached(&pc, &hot, &cfg);
-        for i in 1..=(PavingCache::CAP + 8) {
-            cache.pave_cached(&pc, &boxed(i as f64 * 1e-6), &cfg);
-            // Keep the hot key recent so eviction targets the others.
-            cache.pave_cached(&pc, &hot, &cfg);
-        }
-        assert!(cache.len() <= PavingCache::CAP, "len {}", cache.len());
-        let (hits0, _) = cache.stats();
-        cache.pave_cached(&pc, &hot, &cfg);
-        assert_eq!(cache.stats().0, hits0 + 1, "hot key survived eviction");
+        let (d, hit_d) = cache.pave_cached(fp, &tape, &dom, &small);
+        assert!(d.len() <= 4 && !hit_d);
     }
 
     #[test]

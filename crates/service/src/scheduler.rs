@@ -68,7 +68,8 @@ struct QueuedJob {
     /// Shed the job (never run it) if this instant passes while queued.
     deadline: Option<Instant>,
     /// Runs on the dispatcher thread when the job is shed, so the caller
-    /// still gets an answer. Must be cheap (it holds up dispatch).
+    /// still gets an answer. Runs outside the admission lock, but holds up
+    /// dispatch while it runs.
     on_shed: Option<Job>,
 }
 
@@ -290,7 +291,14 @@ impl Scheduler {
         let Some(threads) = self.threads.lock().expect("scheduler lock").take() else {
             return;
         };
-        self.shared.stop.store(true, Ordering::Release);
+        {
+            // Raise the flag under both queue locks: a thread between its
+            // stop check and its wait holds one of them, so it is either
+            // before the check or already waiting for the notify below.
+            let _admitted = self.shared.admitted.lock().expect("scheduler lock");
+            let _ready = self.shared.ready.lock().expect("scheduler lock");
+            self.shared.stop.store(true, Ordering::Release);
+        }
         self.shared.admitted_cv.notify_all();
         self.shared.ready_cv.notify_all();
         let _ = threads.dispatcher.join();
@@ -348,42 +356,42 @@ fn dispatcher_loop(shared: &Shared, after_batch: impl Fn(usize)) {
         // Collect the next micro-batch: whatever is admitted, capped —
         // shedding deadline-expired jobs along the way (they answer via
         // `on_shed` and never consume a batch slot or a worker).
-        let batch: Vec<Job> = {
+        let mut batch: Vec<Job> = Vec::new();
+        let mut shed: Vec<Job> = Vec::new();
+        {
             let mut q = shared.admitted.lock().expect("scheduler lock");
-            'collect: loop {
-                let mut live: Vec<Job> = Vec::new();
-                while live.len() < shared.max_batch {
-                    let Some(queued) = q.pop_front() else { break };
-                    let now = Instant::now();
-                    shared
-                        .queue_wait_us
-                        .record(now.duration_since(queued.enqueued_at).as_micros() as u64);
-                    let expired = queued.deadline.is_some_and(|d| now >= d);
-                    if expired {
-                        shared.shed.inc();
-                        if let Some(on_shed) = queued.on_shed {
-                            // Contained like a worker job: a panicking
-                            // shed callback must not kill dispatch.
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(on_shed));
-                        }
-                    } else {
-                        live.push(queued.job);
-                    }
-                }
-                shared.queue_depth.set(q.len() as i64);
-                if !live.is_empty() {
-                    break 'collect live;
-                }
-                // Everything drained was shed (or the queue was empty);
-                // wait for more work.
+            while q.is_empty() {
                 if shared.stop.load(Ordering::Acquire) {
                     return;
                 }
-                if q.is_empty() {
-                    q = shared.admitted_cv.wait(q).expect("scheduler lock");
+                q = shared.admitted_cv.wait(q).expect("scheduler lock");
+            }
+            while batch.len() < shared.max_batch {
+                let Some(queued) = q.pop_front() else { break };
+                let now = Instant::now();
+                shared
+                    .queue_wait_us
+                    .record(now.duration_since(queued.enqueued_at).as_micros() as u64);
+                if queued.deadline.is_some_and(|d| now >= d) {
+                    shared.shed.inc();
+                    shed.extend(queued.on_shed);
+                } else {
+                    batch.push(queued.job);
                 }
             }
-        };
+            shared.queue_depth.set(q.len() as i64);
+        }
+        // Shed callbacks answer their callers, possibly with a blocking
+        // socket write, so they run after the admission lock is released:
+        // a client that stopped reading must not stall every `submit`.
+        for on_shed in shed {
+            // Contained like a worker job: a panicking shed callback
+            // must not kill dispatch.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(on_shed));
+        }
+        if batch.is_empty() {
+            continue;
+        }
 
         let n = batch.len();
         shared.batch_occupancy.record(n as u64);
@@ -411,6 +419,7 @@ fn dispatcher_loop(shared: &Shared, after_batch: impl Fn(usize)) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
     use std::time::Duration;
 
     #[test]
@@ -509,6 +518,44 @@ mod tests {
         }
         assert_eq!(sched.metrics().served, 3);
         sched.shutdown();
+    }
+
+    #[test]
+    fn shed_callbacks_run_outside_the_admission_lock() {
+        // A shed callback that blocks (the reply to a client that stopped
+        // reading) must not hold up admission: another `submit` returns
+        // while the callback is still waiting on its gate.
+        let sched = Scheduler::start(1, 16, 4, |_| {});
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        sched
+            .submit_with(
+                Box::new(|| {}),
+                Some(Instant::now() - Duration::from_millis(1)),
+                Some(Box::new(move || {
+                    entered_tx.send(()).unwrap();
+                    let _ = gate_rx.recv();
+                })),
+            )
+            .unwrap();
+        entered_rx.recv().unwrap();
+        let (ran_tx, ran_rx) = mpsc::channel();
+        let admitted = std::thread::scope(|s| {
+            let (done_tx, done_rx) = mpsc::channel();
+            let sched = &sched;
+            let job: Job = Box::new(move || ran_tx.send(()).unwrap());
+            s.spawn(move || {
+                let _ = done_tx.send(sched.submit(job));
+            });
+            let admitted = done_rx.recv_timeout(Duration::from_secs(1));
+            gate_tx.send(()).unwrap();
+            admitted
+        });
+        // Shut down once the admitted job has run, so the test checks
+        // admission and nothing else.
+        ran_rx.recv().unwrap();
+        sched.shutdown();
+        assert_eq!(admitted, Ok(Ok(())), "submit waited for a shed callback");
     }
 
     #[test]

@@ -625,6 +625,11 @@ fn execute(
     }
 }
 
+/// Ceiling on `options.paver.max_boxes`: 32× the 128-box rare-event
+/// recipe. The box budget bounds a paving's memory, and the paving cache
+/// keeps what it admits.
+const MAX_PAVER_BOXES: usize = 4096;
+
 /// Validates network-supplied analyzer options against the server's
 /// resource ceilings. Four hostile frames must not be able to pin every
 /// worker forever.
@@ -665,6 +670,12 @@ fn validate(
     }
     if options.paver.time_budget > Duration::from_secs(60) {
         return reject("options.paver.time_budget exceeds the 60 s limit".to_string());
+    }
+    if options.paver.max_boxes > MAX_PAVER_BOXES {
+        return reject(format!(
+            "options.paver.max_boxes {} exceeds the limit of {MAX_PAVER_BOXES}",
+            options.paver.max_boxes
+        ));
     }
     if let Some(d) = max_depth {
         if d > shared.cfg.max_depth_cap {

@@ -742,6 +742,19 @@ fn resource_ceilings_reject_hostile_options() {
         )
         .unwrap_err();
     assert!(e.to_string().contains("limit"), "{e}");
+    // A box budget past the ceiling would let one paving take gigabytes;
+    // the 128-box rare-event recipe is served.
+    let mut boxes = Options::default().with_samples(500);
+    boxes.paver.max_boxes = 4_097;
+    let e = client
+        .analyze_system(source, boxes.clone(), None)
+        .unwrap_err();
+    assert!(e.to_string().contains("max_boxes"), "{e}");
+    boxes.paver.max_boxes = 128;
+    let r = client
+        .analyze_system(source, boxes, None)
+        .expect("128-box request");
+    assert!((r.report.estimate.mean - 0.5).abs() < 0.1);
     // Reasonable requests still work afterwards.
     let r = client
         .analyze_system(source, Options::default().with_samples(500), None)

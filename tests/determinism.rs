@@ -10,9 +10,10 @@
 //! 3. the per-PC breakdown matches, not just the total (no compensating
 //!    errors across path conditions).
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use qcoral::{Analyzer, CompiledPred, FactorStore, Options};
+use qcoral_constraints::parse::parse_system;
 use qcoral_icp::{domain_box, PavingCache};
 use qcoral_mc::{
     hit_or_miss_plan, mix_seed, stratified_plan, Allocation, SamplePlan, ScalarPred, Stratum,
@@ -356,6 +357,15 @@ fn reported_backend_matches_process_backend() {
     assert_eq!(report.stats.backend, "bulk");
 }
 
+/// `Stats` with the tape-cache hit/miss split folded into one count of
+/// lookups: the split depends on which test compiled a conjunction first
+/// in this process, the count only on the run.
+fn tape_lookups(mut s: qcoral::Stats) -> qcoral::Stats {
+    s.tape_cache_hits += s.tape_cache_misses;
+    s.tape_cache_misses = 0;
+    s
+}
+
 /// Tracing must be a pure observer: with `Options::trace` on, every
 /// estimate (total and per-PC) is bit-identical to the untraced run —
 /// span clocks are monotonic timers that never touch an RNG stream, and
@@ -365,14 +375,6 @@ fn reported_backend_matches_process_backend() {
 /// the untraced ones none.
 #[test]
 fn tracing_never_perturbs_estimates() {
-    // The tape compile cache is process-wide, so its hit/miss split
-    // depends on which test ran first — cache warmth, not tracing.
-    // Everything else in Stats is per-run and must match exactly.
-    let norm = |mut s: qcoral::Stats| {
-        s.tape_cache_hits = 0;
-        s.tape_cache_misses = 0;
-        s
-    };
     for subj in table3_subjects() {
         let (domain, cs) = subj.system_for(0, &SymConfig::default());
         if cs.is_empty() {
@@ -397,8 +399,8 @@ fn tracing_never_perturbs_estimates() {
                 subj.name
             );
             assert_eq!(
-                norm(off.stats.clone()),
-                norm(on.stats.clone()),
+                tape_lookups(off.stats.clone()),
+                tape_lookups(on.stats.clone()),
                 "{} parallel={parallel}: tracing changed the counters",
                 subj.name
             );
@@ -420,8 +422,8 @@ fn tracing_never_perturbs_estimates() {
             );
             assert_eq!(i_off.per_pc, i_on.per_pc, "{}", subj.name);
             assert_eq!(
-                norm(i_off.stats.clone()),
-                norm(i_on.stats.clone()),
+                tape_lookups(i_off.stats.clone()),
+                tape_lookups(i_on.stats.clone()),
                 "{} parallel={parallel}: tracing changed the round trajectory",
                 subj.name
             );
@@ -455,13 +457,6 @@ fn shared_factors_are_computed_once_under_parallel() {
         );
         return;
     }
-    // The tape compile cache is process-wide: its split depends on
-    // which run compiled first, not on sharing within a run.
-    let norm = |mut s: qcoral::Stats| {
-        s.tape_cache_hits = 0;
-        s.tape_cache_misses = 0;
-        s
-    };
     let subjects = table3_subjects();
     for name in ["ATRIAL", "EGFR EPI"] {
         let subj = subjects.iter().find(|s| s.name == name).unwrap();
@@ -481,14 +476,75 @@ fn shared_factors_are_computed_once_under_parallel() {
                 assert_eq!(par.estimate, serial.estimate, "{name}[{idx}] rep {rep}");
                 assert_eq!(par.per_pc, serial.per_pc, "{name}[{idx}] rep {rep}");
                 assert_eq!(
-                    norm(par.stats),
-                    norm(serial.stats.clone()),
+                    tape_lookups(par.stats),
+                    tape_lookups(serial.stats.clone()),
                     "{name}[{idx}] rep {rep}: counters depend on the schedule"
                 );
             }
         }
         assert!(shared_hits > 0, "{name}: no PCs share a factor");
     }
+}
+
+/// Two factors over different boxes share one conjunction, so one
+/// compile: under `parallel = true` both slots look the tape up at once,
+/// and the single-flight compile cache charges exactly one miss and one
+/// hit whichever thread gets there first (the CI matrix reruns this at
+/// RAYON_NUM_THREADS=1 and 4).
+#[test]
+fn factors_sharing_a_conjunction_compile_it_once() {
+    let sys = parse_system(
+        "var x in [0, 1]; var y in [0, 2]; pc sin(x) < 0.4472135 && sin(y) < 0.4472135;",
+    )
+    .unwrap();
+    let profile = UsageProfile::uniform(2);
+    let opts = Options::strat_partcache()
+        .with_samples(2_000)
+        .with_parallel(true);
+    let r = Analyzer::new(opts).analyze(&sys.constraint_set, &sys.domain, &profile);
+    assert_eq!(r.stats.cache_misses, 2, "two slots: {:?}", r.stats);
+    assert_eq!(
+        (r.stats.tape_cache_hits, r.stats.tape_cache_misses),
+        (1, 1),
+        "{:?}",
+        r.stats
+    );
+}
+
+/// Tape-cache counters are per request: two analyses of disjoint fresh
+/// systems running at once each report exactly their own compiles, and
+/// a concurrent repeat reports the same counts as hits.
+#[test]
+fn concurrent_analyses_report_exact_tape_counters() {
+    let systems = [
+        "var x in [0, 1]; var y in [0, 1];
+         pc sin(x * 1.6180339) > 0.3183098 && cos(y * 2.7182818) > 0.1414213;",
+        "var u in [0, 1]; var v in [0, 1]; var w in [0, 1];
+         pc u * 1.4142135 < 0.5772156 && exp(v) > 1.2599210 && ln(w + 1) < 0.6931471;",
+    ]
+    .map(|src| parse_system(src).unwrap());
+    let run_both = || -> Vec<(u64, u64)> {
+        let start = Barrier::new(systems.len());
+        std::thread::scope(|s| {
+            let runs: Vec<_> = systems
+                .iter()
+                .map(|sys| {
+                    let start = &start;
+                    s.spawn(move || {
+                        let profile = UsageProfile::uniform(sys.domain.len());
+                        let opts = Options::strat_partcache().with_samples(50_000);
+                        start.wait();
+                        let r =
+                            Analyzer::new(opts).analyze(&sys.constraint_set, &sys.domain, &profile);
+                        (r.stats.tape_cache_hits, r.stats.tape_cache_misses)
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    };
+    assert_eq!(run_both(), [(0, 2), (0, 3)], "cold: one miss per factor");
+    assert_eq!(run_both(), [(2, 0), (3, 0)], "repeat: one hit per factor");
 }
 
 /// Chunk size changes the stream (like a reseed) but never the

@@ -5,7 +5,8 @@
 //! configurations. One line per (subject, config, schedule, phase) holds
 //! the bits of the estimate and of every per-PC estimate, plus every
 //! `Stats` counter except `backend` and the two `tape_cache_*` fields
-//! (process-global deltas that concurrently running tests perturb).
+//! (exact per run, but whether a lookup hits the process-wide compile
+//! cache depends on which test compiled the conjunction first).
 //!
 //! The matrix:
 //!
