@@ -149,17 +149,19 @@ pub fn reweighted_run(
         let vols: Vec<f64> = paving.boundary.iter().map(IntervalBox::volume).collect();
         let counts = proportional_split(budget_per_pc, &vols);
         let mut point = vec![0.0; dbox.ndim()];
+        let density = profile.density_plan(dbox);
         for (j, b) in paving.boundary.iter().enumerate() {
             let n = counts[j].max(1);
             let mut rng =
                 SmallRng::seed_from_u64(mix_seed(seed, ((pc_idx as u64) << 32) | j as u64));
             let mut moments = Moments::default();
+            let draw = uniform.draw_plan(b, b);
             for _ in 0..n {
-                if !uniform.sample_in(b, b, &mut rng, &mut point) {
+                if !draw.sample(&mut rng, &mut point) {
                     break;
                 }
                 let g = if tape.holds(&point) {
-                    profile.density(&point, dbox)
+                    density.density(&point)
                 } else {
                     0.0
                 };

@@ -180,7 +180,6 @@ impl Factor {
         let Factor {
             pred,
             profile,
-            sub_box,
             strata,
             is,
             plan,
@@ -188,7 +187,7 @@ impl Factor {
         } = self;
         let (pred, profile) = (&**pred, &*profile);
         if let Some(is) = is {
-            is.round(pred, profile, sub_box, budget, plan.substream(IS_STREAM));
+            is.round(pred, budget, plan.substream(IS_STREAM));
             return budget;
         }
         let jobs: Vec<(&mut Live, u64)> = strata.iter_mut().zip(counts.iter().copied()).collect();
@@ -208,13 +207,7 @@ impl Factor {
         let Some(mut is) = IsEstimator::seeded(&boxes, &self.profile, &self.sub_box) else {
             return (0, false);
         };
-        let pilot = is.round(
-            &*self.pred,
-            &self.profile,
-            &self.sub_box,
-            budget,
-            self.plan.substream(IS_STREAM),
-        );
+        let pilot = is.round(&*self.pred, budget, self.plan.substream(IS_STREAM));
         let hit = pilot.hits > 0;
         if hit {
             self.is = Some(is);

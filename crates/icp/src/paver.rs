@@ -263,7 +263,17 @@ impl Default for PavingCache {
 
 impl PavingCache {
     /// Maximum retained pavings (each holds up to `max_boxes` boxes).
-    pub const CAP: usize = 1024;
+    ///
+    /// A paving pays off only while the same factor recurs: within one
+    /// analysis, or across the requests of one client. Every
+    /// `IntervalBox` is its own heap allocation (a 100-box 2-D paving is
+    /// ~7 KB), so a large cap mostly retains pavings that never hit
+    /// again and makes a server's memory grow with the requests it
+    /// answers. 128 is almost three times the 45 distinct pavings of the
+    /// largest analysis in `tests/golden/engine.txt`, so two concurrent
+    /// analyses still fit. Worst case: 128 × `MAX_PAVER_BOXES` (the
+    /// service's 4 096-box limit on `PaverConfig::max_boxes`) boxes.
+    pub const CAP: usize = 128;
 
     /// Creates an empty cache.
     pub fn new() -> PavingCache {

@@ -56,6 +56,31 @@
 //! construction) with a delta-method variance over the joint second
 //! moments.
 //!
+//! # Compiled components
+//!
+//! Everything a sample needs that depends only on a component's box is
+//! compiled once, at seeding and again at each refit: the truncated
+//! normals' draws and densities ([`crate::DrawPlan`],
+//! [`crate::DensityPlan`]), the profile's draw conditioned on the box
+//! ([`crate::BoxDraw`]), and the profile's density over the sub-box
+//! ([`crate::BoxDensity`]). A sample then costs its uniform variates,
+//! its quantiles and its density terms, nothing else.
+//!
+//! `q(x)` sums `weight_j · q_j(x)` over all components, and `q_j(x)` is
+//! an exact `0.0` unless `x` lies in box `j` (closed). A point drawn from
+//! component `k` lies in box `k`, so box `j` can contain it only if the
+//! two boxes intersect. [`Mixture::density_near`] therefore sums over
+//! `k`'s neighbor list — the components whose boxes intersect box `k`,
+//! in component order — and, within it, over the boxes that contain the
+//! point, so it skips only terms that are `weight_j · 0.0 = +0.0`. Adding `+0.0` changes at most the sign of a zero partial sum,
+//! and that difference vanishes at the next kept term (every term is
+//! `≥ +0.0`, and `k`'s own term is always kept). The kept terms are the
+//! same products added in the same order, so the sum is bit-identical to
+//! the full scan. A point that rounding placed outside its own box gets
+//! the full scan. The lists are built once per seeding by a
+//! sort-and-sweep along the axis with the fewest overlapping pairs, so
+//! even the service's 4 096-box pavings never cost all pairs.
+//!
 //! # Adaptation
 //!
 //! Between rounds the mixture is refit toward the hit population
@@ -78,9 +103,9 @@
 //! sequence, produce bit-identical estimates.
 
 use crate::estimate::Estimate;
-use crate::profile::{Dist, UsageProfile};
+use crate::profile::{BoxDensity, BoxDraw, DensityPlan, Dist, DrawPlan, UsageProfile};
 use crate::sampler::{mix_seed, BulkPred, SamplePlan};
-use qcoral_interval::IntervalBox;
+use qcoral_interval::{Interval, IntervalBox};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -136,7 +161,8 @@ const ADAPT: f64 = 1.0 - EXPLORE_PROFILE - EXPLORE_UNIFORM;
 /// One mixture component, confined to a boundary box: an `ADAPT` share
 /// of per-dimension truncated normals (the adaptive part) plus fixed
 /// defensive shares of the box-truncated profile and of the uniform
-/// distribution over the box.
+/// distribution over the box. Its draws and densities are compiled once
+/// per seeding or refit.
 #[derive(Clone, Debug)]
 pub struct Component {
     /// The boundary box this component is truncated to.
@@ -145,10 +171,14 @@ pub struct Component {
     pub mu: Vec<f64>,
     /// Per-dimension scale of the adaptive normals.
     pub sigma: Vec<f64>,
-    /// Normalized mixture weight.
-    pub weight: f64,
-    /// Cached per-dimension truncated normals (rebuilt on refit).
-    dists: Vec<Dist>,
+    /// The adaptive normals' compiled draws, one per dimension (rebuilt
+    /// on refit).
+    normal_draws: Vec<DrawPlan>,
+    /// The adaptive normals' compiled densities over the box, one per
+    /// dimension (rebuilt on refit).
+    normal_densities: Vec<DensityPlan>,
+    /// The profile's compiled draw conditioned on the box (fixed).
+    profile_draw: BoxDraw,
     /// Cached reciprocal of the box's exact profile mass, the
     /// normalizer of the profile defensive share.
     inv_mass: f64,
@@ -161,30 +191,29 @@ pub struct Component {
 }
 
 impl Component {
-    fn new(
-        boxed: IntervalBox,
-        mu: Vec<f64>,
-        sigma: Vec<f64>,
-        weight: f64,
-        inv_mass: f64,
-    ) -> Component {
-        let dists = boxed
-            .dims()
-            .iter()
-            .zip(mu.iter().zip(&sigma))
-            .map(|(iv, (&m, &s))| Dist::truncated_normal(m, s, iv.lo(), iv.hi()))
-            .collect();
-        let inv_vol = 1.0 / boxed.volume();
+    fn new(boxed: IntervalBox, profile_draw: BoxDraw, inv_mass: f64) -> Component {
+        let mu = boxed.center();
+        let sigma: Vec<f64> = boxed.dims().iter().map(|iv| 0.5 * iv.width()).collect();
+        let (normal_draws, normal_densities) = compile_normals(&boxed, &mu, &sigma);
         Component {
+            inv_vol: 1.0 / boxed.volume(),
             boxed,
             mu,
             sigma,
-            weight,
-            dists,
+            normal_draws,
+            normal_densities,
+            profile_draw,
             inv_mass,
-            inv_vol,
             mass_share: 0.0,
         }
+    }
+
+    /// Moves the adaptive normals to `mu`/`sigma` and recompiles them;
+    /// the defensive shares do not change.
+    fn retune(&mut self, mu: Vec<f64>, sigma: Vec<f64>) {
+        (self.normal_draws, self.normal_densities) = compile_normals(&self.boxed, &mu, &sigma);
+        self.mu = mu;
+        self.sigma = sigma;
     }
 
     /// Proposal density of this component at `point` (zero outside its
@@ -195,8 +224,8 @@ impl Component {
             return 0.0;
         }
         let mut d = 1.0;
-        for (dim, dist) in self.dists.iter().enumerate() {
-            d *= dist.density(point[dim], &self.boxed[dim]);
+        for (plan, &x) in self.normal_densities.iter().zip(point) {
+            d *= plan.density(x);
         }
         EXPLORE_PROFILE * pi * self.inv_mass + EXPLORE_UNIFORM * self.inv_vol + ADAPT * d
     }
@@ -204,16 +233,10 @@ impl Component {
     /// Draws one point from the component into `point`. Returns `false`
     /// when a dimension's conditional mass underflows (the sample is
     /// then counted as a zero-weight miss by the caller).
-    fn sample(
-        &self,
-        rng: &mut SmallRng,
-        point: &mut [f64],
-        profile: &UsageProfile,
-        domain: &IntervalBox,
-    ) -> bool {
+    pub fn sample(&self, rng: &mut SmallRng, point: &mut [f64]) -> bool {
         let u = rng.gen_range(0.0..1.0);
         if u < EXPLORE_PROFILE {
-            return profile.sample_in(&self.boxed, domain, rng, point);
+            return self.profile_draw.sample(rng, point);
         }
         if u < EXPLORE_PROFILE + EXPLORE_UNIFORM {
             for (dim, iv) in self.boxed.dims().iter().enumerate() {
@@ -221,10 +244,9 @@ impl Component {
             }
             return true;
         }
-        for (dim, dist) in self.dists.iter().enumerate() {
-            let iv = &self.boxed[dim];
-            match dist.sample_in(iv, iv, rng) {
-                Some(x) => point[dim] = x,
+        for (plan, x) in self.normal_draws.iter().zip(point.iter_mut()) {
+            match plan.sample(rng) {
+                Some(v) => *x = v,
                 None => return false,
             }
         }
@@ -232,11 +254,33 @@ impl Component {
     }
 }
 
+/// The draws and the densities of the adaptive normals `N(mu, sigma²)`
+/// truncated to `boxed`, one per dimension.
+fn compile_normals(
+    boxed: &IntervalBox,
+    mu: &[f64],
+    sigma: &[f64],
+) -> (Vec<DrawPlan>, Vec<DensityPlan>) {
+    boxed
+        .dims()
+        .iter()
+        .zip(mu.iter().zip(sigma))
+        .map(|(iv, (&m, &s))| {
+            let normal = Dist::truncated_normal(m, s, iv.lo(), iv.hi());
+            (normal.draw_plan(iv, iv), normal.density_plan(iv))
+        })
+        .unzip()
+}
+
 /// A truncated-normal mixture proposal over the paver's boundary boxes.
 #[derive(Clone, Debug)]
 pub struct Mixture {
     /// The components, in boundary-box order (fixed for determinism).
     pub components: Vec<Component>,
+    /// Normalized mixture weights, one per component.
+    weights: Vec<f64>,
+    /// For each component, the components whose boxes intersect its box.
+    neighbors: Neighbors,
 }
 
 impl Mixture {
@@ -257,6 +301,7 @@ impl Mixture {
             return None;
         }
         let mut components = Vec::new();
+        let mut weights = Vec::new();
         for boxed in boundary {
             if boxed.dims().iter().any(|iv| iv.width() <= 0.0) {
                 continue;
@@ -265,19 +310,24 @@ impl Mixture {
             if mass <= 0.0 || !mass.is_finite() {
                 continue;
             }
-            let mu = boxed.center();
-            let sigma: Vec<f64> = boxed.dims().iter().map(|iv| 0.5 * iv.width()).collect();
-            components.push(Component::new(boxed.clone(), mu, sigma, mass, 1.0 / mass));
+            let draw = profile.draw_plan(boxed, domain);
+            components.push(Component::new(boxed.clone(), draw, 1.0 / mass));
+            weights.push(mass);
         }
         if components.is_empty() {
             return None;
         }
-        let total: f64 = components.iter().map(|c| c.weight).sum();
-        for c in &mut components {
-            c.weight /= total;
-            c.mass_share = c.weight;
+        let total: f64 = weights.iter().sum();
+        for (c, w) in components.iter_mut().zip(&mut weights) {
+            *w /= total;
+            c.mass_share = *w;
         }
-        Some(Mixture { components })
+        let neighbors = Neighbors::of(&components);
+        Some(Mixture {
+            components,
+            weights,
+            neighbors,
+        })
     }
 
     /// Exact proposal density `q(point)`, given the profile's density
@@ -287,20 +337,39 @@ impl Mixture {
     pub fn density(&self, point: &[f64], pi: f64) -> f64 {
         self.components
             .iter()
-            .map(|c| c.weight * c.density(point, pi))
+            .zip(&self.weights)
+            .map(|(c, &w)| w * c.density(point, pi))
+            .sum()
+    }
+
+    /// [`Mixture::density`] at a point drawn from component `k`, summed
+    /// only over the components in `k`'s neighbor list whose boxes
+    /// contain the point: bit-identical, because every skipped term is an
+    /// exact zero (see the module docs). A point outside `k`'s own box
+    /// falls back to the full scan.
+    pub fn density_near(&self, k: usize, point: &[f64], pi: f64) -> f64 {
+        if !self.neighbors.contains(k, point) {
+            return self.density(point, pi);
+        }
+        self.neighbors
+            .of_component(k)
+            .iter()
+            .map(|&j| j as usize)
+            .filter(|&j| self.neighbors.contains(j, point))
+            .map(|j| self.weights[j] * self.components[j].density(point, pi))
             .sum()
     }
 
     /// Picks a component index by mixture weight with one uniform draw.
     fn pick(&self, rng: &mut SmallRng) -> usize {
         let mut u = rng.gen_range(0.0..1.0);
-        for (k, c) in self.components.iter().enumerate() {
-            if u < c.weight {
+        for (k, &w) in self.weights.iter().enumerate() {
+            if u < w {
                 return k;
             }
-            u -= c.weight;
+            u -= w;
         }
-        self.components.len() - 1
+        self.weights.len() - 1
     }
 
     /// Cross-entropy refit toward the hit population: a pure function of
@@ -314,9 +383,9 @@ impl Mixture {
         }
         let k = self.components.len();
         let mut weights: Vec<f64> = Vec::with_capacity(k);
-        for (i, c) in self.components.iter_mut().enumerate() {
+        for (i, (c, &w)) in self.components.iter_mut().zip(&self.weights).enumerate() {
             let target = ce.sum_w[i] / total_w;
-            weights.push(SMOOTHING * target + (1.0 - SMOOTHING) * c.weight);
+            weights.push(SMOOTHING * target + (1.0 - SMOOTHING) * w);
             if ce.sum_w[i] > 0.0 {
                 let mut mu = Vec::with_capacity(c.mu.len());
                 let mut sigma = Vec::with_capacity(c.mu.len());
@@ -329,9 +398,7 @@ impl Mixture {
                     mu.push(SMOOTHING * m_ce + (1.0 - SMOOTHING) * c.mu[d]);
                     sigma.push((SMOOTHING * s_ce + (1.0 - SMOOTHING) * c.sigma[d]).max(s_floor));
                 }
-                let mut tuned = Component::new(c.boxed.clone(), mu, sigma, 0.0, c.inv_mass);
-                tuned.mass_share = c.mass_share;
-                *c = tuned;
+                c.retune(mu, sigma);
             }
         }
         // Defensive mixture of the weights: the adapted shares are
@@ -339,9 +406,116 @@ impl Mixture {
         // weight can collapse below `WEIGHT_ANCHOR · mass_share` on
         // the evidence of one lucky round.
         let total: f64 = weights.iter().sum();
-        for (c, w) in self.components.iter_mut().zip(weights) {
-            c.weight = WEIGHT_ANCHOR * c.mass_share + (1.0 - WEIGHT_ANCHOR) * w / total;
+        for ((c, slot), w) in self.components.iter().zip(&mut self.weights).zip(weights) {
+            *slot = WEIGHT_ANCHOR * c.mass_share + (1.0 - WEIGHT_ANCHOR) * w / total;
         }
+    }
+}
+
+/// Per-component lists of the components whose closed boxes intersect
+/// its box (itself included, ascending), in compressed-row form, plus
+/// every box's bounds in one flat array for the containment tests of
+/// [`Mixture::density_near`].
+#[derive(Clone, Debug)]
+struct Neighbors {
+    /// `lists[starts[k]..starts[k + 1]]` is component `k`'s list.
+    starts: Vec<usize>,
+    lists: Vec<u32>,
+    /// Component `k`'s box is `bounds[2·ndim·k..2·ndim·(k + 1)]`, as
+    /// `[lo₀, hi₀, lo₁, hi₁, …]`.
+    bounds: Vec<f64>,
+    ndim: usize,
+}
+
+impl Neighbors {
+    /// Builds the lists by sort-and-sweep along the axis with the fewest
+    /// overlapping pairs, so the cost is `O(d·n log n)` plus the pairs
+    /// that overlap on that axis, never all pairs.
+    fn of(components: &[Component]) -> Neighbors {
+        let n = components.len();
+        let boxes: Vec<&[Interval]> = components.iter().map(|c| c.boxed.dims()).collect();
+        let ndim = boxes.first().map_or(0, |b| b.len());
+        let mut pairs: Vec<Vec<u32>> = (0..n as u32).map(|k| vec![k]).collect();
+        if ndim == 0 {
+            // Zero-dimensional boxes are all the same point.
+            pairs = vec![(0..n as u32).collect(); n];
+        } else if n > 1 {
+            let sorted_on = |axis: usize| -> Vec<usize> {
+                let mut order: Vec<usize> = (0..n).collect();
+                order.sort_by(|&a, &b| boxes[a][axis].lo().total_cmp(&boxes[b][axis].lo()));
+                order
+            };
+            // Pairs overlapping on `axis`: for each box, the boxes after
+            // it in `lo` order whose `lo` does not pass its `hi`.
+            let overlaps_on = |axis: usize, order: &[usize]| -> usize {
+                let los: Vec<f64> = order.iter().map(|&k| boxes[k][axis].lo()).collect();
+                order
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &k)| {
+                        let hi = boxes[k][axis].hi();
+                        los.partition_point(|&lo| lo <= hi).saturating_sub(p + 1)
+                    })
+                    .sum()
+            };
+            let (axis, order) = (0..ndim)
+                .map(|axis| {
+                    let order = sorted_on(axis);
+                    (overlaps_on(axis, &order), axis, order)
+                })
+                .min_by_key(|(count, _, _)| *count)
+                .map(|(_, axis, order)| (axis, order))
+                .expect("at least one axis");
+            for (p, &a) in order.iter().enumerate() {
+                let hi = boxes[a][axis].hi();
+                for &b in order[p + 1..]
+                    .iter()
+                    .take_while(|&&b| boxes[b][axis].lo() <= hi)
+                {
+                    let meet = boxes[a]
+                        .iter()
+                        .zip(boxes[b])
+                        .all(|(x, y)| x.lo() <= y.hi() && y.lo() <= x.hi());
+                    if meet {
+                        pairs[a].push(b as u32);
+                        pairs[b].push(a as u32);
+                    }
+                }
+            }
+        }
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut lists = Vec::new();
+        starts.push(0);
+        for mut list in pairs {
+            list.sort_unstable();
+            lists.extend_from_slice(&list);
+            starts.push(lists.len());
+        }
+        let bounds = boxes
+            .iter()
+            .flat_map(|b| b.iter().flat_map(|iv| [iv.lo(), iv.hi()]))
+            .collect();
+        Neighbors {
+            starts,
+            lists,
+            bounds,
+            ndim,
+        }
+    }
+
+    fn of_component(&self, k: usize) -> &[u32] {
+        &self.lists[self.starts[k]..self.starts[k + 1]]
+    }
+
+    /// Whether component `k`'s closed box contains `point`: the test of
+    /// `IntervalBox::contains_point`, on the flat bounds.
+    #[inline]
+    fn contains(&self, k: usize, point: &[f64]) -> bool {
+        let span = 2 * self.ndim;
+        self.bounds[span * k..span * (k + 1)]
+            .chunks_exact(2)
+            .zip(point)
+            .all(|(iv, &x)| x >= iv[0] && x <= iv[1])
     }
 }
 
@@ -546,10 +720,17 @@ pub struct RoundReport {
 /// refits the mixture toward the hits. [`IsEstimator::estimate`] is a
 /// plain [`Estimate`], so the analyzer composes IS factors with
 /// stratified ones through the unchanged Eq. 7–8 algebra.
+///
+/// The estimator owns what it needs of the profile and the factor's
+/// sub-box from seeding on: the profile's density over the sub-box and
+/// each component's draws, all compiled once.
 #[derive(Clone, Debug)]
 pub struct IsEstimator {
     /// The current proposal mixture.
     pub mixture: Mixture,
+    /// The profile's compiled density over the sub-box (`π`).
+    profile_density: BoxDensity,
+    ndim: usize,
     accum: SnisAccum,
     next_chunk: u64,
     mass: f64,
@@ -574,6 +755,8 @@ impl IsEstimator {
             .sum();
         Some(IsEstimator {
             mixture,
+            profile_density: profile.density_plan(domain),
+            ndim: domain.ndim(),
             accum: SnisAccum::EMPTY,
             next_chunk: 0,
             mass,
@@ -589,14 +772,7 @@ impl IsEstimator {
     /// consumes chunk-ordered statistics — so the outcome is
     /// bit-identical serial vs parallel and depends only on the
     /// sequence of per-round budgets.
-    pub fn round<P>(
-        &mut self,
-        pred: &P,
-        profile: &UsageProfile,
-        domain: &IntervalBox,
-        add: u64,
-        plan: SamplePlan,
-    ) -> RoundReport
+    pub fn round<P>(&mut self, pred: &P, add: u64, plan: SamplePlan) -> RoundReport
     where
         P: BulkPred + ?Sized,
     {
@@ -605,9 +781,10 @@ impl IsEstimator {
         }
         let chunk = plan.chunk.max(1);
         let nchunks = add.div_ceil(chunk);
-        let ndim = domain.ndim();
+        let ndim = self.ndim;
         let k = self.mixture.components.len();
         let mixture = &self.mixture;
+        let profile_density = &self.profile_density;
         let expired = || plan.deadline.is_some_and(|d| d.expired());
         let run_chunk = |j: u64, point: &mut Vec<f64>| -> (SnisAccum, CeStats, u64) {
             let mut acc = SnisAccum::EMPTY;
@@ -619,12 +796,12 @@ impl IsEstimator {
             let mut rng = SmallRng::seed_from_u64(mix_seed(plan.seed, self.next_chunk + j));
             for _ in 0..len {
                 let ki = mixture.pick(&mut rng);
-                if !mixture.components[ki].sample(&mut rng, point, profile, domain) {
+                if !mixture.components[ki].sample(&mut rng, point) {
                     acc.push(0.0, false);
                     continue;
                 }
-                let pi = profile.density(point, domain);
-                let q = mixture.density(point, pi);
+                let pi = profile_density.density(point);
+                let q = mixture.density_near(ki, point, pi);
                 let w = if q > 0.0 && pi.is_finite() {
                     pi / q
                 } else {
@@ -776,7 +953,7 @@ mod tests {
         let pred = ScalarPred(|p: &[f64]| p[0] < 1e-4 && p[1] < 1e-4);
         let plan = SamplePlan::serial(42);
         for _ in 0..4 {
-            is.round(&pred, &profile, &domain, 4096, plan);
+            is.round(&pred, 4096, plan);
         }
         let est = is.estimate();
         assert!(is.hits() > 100, "IS must concentrate on the corner");
@@ -805,7 +982,7 @@ mod tests {
                 }
             };
             for _ in 0..3 {
-                is.round(&pred, &profile, &domain, 3000, plan);
+                is.round(&pred, 3000, plan);
             }
             is.estimate()
         };
@@ -828,10 +1005,10 @@ mod tests {
             ..SamplePlan::serial(3)
         };
         let mut a = IsEstimator::seeded(&boundary, &profile, &domain).unwrap();
-        a.round(&pred, &profile, &domain, 1024, plan);
-        a.round(&pred, &profile, &domain, 1024, plan);
+        a.round(&pred, 1024, plan);
+        a.round(&pred, 1024, plan);
         let mut b = IsEstimator::seeded(&boundary, &profile, &domain).unwrap();
-        b.round(&pred, &profile, &domain, 2048, plan);
+        b.round(&pred, 2048, plan);
         assert_eq!(a.samples(), b.samples());
         assert_eq!(a.accum, b.accum);
     }
@@ -856,16 +1033,16 @@ mod tests {
         let profile = UsageProfile::uniform(1);
         let pred = ScalarPred(|p: &[f64]| p[0] < 0.05);
         let mut is = IsEstimator::seeded(&boundary, &profile, &domain).unwrap();
-        let w0 = is.mixture.components[0].weight;
+        let w0 = is.mixture.weights[0];
         let plan = SamplePlan::serial(11);
         for _ in 0..3 {
-            is.round(&pred, &profile, &domain, 2048, plan);
+            is.round(&pred, 2048, plan);
         }
         assert!(
-            is.mixture.components[0].weight > w0,
+            is.mixture.weights[0] > w0,
             "hitting component must gain weight: {} -> {}",
             w0,
-            is.mixture.components[0].weight
+            is.mixture.weights[0]
         );
         let est = is.estimate();
         assert!((est.mean - 0.05).abs() < 4.0 * est.std_dev() + 1e-9);

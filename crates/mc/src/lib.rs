@@ -42,7 +42,8 @@ pub use discretize::{align_strata, discretize, mass_edges, MAX_BINS};
 pub use estimate::{Estimate, Moments};
 pub use is::{IsEstimator, Mixture, RoundReport, SnisAccum, DEFAULT_IS_THRESHOLD};
 pub use profile::{
-    parse_dist_spec, parse_profile_spec, std_normal_cdf, std_normal_quantile, Dist, UsageProfile,
+    parse_dist_spec, parse_profile_spec, std_normal_cdf, std_normal_quantile, BoxDensity, BoxDraw,
+    DensityPlan, Dist, DrawPlan, UsageProfile,
 };
 pub use sampler::{
     hit_or_miss_plan, initial_allocation, mix_seed, neyman_allocation, proportional_split,

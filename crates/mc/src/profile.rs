@@ -250,23 +250,6 @@ impl Dist {
         }
     }
 
-    /// Raw quantile (inverse of [`Dist::raw_cdf`]) for the continuous
-    /// variants.
-    fn raw_quantile(&self, p: f64, dom: &Interval) -> f64 {
-        match self {
-            Dist::Uniform | Dist::Piecewise { .. } => {
-                unreachable!("quantile is only defined for continuous variants")
-            }
-            Dist::Normal { mu, sigma } | Dist::TruncatedNormal { mu, sigma, .. } => {
-                mu + sigma * std_normal_quantile(p)
-            }
-            Dist::Exponential { lambda } => {
-                // -ln(1-p)/λ, measured from the domain's lower bound.
-                dom.lo() + (-(-p).ln_1p()) / lambda
-            }
-        }
-    }
-
     /// Probability mass the distribution assigns to `iv`, relative to the
     /// variable's whole domain `dom`.
     ///
@@ -341,82 +324,103 @@ impl Dist {
     /// Continuous variants sample by inverse CDF — exactly one uniform
     /// draw per sample, never a rejection loop — so the consumed RNG
     /// stream is a deterministic function of the request.
+    ///
+    /// This compiles a [`DrawPlan`] and draws once from it; callers that
+    /// draw many times from one interval compile the plan themselves.
     pub fn sample_in(&self, iv: &Interval, dom: &Interval, rng: &mut impl Rng) -> Option<f64> {
+        self.draw_plan(iv, dom).sample(rng)
+    }
+
+    /// Compiles the conditional draw of [`Dist::sample_in`] for one
+    /// interval: every check and CDF evaluation that depends only on
+    /// `iv` and `dom` happens here, once, so a draw from the plan costs
+    /// one uniform variate plus (for continuous variants) one quantile.
+    pub fn draw_plan(&self, iv: &Interval, dom: &Interval) -> DrawPlan {
+        DrawPlan(self.draw(iv, dom))
+    }
+
+    fn draw(&self, iv: &Interval, dom: &Interval) -> Draw {
         match self {
             Dist::Uniform => {
                 let clipped = iv.intersect(dom);
                 if clipped.is_empty() || (clipped.width() == 0.0 && dom.width() > 0.0) {
-                    return None;
+                    Draw::Empty
+                } else {
+                    Draw::uniform(clipped)
                 }
-                Some(uniform_in(&clipped, rng))
             }
             Dist::Piecewise { edges, weights } => {
                 let clipped = iv.intersect(dom);
                 if clipped.is_empty() {
-                    return None;
+                    return Draw::Empty;
                 }
-                // Conditional masses of each overlapping segment.
-                let mut masses = Vec::with_capacity(weights.len());
+                // Conditional masses of the overlapping segments. A zero
+                // mass adds exactly nothing to the total and to the pick
+                // walk, so only positive ones are kept.
+                let mut segments = Vec::new();
                 let mut total = 0.0;
                 for (i, w) in weights.iter().enumerate() {
                     let seg = Interval::new(edges[i], edges[i + 1]);
                     let overlap = seg.intersect(&clipped);
-                    let m = if overlap.is_empty() || seg.width() == 0.0 || overlap.width() == 0.0 {
-                        0.0
-                    } else {
-                        w * overlap.width() / seg.width()
-                    };
-                    masses.push((m, overlap));
-                    total += m;
+                    if overlap.is_empty() || seg.width() == 0.0 || overlap.width() == 0.0 {
+                        continue;
+                    }
+                    let m = w * overlap.width() / seg.width();
+                    if m > 0.0 {
+                        segments.push((m, overlap));
+                        total += m;
+                    }
                 }
                 if total <= 0.0 {
-                    return None;
+                    return Draw::Empty;
                 }
-                let mut pick = rng.gen_range(0.0..total);
-                for (m, overlap) in &masses {
-                    if *m > 0.0 && pick < *m {
-                        return Some(uniform_in(overlap, rng));
-                    }
-                    pick -= m;
-                }
-                // Floating-point slack: fall back to the last non-empty
-                // overlap.
-                masses
-                    .iter()
-                    .rev()
-                    .find(|(m, _)| *m > 0.0)
-                    .map(|(_, o)| uniform_in(o, rng))
+                Draw::Piecewise { segments, total }
             }
-            _ => {
+            Dist::Normal { .. } | Dist::Exponential { .. } | Dist::TruncatedNormal { .. } => {
                 let sup = self.support(dom);
                 let clipped = iv.intersect(&sup);
                 if clipped.is_empty() {
-                    return None;
+                    return Draw::Empty;
                 }
                 if clipped.width() == 0.0 {
                     // A point interval carries mass only when it *is* the
                     // whole (degenerate) support.
-                    return (sup.width() == 0.0).then(|| clipped.lo());
+                    return if sup.width() == 0.0 {
+                        Draw::Point(clipped.lo())
+                    } else {
+                        Draw::Empty
+                    };
                 }
                 let flo = self.raw_cdf(sup.lo(), dom).expect("continuous");
                 let fhi = self.raw_cdf(sup.hi(), dom).expect("continuous");
                 if fhi - flo <= 0.0 {
                     // Zero-probability support: mass() falls back to
                     // uniform, so sampling does too.
-                    return Some(uniform_in(&clipped, rng));
+                    return Draw::uniform(clipped);
                 }
                 let fa = self.raw_cdf(clipped.lo(), dom).expect("continuous");
                 let fb = self.raw_cdf(clipped.hi(), dom).expect("continuous");
                 if fb - fa <= 0.0 {
                     // The clipped interval's mass underflows: it can
                     // never be hit by an exact conditional draw.
-                    return None;
+                    return Draw::Empty;
                 }
-                let u = rng.gen_range(0.0..1.0);
-                let x = self.raw_quantile(fa + u * (fb - fa), dom);
-                // Inverse-CDF rounding can escape the interval by an ulp;
-                // clamp back in.
-                Some(x.clamp(clipped.lo(), clipped.hi()))
+                let law = match *self {
+                    Dist::Exponential { lambda } => Quantile::Exponential {
+                        origin: dom.lo(),
+                        lambda,
+                    },
+                    Dist::Normal { mu, sigma } | Dist::TruncatedNormal { mu, sigma, .. } => {
+                        Quantile::Normal { mu, sigma }
+                    }
+                    Dist::Uniform | Dist::Piecewise { .. } => unreachable!("continuous"),
+                };
+                Draw::Quantile {
+                    law,
+                    fa,
+                    span: fb - fa,
+                    clipped,
+                }
             }
         }
     }
@@ -425,51 +429,65 @@ impl Dist {
     /// Lebesgue measure; integrates to 1 over `dom`). Zero outside the
     /// support. Degenerate supports fall back to the uniform density,
     /// matching [`Dist::mass`].
+    ///
+    /// This compiles a [`DensityPlan`] and evaluates it once.
     pub fn density(&self, x: f64, dom: &Interval) -> f64 {
-        if !dom.contains(x) {
-            return 0.0;
-        }
+        self.density_plan(dom).density(x)
+    }
+
+    /// Compiles [`Dist::density`] over one domain: the support, the CDF
+    /// normalizer and the law's constant factors are computed once.
+    pub fn density_plan(&self, dom: &Interval) -> DensityPlan {
+        DensityPlan(self.density_kind(dom))
+    }
+
+    fn density_kind(&self, dom: &Interval) -> Density {
         match self {
-            Dist::Uniform => {
-                let dw = dom.width();
-                if dw > 0.0 {
-                    1.0 / dw
-                } else {
-                    f64::INFINITY
-                }
-            }
-            Dist::Piecewise { edges, weights } => {
-                for (i, w) in weights.iter().enumerate() {
-                    let seg = Interval::new(edges[i], edges[i + 1]);
-                    if seg.contains(x) && seg.width() > 0.0 {
-                        return w / seg.width();
-                    }
-                }
-                0.0
-            }
-            _ => {
-                let sup = self.support(dom);
-                if !sup.contains(x) {
-                    return 0.0;
-                }
-                let flo = self.raw_cdf(sup.lo(), dom).expect("continuous");
-                let fhi = self.raw_cdf(sup.hi(), dom).expect("continuous");
+            Dist::Uniform => Density::Flat {
+                support: *dom,
+                value: flat_density(dom),
+            },
+            Dist::Piecewise { edges, weights } => Density::Piecewise {
+                dom: *dom,
+                segments: weights
+                    .iter()
+                    .enumerate()
+                    .map(|(i, w)| (Interval::new(edges[i], edges[i + 1]), *w))
+                    .filter(|(seg, _)| seg.width() > 0.0)
+                    .map(|(seg, w)| (seg, w / seg.width()))
+                    .collect(),
+            },
+            Dist::Normal { .. } | Dist::Exponential { .. } | Dist::TruncatedNormal { .. } => {
+                // The support lies inside `dom`, so one containment test
+                // covers both.
+                let support = self.support(dom);
+                let flo = self.raw_cdf(support.lo(), dom).expect("continuous");
+                let fhi = self.raw_cdf(support.hi(), dom).expect("continuous");
                 let denom = fhi - flo;
                 if denom <= 0.0 {
-                    let sw = sup.width();
-                    return if sw > 0.0 { 1.0 / sw } else { f64::INFINITY };
+                    return Density::Flat {
+                        support,
+                        value: flat_density(&support),
+                    };
                 }
-                let raw = match self {
+                match *self {
+                    Dist::Exponential { lambda } => Density::Exponential {
+                        support,
+                        origin: dom.lo(),
+                        lambda,
+                        denom,
+                    },
                     Dist::Normal { mu, sigma } | Dist::TruncatedNormal { mu, sigma, .. } => {
-                        let z = (x - mu) / sigma;
-                        (-0.5 * z * z).exp() / (sigma * SQRT_TWO_PI)
+                        Density::Normal {
+                            support,
+                            mu,
+                            sigma,
+                            scale: sigma * SQRT_TWO_PI,
+                            denom,
+                        }
                     }
-                    Dist::Exponential { lambda } => {
-                        lambda * (-lambda * (x - dom.lo()).max(0.0)).exp()
-                    }
-                    _ => unreachable!(),
-                };
-                raw / denom
+                    Dist::Uniform | Dist::Piecewise { .. } => unreachable!("continuous"),
+                }
             }
         }
     }
@@ -485,6 +503,194 @@ impl Dist {
             return 1.0;
         }
         self.mass(&Interval::new(dom.lo(), x), dom)
+    }
+}
+
+/// A compiled conditional draw of one marginal on one interval, built by
+/// [`Dist::draw_plan`]. Drawing from it consumes exactly the RNG values
+/// [`Dist::sample_in`] would and returns the same bits.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DrawPlan(Draw);
+
+#[derive(Clone, Debug, PartialEq)]
+enum Draw {
+    /// No conditional mass: `None`, without touching the RNG.
+    Empty,
+    /// All the mass on one point: that point, without touching the RNG.
+    Point(f64),
+    /// Uniform over a positive-width interval.
+    Uniform(Interval),
+    /// Histogram: the positive-mass segment overlaps in order, with their
+    /// total mass. One draw picks the segment, one places the point.
+    Piecewise {
+        segments: Vec<(f64, Interval)>,
+        total: f64,
+    },
+    /// Inverse CDF at `fa + u·span` for one uniform `u`, clamped into
+    /// `clipped` (the quantile can escape it by an ulp).
+    Quantile {
+        law: Quantile,
+        fa: f64,
+        span: f64,
+        clipped: Interval,
+    },
+}
+
+/// The raw quantile of a continuous marginal.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Quantile {
+    /// `μ + σ·Φ⁻¹(p)`.
+    Normal { mu: f64, sigma: f64 },
+    /// `−ln(1−p)/λ`, measured from the domain's lower bound.
+    Exponential { origin: f64, lambda: f64 },
+}
+
+impl Quantile {
+    fn at(self, p: f64) -> f64 {
+        match self {
+            Quantile::Normal { mu, sigma } => mu + sigma * std_normal_quantile(p),
+            Quantile::Exponential { origin, lambda } => origin + (-(-p).ln_1p()) / lambda,
+        }
+    }
+}
+
+impl Draw {
+    /// Uniform over `iv`, which is non-empty: a point when it has zero
+    /// width.
+    fn uniform(iv: Interval) -> Draw {
+        if iv.width() == 0.0 {
+            Draw::Point(iv.lo())
+        } else {
+            Draw::Uniform(iv)
+        }
+    }
+}
+
+impl DrawPlan {
+    /// Draws one value, or `None` when the interval carries no
+    /// conditional mass (then the RNG is not touched).
+    #[inline]
+    pub fn sample(&self, rng: &mut impl Rng) -> Option<f64> {
+        match &self.0 {
+            Draw::Empty => None,
+            Draw::Point(x) => Some(*x),
+            Draw::Uniform(iv) => Some(rng.gen_range(iv.lo()..iv.hi())),
+            Draw::Piecewise { segments, total } => {
+                let mut pick = rng.gen_range(0.0..*total);
+                for (m, overlap) in segments {
+                    if pick < *m {
+                        return Some(rng.gen_range(overlap.lo()..overlap.hi()));
+                    }
+                    pick -= m;
+                }
+                // Floating-point slack: fall back to the last overlap.
+                segments.last().map(|(_, o)| rng.gen_range(o.lo()..o.hi()))
+            }
+            Draw::Quantile {
+                law,
+                fa,
+                span,
+                clipped,
+            } => {
+                let u = rng.gen_range(0.0..1.0);
+                let x = law.at(fa + u * span);
+                Some(x.clamp(clipped.lo(), clipped.hi()))
+            }
+        }
+    }
+}
+
+/// A compiled marginal density over one domain, built by
+/// [`Dist::density_plan`]. Evaluating it returns the bits
+/// [`Dist::density`] would.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DensityPlan(Density);
+
+#[derive(Clone, Debug, PartialEq)]
+enum Density {
+    /// A constant density on `support`, zero elsewhere: the uniform law,
+    /// and the uniform fallback of a zero-probability support.
+    Flat { support: Interval, value: f64 },
+    /// A histogram over `dom`: each positive-width segment with its
+    /// density; the first segment containing the point wins.
+    Piecewise {
+        dom: Interval,
+        segments: Vec<(Interval, f64)>,
+    },
+    /// `exp(−z²/2) / (σ·√(2π)) / denom` on `support`, where `scale` is
+    /// `σ·√(2π)` and `denom` the raw CDF mass of the support.
+    Normal {
+        support: Interval,
+        mu: f64,
+        sigma: f64,
+        scale: f64,
+        denom: f64,
+    },
+    /// `λ·exp(−λ·(x − origin)) / denom` on `support`.
+    Exponential {
+        support: Interval,
+        origin: f64,
+        lambda: f64,
+        denom: f64,
+    },
+}
+
+impl DensityPlan {
+    /// The density at `x`.
+    #[inline]
+    pub fn density(&self, x: f64) -> f64 {
+        match &self.0 {
+            Density::Flat { support, value } => {
+                if support.contains(x) {
+                    *value
+                } else {
+                    0.0
+                }
+            }
+            Density::Piecewise { dom, segments } => {
+                if !dom.contains(x) {
+                    return 0.0;
+                }
+                segments
+                    .iter()
+                    .find(|(seg, _)| seg.contains(x))
+                    .map_or(0.0, |&(_, d)| d)
+            }
+            Density::Normal {
+                support,
+                mu,
+                sigma,
+                scale,
+                denom,
+            } => {
+                if !support.contains(x) {
+                    return 0.0;
+                }
+                let z = (x - mu) / sigma;
+                (-0.5 * z * z).exp() / scale / denom
+            }
+            Density::Exponential {
+                support,
+                origin,
+                lambda,
+                denom,
+            } => {
+                if !support.contains(x) {
+                    return 0.0;
+                }
+                lambda * (-lambda * (x - origin).max(0.0)).exp() / denom
+            }
+        }
+    }
+}
+
+/// The uniform density over `iv`: `1/width`, or `+∞` on a point.
+fn flat_density(iv: &Interval) -> f64 {
+    let w = iv.width();
+    if w > 0.0 {
+        1.0 / w
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -607,14 +813,6 @@ pub fn std_normal_quantile(p: f64) -> f64 {
         refined
     } else {
         x
-    }
-}
-
-fn uniform_in(iv: &Interval, rng: &mut impl Rng) -> f64 {
-    if iv.width() == 0.0 {
-        iv.lo()
-    } else {
-        rng.gen_range(iv.lo()..iv.hi())
     }
 }
 
@@ -750,26 +948,43 @@ impl UsageProfile {
     /// Joint probability density at `point`, conditioned on `domain`
     /// (product of the per-variable [`Dist::density`] values).
     ///
+    /// This compiles a [`BoxDensity`] and evaluates it once.
+    ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
     pub fn density(&self, point: &[f64], domain: &IntervalBox) -> f64 {
         assert_eq!(point.len(), self.len(), "point/profile dimension mismatch");
+        self.density_plan(domain).density(point)
+    }
+
+    /// Compiles [`UsageProfile::density`] over `domain`, one
+    /// [`DensityPlan`] per variable.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn density_plan(&self, domain: &IntervalBox) -> BoxDensity {
         assert_eq!(
             domain.ndim(),
             self.len(),
             "domain/profile dimension mismatch"
         );
-        self.dists
-            .iter()
-            .enumerate()
-            .map(|(i, d)| d.density(point[i], &domain[i]))
-            .product()
+        BoxDensity {
+            dims: self
+                .dists
+                .iter()
+                .zip(domain.dims())
+                .map(|(d, dom)| d.density_plan(dom))
+                .collect(),
+        }
     }
 
     /// Draws one sample from the profile conditioned on `boxed`, writing
     /// coordinates into `out`. Returns `false` if the conditional mass of
     /// the box is zero.
+    ///
+    /// This compiles a [`BoxDraw`] and draws once from it.
     ///
     /// # Panics
     ///
@@ -781,15 +996,75 @@ impl UsageProfile {
         rng: &mut impl Rng,
         out: &mut [f64],
     ) -> bool {
-        assert_eq!(boxed.ndim(), self.len(), "box/profile dimension mismatch");
         assert_eq!(out.len(), self.len(), "output/profile dimension mismatch");
-        for (i, d) in self.dists.iter().enumerate() {
-            match d.sample_in(&boxed[i], &domain[i], rng) {
-                Some(v) => out[i] = v,
+        self.draw_plan(boxed, domain).sample(rng, out)
+    }
+
+    /// Compiles [`UsageProfile::sample_in`] for one box, one [`DrawPlan`]
+    /// per variable.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn draw_plan(&self, boxed: &IntervalBox, domain: &IntervalBox) -> BoxDraw {
+        assert_eq!(boxed.ndim(), self.len(), "box/profile dimension mismatch");
+        assert_eq!(
+            domain.ndim(),
+            self.len(),
+            "domain/profile dimension mismatch"
+        );
+        BoxDraw {
+            dims: self
+                .dists
+                .iter()
+                .zip(boxed.dims().iter().zip(domain.dims()))
+                .map(|(d, (iv, dom))| d.draw_plan(iv, dom))
+                .collect(),
+        }
+    }
+}
+
+/// A profile's conditional draw on one box, compiled once per box by
+/// [`UsageProfile::draw_plan`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct BoxDraw {
+    dims: Vec<DrawPlan>,
+}
+
+impl BoxDraw {
+    /// Draws one point into `out`, variable by variable. Returns `false`
+    /// if the box has zero conditional mass; the variables before the
+    /// first massless one have then been drawn, as in
+    /// [`UsageProfile::sample_in`].
+    #[inline]
+    pub fn sample(&self, rng: &mut impl Rng, out: &mut [f64]) -> bool {
+        for (plan, x) in self.dims.iter().zip(out.iter_mut()) {
+            match plan.sample(rng) {
+                Some(v) => *x = v,
                 None => return false,
             }
         }
         true
+    }
+}
+
+/// A profile's joint density over one domain, compiled once by
+/// [`UsageProfile::density_plan`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct BoxDensity {
+    dims: Vec<DensityPlan>,
+}
+
+impl BoxDensity {
+    /// The joint density at `point`: the product of the marginal
+    /// densities, in variable order.
+    #[inline]
+    pub fn density(&self, point: &[f64]) -> f64 {
+        self.dims
+            .iter()
+            .zip(point)
+            .map(|(plan, &x)| plan.density(x))
+            .product()
     }
 }
 

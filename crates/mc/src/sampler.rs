@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use qcoral_interval::IntervalBox;
 
-use crate::{Estimate, UsageProfile};
+use crate::{BoxDraw, Estimate, UsageProfile};
 
 /// A cooperative cancellation token: an absolute cutoff instant that
 /// long-running sampling loops poll between chunks.
@@ -231,9 +231,10 @@ impl DrawScratch {
     }
 }
 
-/// Counts hits of `pred` among `n` samples of chunk `c` (scratch buffers
-/// are reused across samples and chunks). Returns `None` if the box has
-/// zero conditional mass under the profile.
+/// Counts hits of `pred` among `n` samples of chunk `c`, drawn from the
+/// stratum's compiled `draw` (scratch buffers are reused across samples
+/// and chunks). Returns `None` if the box has zero conditional mass under
+/// the profile.
 ///
 /// The bulk branch draws [`COLUMN_BLOCK`]-sized blocks of samples into
 /// columns — in the exact per-sample, per-dimension RNG order of the row
@@ -242,8 +243,7 @@ impl DrawScratch {
 /// samples and produce identical counts.
 fn chunk_hits<P: BulkPred + ?Sized>(
     pred: &P,
-    boxed: &IntervalBox,
-    profile: &UsageProfile,
+    draw: &BoxDraw,
     n: u64,
     seed: u64,
     c: u64,
@@ -266,7 +266,7 @@ fn chunk_hits<P: BulkPred + ?Sized>(
                 col.clear();
             }
             for _ in 0..w {
-                if !profile.sample_in(boxed, boxed, &mut rng, &mut scratch.point) {
+                if !draw.sample(&mut rng, &mut scratch.point) {
                     return None;
                 }
                 for (d, col) in scratch.cols.iter_mut().enumerate() {
@@ -280,7 +280,7 @@ fn chunk_hits<P: BulkPred + ?Sized>(
     }
     let mut hits = 0u64;
     for _ in 0..n {
-        if !profile.sample_in(boxed, boxed, &mut rng, &mut scratch.point) {
+        if !draw.sample(&mut rng, &mut scratch.point) {
             return None;
         }
         if pred.holds(&scratch.point) {
@@ -354,6 +354,9 @@ impl StratumAccum {
 /// identical across thread schedules and depends only on the budget
 /// sequence. `add == 0` (and refining a dead stratum) is a no-op.
 ///
+/// The stratum's draw is compiled once per call
+/// ([`UsageProfile::draw_plan`]) and shared by every chunk.
+///
 /// Columnar predicates evaluate each chunk in one structure-of-arrays
 /// call; samples are drawn in the identical RNG order either way, so the
 /// accumulator is bit-identical to the row path.
@@ -375,6 +378,7 @@ where
     let nchunks = add.div_ceil(chunk);
     let ndim = boxed.ndim();
     let columnar = pred.columnar();
+    let draw = profile.draw_plan(boxed, boxed);
     // Per-chunk result: `None` = zero conditional mass (dead stratum),
     // `Some((hits, drawn))`. A chunk skipped because the plan's deadline
     // expired reports `Some((0, 0))` — it contributes nothing and `n`
@@ -384,16 +388,7 @@ where
             return Some((0, 0));
         }
         let len = chunk.min(add - j * chunk);
-        chunk_hits(
-            pred,
-            boxed,
-            profile,
-            len,
-            plan.seed,
-            acc.next_chunk + j,
-            scratch,
-        )
-        .map(|h| (h, len))
+        chunk_hits(pred, &draw, len, plan.seed, acc.next_chunk + j, scratch).map(|h| (h, len))
     };
     let total: Option<(u64, u64)> = if plan.parallel && nchunks > 1 {
         // Per-worker scratch (`map_init`), not per-chunk: each rayon

@@ -32,10 +32,15 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use qcoral_failpoints::failpoint;
 use qcoral_obs::{log, Counter, Gauge, Histogram, Registry};
+
+/// How long the `worker.stall` failpoint holds a worker before its job
+/// runs: chaos tests use it to keep a job in flight for a fixed time,
+/// whatever the speed of the build and the machine.
+const WORKER_STALL: Duration = Duration::from_millis(500);
 
 /// An admitted unit of work.
 pub type Job = Box<dyn FnOnce() + Send>;
@@ -331,6 +336,9 @@ fn worker_loop(shared: &Shared) {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if failpoint!("worker.job") {
                 panic!("injected worker job panic");
+            }
+            if failpoint!("worker.stall") {
+                std::thread::sleep(WORKER_STALL);
             }
             job();
         }));

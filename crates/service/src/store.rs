@@ -46,8 +46,8 @@
 //! sequence so inserts racing a snapshot land in the post-truncation WAL
 //! (replaying an entry the snapshot already holds is idempotent).
 
-use std::fs::OpenOptions;
-use std::io::{self, Write as _};
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -111,6 +111,23 @@ fn footer_crc(entries: &[SnapshotEntry]) -> u64 {
         h = fnv1a(h, &e.crc.to_le_bytes());
     }
     h
+}
+
+/// Writes the snapshot document of `entries` to `out`, one entry at a
+/// time: the bytes of `serde_json::to_string(&Snapshot { .. })`, without
+/// holding the document in memory. Each entry is serialized once; that
+/// text is both checksummed and written.
+fn write_snapshot_doc(entries: Vec<FactorStoreEntry>, out: &mut impl Write) -> io::Result<()> {
+    let mut footer = fnv1a(FNV_OFFSET, &(entries.len() as u64).to_le_bytes());
+    write!(out, "{{\"version\":{SNAPSHOT_VERSION},\"entries\":[")?;
+    for (i, entry) in entries.into_iter().enumerate() {
+        let text = serde_json::to_string(&entry).expect("entry serializes");
+        let crc = fnv1a(FNV_OFFSET, text.as_bytes());
+        footer = fnv1a(footer, &crc.to_le_bytes());
+        let sep = if i == 0 { "" } else { "," };
+        write!(out, "{sep}{{\"entry\":{text},\"crc\":{crc}}}")?;
+    }
+    write!(out, "],\"footer_crc\":{footer}}}")
 }
 
 /// The sibling write-ahead log path for a snapshot path: the snapshot
@@ -367,33 +384,24 @@ impl PersistentStore {
     /// The actual tmp-file + rename write, followed by WAL truncation.
     /// Callers must hold the save lock (see `save_state`); the WAL lock
     /// is taken here for the duration so no insert can slip between "in
-    /// the snapshotted entry set" and "in the WAL".
+    /// the snapshotted entry set" and "in the WAL". The document is
+    /// streamed to the tmp file (see `write_snapshot_doc`), so a save
+    /// never holds more than the store's entries and one entry's text.
     fn write_snapshot(&self) -> io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
         let t0 = Instant::now();
         let wal = self.wal.lock().expect("wal state");
-        let entries: Vec<SnapshotEntry> = self
-            .store
-            .entries()
-            .into_iter()
-            .map(|entry| SnapshotEntry {
-                crc: entry_crc(&entry),
-                entry,
-            })
-            .collect();
-        let snap = Snapshot {
-            version: SNAPSHOT_VERSION,
-            footer_crc: footer_crc(&entries),
-            entries,
-        };
-        let text = serde_json::to_string(&snap).expect("snapshot serializes");
+        let entries = self.store.entries();
         let tmp = path.with_extension("tmp");
         if failpoint!("store.snapshot.write") {
             return Err(io::Error::other("injected snapshot write failure"));
         }
-        std::fs::write(&tmp, text)?;
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        write_snapshot_doc(entries, &mut out)?;
+        out.flush()?;
+        drop(out);
         if failpoint!("store.snapshot.rename") {
             return Err(io::Error::other("injected snapshot rename failure"));
         }
@@ -492,4 +500,71 @@ fn recover(store: &FactorStore, path: &Path) -> RecoveryReport {
         }
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(i: u64) -> FactorStoreEntry {
+        FactorStoreEntry {
+            opts_fp: 0xfeed ^ i,
+            fingerprint: u128::from(i) << 70 | 3,
+            box_bits: vec![0.0f64.to_bits(), (1.0 + i as f64).to_bits()],
+            profile_bits: vec![i, u64::MAX - i],
+            mean_bits: (0.25 * i as f64).to_bits(),
+            variance_bits: 1e-9f64.to_bits(),
+        }
+    }
+
+    /// What the writer streams: the document it replaced, built whole.
+    fn whole_document(entries: &[FactorStoreEntry]) -> String {
+        let entries: Vec<SnapshotEntry> = entries
+            .iter()
+            .map(|entry| SnapshotEntry {
+                crc: entry_crc(entry),
+                entry: entry.clone(),
+            })
+            .collect();
+        let snap = Snapshot {
+            version: SNAPSHOT_VERSION,
+            footer_crc: footer_crc(&entries),
+            entries,
+        };
+        serde_json::to_string(&snap).expect("snapshot serializes")
+    }
+
+    #[test]
+    fn streamed_snapshot_matches_the_whole_document() {
+        for n in [0u64, 1, 7] {
+            let entries: Vec<FactorStoreEntry> = (0..n).map(entry).collect();
+            let mut streamed = Vec::new();
+            write_snapshot_doc(entries.clone(), &mut streamed).expect("in-memory write");
+            assert_eq!(
+                String::from_utf8(streamed).expect("utf-8"),
+                whole_document(&entries),
+                "{n} entries"
+            );
+        }
+    }
+
+    #[test]
+    fn saved_snapshot_matches_the_whole_document() {
+        let path =
+            std::env::temp_dir().join(format!("qcoral-store-stream-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let store = PersistentStore::open(Some(path.clone()), 64);
+        store.save().expect("empty save");
+        let empty = std::fs::read_to_string(&path).expect("snapshot");
+        assert_eq!(empty, whole_document(&[]));
+        store.factor_store().absorb((0..5).map(entry));
+        store.save().expect("populated save");
+        let full = std::fs::read_to_string(&path).expect("snapshot");
+        assert_eq!(full, whole_document(&store.factor_store().entries()));
+        let reopened = PersistentStore::open(Some(path.clone()), 64);
+        assert_eq!(reopened.recovery_report().snapshot_entries, 5);
+        assert!(!reopened.recovery_report().lossy());
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(wal_path(&path));
+    }
 }

@@ -443,10 +443,12 @@ fn queued_requests_past_deadline_are_shed_with_partial_reports() {
     };
     let (server, _probe) = start(cfg);
     let addr = server.addr();
-    // Pin the worker with a slow request.
+    // Pin the worker with a slow request: the first job stalls for a
+    // fixed time, however fast the build samples.
+    configure("worker.stall", Plan::FirstK(1));
     let slow = std::thread::spawn(move || {
         let mut c = Client::connect(addr).expect("connect");
-        c.analyze_system(SOURCE, Options::default().with_samples(200_000), None)
+        c.analyze_system(SOURCE, opts(), None)
     });
     std::thread::sleep(Duration::from_millis(50));
     // These expire in the queue while the worker is busy.
