@@ -7,15 +7,15 @@
 
 use qcoral_constraints::{ConstraintSet, EvalTape};
 use qcoral_interval::IntervalBox;
-use qcoral_mc::{hit_or_miss_plan, Estimate, SamplePlan, ScalarPred, UsageProfile};
+use qcoral_mc::{refine_plan, Estimate, SamplePlan, ScalarPred, StratumAccum, UsageProfile};
 
 /// Estimates `Pr[x ∼ profile satisfies cs]` with a single hit-or-miss run
 /// over the whole domain, on the deterministic chunked [`SamplePlan`]:
-/// bit-identical across thread schedules.
+/// bit-identical across thread schedules. `n == 0` gives `0 ± 0`.
 ///
 /// # Panics
 ///
-/// Panics if `n == 0` or on dimension mismatches.
+/// Panics on dimension mismatches.
 pub fn plain_monte_carlo(
     cs: &ConstraintSet,
     domain: &IntervalBox,
@@ -24,13 +24,8 @@ pub fn plain_monte_carlo(
     plan: SamplePlan,
 ) -> Estimate {
     let tapes: Vec<EvalTape> = cs.pcs().iter().map(EvalTape::compile).collect();
-    hit_or_miss_plan(
-        &ScalarPred(|p: &[f64]| tapes.iter().any(|t| t.holds(p))),
-        domain,
-        profile,
-        n,
-        plan,
-    )
+    let pred = ScalarPred(|p: &[f64]| tapes.iter().any(|t| t.holds(p)));
+    refine_plan(&pred, domain, profile, n, plan, StratumAccum::EMPTY).estimate()
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use qcoral::{Analyzer, CompiledPred, Options};
 use qcoral_constraints::{BulkScratch, ConstraintSet, Domain, EvalTape, PathCondition};
 use qcoral_icp::{ContractScratch, Contractor, Paver, PaverConfig, Paving, Tri};
 use qcoral_interval::{Interval, IntervalBox};
-use qcoral_mc::{hit_or_miss_plan, SamplePlan, ScalarPred, UsageProfile};
+use qcoral_mc::{refine_plan, SamplePlan, ScalarPred, StratumAccum, UsageProfile};
 use qcoral_subjects::table3_subjects;
 use qcoral_symexec::SymConfig;
 
@@ -63,7 +63,7 @@ pub struct Row {
     /// register-allocated slice tapes, independent of core count.
     pub bulk_eval_speedup: f64,
     /// Scalar-tape Monte Carlo wall time: draw + evaluate `samples`
-    /// samples per path condition through `hit_or_miss_plan` (s).
+    /// samples per path condition through `refine_plan` (s).
     pub mc_scalar_secs: f64,
     /// The same sampling runs through the columnar bulk path (s).
     pub mc_bulk_secs: f64,
@@ -404,28 +404,24 @@ fn measure_subject(
     );
     let evals = (cs.len() * n) as f64;
 
-    // End-to-end sampling probe: the same `hit_or_miss_plan` runs the
-    // analyzer performs per factor, scalar closure vs columnar bulk
-    // predicate — RNG draws included, estimates must match bit for bit.
+    // End-to-end sampling probe: the same hit-or-miss `refine_plan`
+    // runs the analyzer performs per factor, scalar closure (gathering
+    // each row of a column block) vs columnar bulk predicate — RNG
+    // draws included, estimates must match bit for bit.
     let plan = SamplePlan::serial(1);
     let (mc_scalar, ests_scalar) = best_of(reps, || {
         preds
             .iter()
             .map(|p| {
-                hit_or_miss_plan(
-                    &ScalarPred(|x: &[f64]| p.scalar().holds(x)),
-                    &boxed,
-                    &profile,
-                    samples,
-                    plan,
-                )
+                let pred = ScalarPred(|x: &[f64]| p.scalar().holds(x));
+                refine_plan(&pred, &boxed, &profile, samples, plan, StratumAccum::EMPTY)
             })
             .collect::<Vec<_>>()
     });
     let (mc_bulk, ests_bulk) = best_of(reps, || {
         preds
             .iter()
-            .map(|p| hit_or_miss_plan(p, &boxed, &profile, samples, plan))
+            .map(|p| refine_plan(p, &boxed, &profile, samples, plan, StratumAccum::EMPTY))
             .collect::<Vec<_>>()
     });
     let bulk_estimates_identical = ests_scalar == ests_bulk;

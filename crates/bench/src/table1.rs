@@ -8,11 +8,12 @@
 use serde::Serialize;
 
 use qcoral_constraints::parse::parse_system;
+use qcoral_constraints::PathCondition;
 use qcoral_icp::{domain_box, pave, PaverConfig};
 use qcoral_interval::{Interval, IntervalBox};
 use qcoral_mc::{
-    hit_or_miss_plan, stratified_plan, Allocation, Estimate, SamplePlan, ScalarPred, Stratum,
-    UsageProfile,
+    initial_allocation, refine_plan, Allocation, BulkPred, Estimate, SamplePlan, ScalarPred,
+    Strata, Stratum, StratumAccum, UsageProfile,
 };
 
 /// One row of the comparison.
@@ -28,45 +29,65 @@ pub struct Row {
     pub variance: f64,
 }
 
-/// Runs the Figure 2 example with the given total sample budget.
-pub fn run(samples: u64, seed: u64) -> Vec<Row> {
+/// The Figure 2 path condition and its domain box.
+fn figure2() -> (PathCondition, IntervalBox) {
     let sys = parse_system(
         "var x in [-1, 1]; var y in [-1, 1];
          pc x <= -y && y <= x;",
     )
     .expect("static source");
-    let pc = &sys.constraint_set.pcs()[0];
-    let domain = domain_box(&sys.domain);
+    (sys.constraint_set.pcs()[0].clone(), domain_box(&sys.domain))
+}
+
+/// The paper's Table 1 boxes b1–b4; b2 is the inner box.
+fn paper_boxes() -> Vec<(&'static str, Stratum)> {
+    let boxed = |x: (f64, f64), y: (f64, f64)| -> IntervalBox {
+        [Interval::new(x.0, x.1), Interval::new(y.0, y.1)]
+            .into_iter()
+            .collect()
+    };
+    vec![
+        ("b1", Stratum::boundary(boxed((-1.0, -0.5), (-1.0, -0.5)))),
+        ("b2", Stratum::inner(boxed((-0.5, 0.5), (-1.0, -0.5)))),
+        ("b3", Stratum::boundary(boxed((0.5, 1.0), (-1.0, -0.5)))),
+        ("b4", Stratum::boundary(boxed((-0.5, 0.5), (-0.5, 0.0)))),
+    ]
+}
+
+/// Stratified sampling (Eq. 3) of `samples` split equally over the
+/// sampled strata, the paper's allocation.
+fn stratified(
+    pred: &impl BulkPred,
+    strata: Vec<Stratum>,
+    domain: &IntervalBox,
+    profile: &UsageProfile,
+    samples: u64,
+    plan: SamplePlan,
+) -> Estimate {
+    let mut strata = Strata::new(strata, profile, domain, plan);
+    let counts = initial_allocation(Allocation::EqualPerStratum, samples, &strata.weights());
+    strata.refine(pred, profile, &counts);
+    strata.estimate()
+}
+
+/// Runs the Figure 2 example with the given total sample budget.
+pub fn run(samples: u64, seed: u64) -> Vec<Row> {
+    let (pc, domain) = figure2();
     let profile = UsageProfile::uniform(2);
     let pred = ScalarPred(|p: &[f64]| pc.holds(p));
     let plan = SamplePlan::serial(seed);
 
     let mut rows = Vec::new();
 
-    let plain = hit_or_miss_plan(&pred, &domain, &profile, samples, plan);
-    rows.push(row("hit-or-miss (plain)", 1, plain));
+    let plain = refine_plan(&pred, &domain, &profile, samples, plan, StratumAccum::EMPTY);
+    rows.push(row("hit-or-miss (plain)", 1, plain.estimate()));
 
-    // The paper's Table 1 boxes.
-    let iv = Interval::new;
-    let paper_boxes = vec![
-        Stratum::boundary([iv(-1.0, -0.5), iv(-1.0, -0.5)].into_iter().collect()),
-        Stratum::inner([iv(-0.5, 0.5), iv(-1.0, -0.5)].into_iter().collect()),
-        Stratum::boundary([iv(0.5, 1.0), iv(-1.0, -0.5)].into_iter().collect()),
-        Stratum::boundary([iv(-0.5, 0.5), iv(-0.5, 0.0)].into_iter().collect()),
-    ];
-    let strat_paper = stratified_plan(
-        &pred,
-        &paper_boxes,
-        &domain,
-        &profile,
-        samples,
-        Allocation::EqualPerStratum,
-        plan,
-    );
+    let paper: Vec<Stratum> = paper_boxes().into_iter().map(|(_, s)| s).collect();
+    let strat_paper = stratified(&pred, paper, &domain, &profile, samples, plan);
     rows.push(row("stratified (paper's 4 boxes)", 4, strat_paper));
 
     // Boxes from our own paver (RealPaver-substitute defaults).
-    let paving = pave(pc, &domain, &PaverConfig::default());
+    let paving = pave(&pc, &domain, &PaverConfig::default());
     let strata: Vec<Stratum> = paving
         .inner
         .iter()
@@ -75,15 +96,7 @@ pub fn run(samples: u64, seed: u64) -> Vec<Row> {
         .chain(paving.boundary.iter().cloned().map(Stratum::boundary))
         .collect();
     let n = strata.len();
-    let strat_icp = stratified_plan(
-        &pred,
-        &strata,
-        &domain,
-        &profile,
-        samples,
-        Allocation::EqualPerStratum,
-        plan,
-    );
+    let strat_icp = stratified(&pred, strata, &domain, &profile, samples, plan);
     rows.push(row("stratified (ICP paving)", n, strat_icp));
     rows
 }
@@ -100,56 +113,25 @@ fn row(method: &str, strata: usize, e: Estimate) -> Row {
 /// The paper's per-box Table 1 (weights and per-box estimates) for the
 /// four-box stratification.
 pub fn per_box_table(samples_per_box: u64, seed: u64) -> Vec<(String, f64, f64, f64)> {
-    let sys = parse_system(
-        "var x in [-1, 1]; var y in [-1, 1];
-         pc x <= -y && y <= x;",
-    )
-    .expect("static source");
-    let pc = &sys.constraint_set.pcs()[0];
-    let domain = domain_box(&sys.domain);
+    let (pc, domain) = figure2();
     let profile = UsageProfile::uniform(2);
-    let iv = Interval::new;
-    let boxes: Vec<(&str, IntervalBox, bool)> = vec![
-        (
-            "b1",
-            [iv(-1.0, -0.5), iv(-1.0, -0.5)].into_iter().collect(),
-            false,
-        ),
-        (
-            "b2",
-            [iv(-0.5, 0.5), iv(-1.0, -0.5)].into_iter().collect(),
-            true,
-        ),
-        (
-            "b3",
-            [iv(0.5, 1.0), iv(-1.0, -0.5)].into_iter().collect(),
-            false,
-        ),
-        (
-            "b4",
-            [iv(-0.5, 0.5), iv(-0.5, 0.0)].into_iter().collect(),
-            false,
-        ),
-    ];
     let pred = ScalarPred(|p: &[f64]| pc.holds(p));
-    let plan = SamplePlan::serial(seed);
-    let mut out = Vec::new();
-    for (i, (name, boxed, certain)) in boxes.into_iter().enumerate() {
-        let w = profile.box_probability(&boxed, &domain);
-        let est = if certain {
-            Estimate::ONE
-        } else {
-            hit_or_miss_plan(
-                &pred,
-                &boxed,
-                &profile,
-                samples_per_box,
-                plan.substream(i as u64),
-            )
-        };
-        out.push((name.to_owned(), w, est.mean, est.variance));
-    }
-    out
+    let boxes = paper_boxes();
+    let paper = boxes.iter().map(|(_, s)| s.clone());
+    let mut strata = Strata::new(paper, &profile, &domain, SamplePlan::serial(seed));
+    strata.refine(&pred, &profile, &vec![samples_per_box; strata.len()]);
+    let mut sampled = strata.estimates();
+    boxes
+        .into_iter()
+        .map(|(name, s)| {
+            let w = profile.box_probability(&s.boxed, &domain);
+            let est = match s.certain {
+                true => Estimate::ONE,
+                false => sampled.next().expect("every boundary box is sampled").1,
+            };
+            (name.to_owned(), w, est.mean, est.variance)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -393,13 +393,12 @@ pub struct Stats {
     /// Cross-run factor-store misses (0 when no store is attached).
     pub factor_store_misses: u64,
     /// Monte Carlo sampling budget charged, across all sampled factors.
-    /// Zero means every factor came from a cache — no RNG was touched.
-    /// The two entry points charge differently:
-    /// [`Analyzer::analyze`] charges [`Options::samples`] for every
-    /// factor that was paved satisfiable or is unstratified, even when
-    /// exact strata leave less (or nothing) to draw;
-    /// [`Analyzer::analyze_iterative`] charges the counts it allocates,
-    /// round by round, including the importance-sampling pilot.
+    /// Both entry points charge the sample counts they hand to
+    /// stratified refinement and to importance-sampling rounds (the IS
+    /// pilot included): what the allocation spends, not
+    /// [`Options::samples`] per factor. A factor answered from a cache,
+    /// proven unsat, or whose strata are all exact charges nothing, so
+    /// zero means no RNG was touched.
     pub samples_drawn: u64,
     /// Sampling rounds executed by [`Analyzer::analyze_iterative`]
     /// (0 for one-shot `analyze`; 1 when every factor was answered from

@@ -5,10 +5,10 @@
 //! compiled once into one artifact: its scalar [`EvalTape`], whose node
 //! pool the paver's interval kind also runs over, plus the
 //! register-allocated columnar [`BulkTape`], built the first time the
-//! factor is sampled (the bulk chunk executor in `qcoral-mc` amortizes
-//! interpreter dispatch across 128-sample lane chunks). [`CompiledPred`]
-//! implements [`BulkPred`] so the plan-layer samplers ride the columnar
-//! path automatically.
+//! factor is sampled (the chunk executor in `qcoral-mc` hands it
+//! 128-sample column blocks, amortizing interpreter dispatch).
+//! [`CompiledPred`] implements [`BulkPred`] by counting each block on
+//! the bulk tape.
 //!
 //! `compile_cached` memoizes compilation process-wide by the
 //! conjunction's structural fingerprint: recurring factors — the
@@ -85,10 +85,6 @@ impl BulkPred for CompiledPred {
         self.scalar.holds(point)
     }
 
-    fn columnar(&self) -> bool {
-        true
-    }
-
     fn count_hits(&self, cols: &[Vec<f64>], n: usize) -> u64 {
         self.bulk().count_hits(cols, n)
     }
@@ -99,7 +95,7 @@ mod tests {
     use super::*;
     use qcoral_constraints::parse::parse_system;
     use qcoral_interval::{Interval, IntervalBox};
-    use qcoral_mc::{hit_or_miss_plan, SamplePlan, ScalarPred, UsageProfile};
+    use qcoral_mc::{refine_plan, SamplePlan, ScalarPred, StratumAccum, UsageProfile};
 
     fn pc_of(src: &str) -> PathCondition {
         parse_system(src).unwrap().constraint_set.pcs()[0].clone()
@@ -116,15 +112,17 @@ mod tests {
             .into_iter()
             .collect();
         let profile = UsageProfile::uniform(2);
+        let plan = SamplePlan::serial(5);
         for n in [1u64, 4_095, 4_096, 12_345] {
-            let scalar = hit_or_miss_plan(
+            let scalar = refine_plan(
                 &ScalarPred(|p: &[f64]| pred.scalar().holds(p)),
                 &boxed,
                 &profile,
                 n,
-                SamplePlan::serial(5),
+                plan,
+                StratumAccum::EMPTY,
             );
-            let bulk = hit_or_miss_plan(&pred, &boxed, &profile, n, SamplePlan::serial(5));
+            let bulk = refine_plan(&pred, &boxed, &profile, n, plan, StratumAccum::EMPTY);
             assert_eq!(scalar, bulk, "n = {n}");
         }
     }

@@ -13,10 +13,11 @@
 //!    fingerprint keys the factor, the compiled tape and the paving.
 //! 2. **Prep**, once per slot, in order: factor-store lookup, deadline
 //!    check, one compile-cache lookup for the conjunction, paving over
-//!    that tape (Algorithm 3), profile-aligned strata, and — only for
-//!    factors with strata left to sample — the columnar tape. An
-//!    unstratified factor is one stratum of weight exactly 1 covering
-//!    its sub-box, sampled on the factor's own stream.
+//!    that tape (Algorithm 3), profile-aligned [`Strata`], and — only
+//!    for factors with strata left to sample — the columnar tape. An
+//!    unstratified factor is [`Strata::whole`]: one stratum of weight
+//!    exactly 1 covering its sub-box, sampled on the factor's own
+//!    stream.
 //! 3. **Sampling** by one of two schedules, over the same [`Factor`]
 //!    state and its two moves, [`Factor::refine`] and
 //!    [`Factor::escalate`]:
@@ -33,7 +34,9 @@
 //!    samples, iterative after its last round — never once the deadline
 //!    has passed.
 //! 5. **Counters.** [`Stats`] is the sum of per-slot counts plus the
-//!    iterative schedule's round counts.
+//!    iterative schedule's round counts. Both schedules charge
+//!    [`Stats::samples_drawn`] with the counts they hand to
+//!    [`Factor::refine`] and [`Factor::escalate`].
 //!
 //! Every stream derives from the slot seed plus stratum and chunk
 //! counters, and every decision from deterministic estimates, so a
@@ -52,8 +55,8 @@ use qcoral_constraints::{ConstraintSet, Domain, PathCondition, VarId, VarSet};
 use qcoral_icp::{domain_box, PavingCache};
 use qcoral_interval::IntervalBox;
 use qcoral_mc::{
-    align_strata, initial_allocation, mix_seed, neyman_allocation, proportional_split, refine_plan,
-    Allocation, Deadline, Estimate, IsEstimator, SamplePlan, Stratum, StratumAccum, UsageProfile,
+    align_strata, initial_allocation, mix_seed, neyman_allocation, proportional_split, Allocation,
+    Deadline, Estimate, IsEstimator, SamplePlan, Strata, Stratum, UsageProfile,
 };
 
 use crate::analyzer::{factor_key, hash_key, publish_report, Analyzer, Options, Report, Stats};
@@ -120,25 +123,13 @@ struct Slot {
     seed: u64,
 }
 
-/// A sampled stratum: non-certain, with positive profile mass.
-struct Live {
-    boxed: IntervalBox,
-    /// Profile mass relative to the factor's sub-box (Eq. 3's `wᵢ`).
-    weight: f64,
-    plan: SamplePlan,
-    accum: StratumAccum,
-}
-
 /// A factor with strata left to sample: the state both schedules refine.
 struct Factor {
     pred: Arc<CompiledPred>,
     profile: UsageProfile,
     /// The factor's sub-box, the importance sampler's support universe.
     sub_box: IntervalBox,
-    /// Exact mass of the certain strata, folded once in stratum order.
-    exact: Estimate,
-    /// The sampled strata, in stratum order.
-    strata: Vec<Live>,
+    strata: Strata,
     /// Set once the factor escalated to importance sampling; from then on
     /// refinement advances the proposal instead of the strata.
     is: Option<IsEstimator>,
@@ -146,54 +137,26 @@ struct Factor {
 }
 
 impl Factor {
-    /// Exact mass plus the weighted stratum estimates, reduced in stratum
-    /// order (Eq. 3), or plus the IS boundary estimate once escalated.
+    /// The strata's Eq. 3 estimate, or their exact mass plus the IS
+    /// boundary estimate once escalated.
     fn estimate(&self) -> Estimate {
         match &self.is {
-            Some(is) => self.exact.sum(is.estimate()),
-            None => self
-                .strata
-                .iter()
-                .map(|s| s.accum.estimate().scale(s.weight))
-                .fold(self.exact, Estimate::sum),
+            Some(is) => self.strata.exact().sum(is.estimate()),
+            None => self.strata.estimate(),
         }
     }
 
-    fn weights(&self) -> Vec<f64> {
-        self.strata.iter().map(|s| s.weight).collect()
-    }
-
-    fn stddevs(&self) -> Vec<f64> {
-        self.strata.iter().map(|s| s.accum.std_dev()).collect()
-    }
-
-    fn drawn(&self) -> u64 {
-        self.strata.iter().map(|s| s.accum.n).sum()
-    }
-
-    /// Spends `counts[j]` more samples on stratum `j`, continuing its
-    /// chunk stream (strata fan out under `parallel`); once escalated,
+    /// Spends `counts[j]` more samples on stratum `j`; once escalated,
     /// one adaptation round of the IS engine takes the summed budget.
     /// Returns the samples spent.
     fn refine(&mut self, counts: &[u64]) -> u64 {
         let budget = counts.iter().sum();
-        let Factor {
-            pred,
-            profile,
-            strata,
-            is,
-            plan,
-            ..
-        } = self;
-        let (pred, profile) = (&**pred, &*profile);
-        if let Some(is) = is {
-            is.round(pred, budget, plan.substream(IS_STREAM));
-            return budget;
+        match &mut self.is {
+            Some(is) => {
+                is.round(&*self.pred, budget, self.plan.substream(IS_STREAM));
+            }
+            None => self.strata.refine(&*self.pred, &self.profile, counts),
         }
-        let jobs: Vec<(&mut Live, u64)> = strata.iter_mut().zip(counts.iter().copied()).collect();
-        fan_out(jobs, plan.parallel, |(s, n)| {
-            s.accum = refine_plan(pred, &s.boxed, profile, n, s.plan, s.accum);
-        });
         budget
     }
 
@@ -203,7 +166,7 @@ impl Factor {
     /// seed (nothing spent) or whose pilot finds no hits is the
     /// deterministic fallback, and the factor stays stratified.
     fn escalate(&mut self, budget: u64) -> (u64, bool) {
-        let boxes: Vec<IntervalBox> = self.strata.iter().map(|s| s.boxed.clone()).collect();
+        let boxes = self.strata.boxes();
         let Some(mut is) = IsEstimator::seeded(&boxes, &self.profile, &self.sub_box) else {
             return (0, false);
         };
@@ -219,9 +182,8 @@ impl Factor {
 /// What prep made of a slot.
 enum Prepared {
     /// Nothing to sample: a store hit, a slot skipped past the deadline,
-    /// an unsat paving, or strata that are all exact. `charged` marks the
-    /// last case, which the one-shot schedule still charges.
-    Done { estimate: Estimate, charged: bool },
+    /// an unsat paving, or strata that are all exact.
+    Done(Estimate),
     /// Strata left to sample.
     Live(Box<Factor>),
 }
@@ -229,7 +191,7 @@ enum Prepared {
 impl Prepared {
     fn estimate(&self) -> Estimate {
         match self {
-            Prepared::Done { estimate, .. } => *estimate,
+            Prepared::Done(estimate) => *estimate,
             Prepared::Live(f) => f.estimate(),
         }
     }
@@ -238,8 +200,8 @@ impl Prepared {
     fn outcome(&self, tally: &Stats) -> &'static str {
         match self {
             Prepared::Live(_) => "sampled",
-            Prepared::Done { .. } if tally.factor_store_hits > 0 => "factor_store",
-            Prepared::Done { .. } => "exact",
+            Prepared::Done(_) if tally.factor_store_hits > 0 => "factor_store",
+            Prepared::Done(_) => "exact",
         }
     }
 }
@@ -466,7 +428,7 @@ fn refine_live(
                 let counts = counts_of(j, f)?;
                 Some((&mut **f, counts))
             }
-            Prepared::Done { .. } => None,
+            Prepared::Done(_) => None,
         })
         .collect();
     let factors = jobs.len();
@@ -513,11 +475,10 @@ impl Run<'_> {
     /// check, compile-cache lookup, paving, strata, then the columnar
     /// tape for factors that sample.
     fn prepare(&self, slot: &Slot, tally: &mut Stats) -> Prepared {
-        let done = |estimate, charged| Prepared::Done { estimate, charged };
         if let (Some(store), Some(key)) = (self.store, &slot.key) {
             if let Some(e) = store.get(self.fp, key) {
                 tally.factor_store_hits = 1;
-                return done(e, false);
+                return Prepared::Done(e);
             }
             tally.factor_store_misses = 1;
         }
@@ -525,7 +486,7 @@ impl Run<'_> {
         // whole time budget) and answer `0 ± 0`: a sound lower bound for
         // the flagged partial report.
         if self.expired() {
-            return done(Estimate::ZERO, false);
+            return Prepared::Done(Estimate::ZERO);
         }
         let opts = self.opts;
         let profile = self.profile.project(&slot.indices);
@@ -548,9 +509,7 @@ impl Run<'_> {
         });
         tally.tape_cache_hits = hit as u64;
         tally.tape_cache_misses = !hit as u64;
-        let mut exact = Estimate::ZERO;
-        let mut strata = Vec::new();
-        if opts.stratified {
+        let strata = if opts.stratified {
             let t0 = self.now();
             let (paving, hit) = self.paving_cache.pave_cached(
                 slot.fingerprint,
@@ -571,7 +530,7 @@ impl Run<'_> {
             tally.inner_boxes = paving.inner.len() as u64;
             tally.boundary_boxes = paving.boundary.len() as u64;
             if paving.is_unsat() {
-                return done(Estimate::ZERO, false);
+                return Prepared::Done(Estimate::ZERO);
             }
             let paved: Vec<Stratum> = paving
                 .inner
@@ -591,30 +550,13 @@ impl Run<'_> {
                 opts.profile_epsilon,
                 ALIGN_CAP,
             );
-            for (i, s) in aligned.into_iter().enumerate() {
-                let weight = profile.box_probability(&s.boxed, &slot.sub_box);
-                if s.certain {
-                    exact = exact.sum(Estimate::ONE.scale(weight));
-                } else if weight > 0.0 {
-                    strata.push(Live {
-                        boxed: s.boxed,
-                        weight,
-                        plan: plan.substream(i as u64),
-                        accum: StratumAccum::EMPTY,
-                    });
-                }
-            }
+            Strata::new(aligned, &profile, &slot.sub_box, plan)
         } else {
             // Plain hit-or-miss (Eq. 2) over the whole sub-box.
-            strata.push(Live {
-                boxed: slot.sub_box.clone(),
-                weight: 1.0,
-                plan,
-                accum: StratumAccum::EMPTY,
-            });
-        }
+            Strata::whole(slot.sub_box.clone(), plan)
+        };
         if strata.is_empty() {
-            return done(exact, true);
+            return Prepared::Done(strata.exact());
         }
         // The columnar tape evaluates whole sample blocks per instruction,
         // with the same samples, hits and estimates as the scalar tape.
@@ -628,7 +570,6 @@ impl Run<'_> {
             pred,
             profile,
             sub_box: slot.sub_box.clone(),
-            exact,
             strata,
             is: None,
             plan,
@@ -647,8 +588,7 @@ impl Run<'_> {
     }
 
     /// The one-shot schedule: each slot is prepared, sampled and
-    /// deposited in one fan-out step. Charges [`Options::samples`] for
-    /// every factor paved satisfiable or unstratified.
+    /// deposited in one fan-out step.
     fn one_shot(&self, slots: &[Slot], stats: &mut Stats) -> Vec<Estimate> {
         let step = |(j, slot): (usize, &Slot)| -> (Estimate, Stats) {
             let t0 = self.now();
@@ -656,14 +596,8 @@ impl Run<'_> {
             let prepared = self.prepare(slot, &mut tally);
             let outcome = prepared.outcome(&tally);
             let estimate = match prepared {
-                Prepared::Done { estimate, charged } => {
-                    if charged {
-                        tally.samples_drawn = self.opts.samples;
-                    }
-                    estimate
-                }
+                Prepared::Done(estimate) => estimate,
                 Prepared::Live(mut f) => {
-                    tally.samples_drawn = self.opts.samples;
                     let t = self.now();
                     self.sample_once(&mut f, &mut tally);
                     self.record("sample", "sampling", t, || {
@@ -708,7 +642,7 @@ impl Run<'_> {
     /// Unstratified factors spend the budget in one pass.
     fn sample_once(&self, f: &mut Factor, tally: &mut Stats) {
         let total = self.opts.samples;
-        let weights = f.weights();
+        let weights = f.strata.weights();
         let allocation = match self.opts.stratified {
             true => self.opts.allocation,
             false => Allocation::EqualPerStratum,
@@ -717,26 +651,21 @@ impl Run<'_> {
             allocation,
             Allocation::EqualPerStratum | Allocation::Proportional
         ) {
-            f.refine(&initial_allocation(allocation, total, &weights));
+            tally.samples_drawn += f.refine(&initial_allocation(allocation, total, &weights));
             return;
         }
         let pilot = match allocation {
             Allocation::ImportanceAdaptive => initial_allocation(allocation, total / 2, &weights),
             _ => initial_allocation(allocation, total, &weights),
         };
-        f.refine(&pilot);
+        tally.samples_drawn += f.refine(&pilot);
         let mut remaining = total.saturating_sub(pilot.iter().sum());
         if allocation == Allocation::ImportanceAdaptive {
             // The rarity signal is the pilot estimate, not the raw
             // conditional hit rate: boundary strata hug the constraint
             // surface, so their conditional rates are O(1) even for 1e-8
             // events — the rarity lives in the weights.
-            let estimate = f.exact.mean
-                + f.strata
-                    .iter()
-                    .map(|s| s.weight * s.accum.estimate().mean)
-                    .sum::<f64>();
-            let rare = f.drawn() > 0 && estimate < self.opts.is_threshold;
+            let rare = f.strata.drawn() > 0 && f.strata.pilot_mean() < self.opts.is_threshold;
             if rare && remaining > 0 && !self.expired() {
                 // `IS_ROUNDS − 1` equal warm-up rounds refine the
                 // proposal, then a final round of half the IS budget
@@ -748,11 +677,12 @@ impl Run<'_> {
                 let per = half / (IS_ROUNDS - 1);
                 let opening = remaining - half - (IS_ROUNDS - 2) * per;
                 let (spent, installed) = f.escalate(opening);
+                tally.samples_drawn += spent;
                 if installed {
                     for _ in 2..IS_ROUNDS {
-                        f.refine(&[per]);
+                        tally.samples_drawn += f.refine(&[per]);
                     }
-                    f.refine(&[half]);
+                    tally.samples_drawn += f.refine(&[half]);
                     tally.is_factors = 1;
                     return;
                 }
@@ -761,7 +691,8 @@ impl Run<'_> {
             }
         }
         if remaining > 0 && !self.expired() {
-            f.refine(&neyman_allocation(remaining, &weights, &f.stddevs()));
+            let follow = neyman_allocation(remaining, &weights, &f.strata.std_devs());
+            tally.samples_drawn += f.refine(&follow);
         }
     }
 
@@ -812,7 +743,11 @@ impl Run<'_> {
         };
         let t0 = self.now();
         let (spent, factors) = refine_live(&mut states, opts.parallel, |_, f| {
-            Some(initial_allocation(round1, opts.samples, &f.weights()))
+            Some(initial_allocation(
+                round1,
+                opts.samples,
+                &f.strata.weights(),
+            ))
         });
         stats.rounds = 1;
         stats.samples_drawn += spent;
@@ -829,7 +764,9 @@ impl Run<'_> {
             let rare: Vec<&mut Factor> = states
                 .iter_mut()
                 .filter_map(|state| match state {
-                    Prepared::Live(f) if f.drawn() > 0 && f.estimate().mean < opts.is_threshold => {
+                    Prepared::Live(f)
+                        if f.strata.drawn() > 0 && f.estimate().mean < opts.is_threshold =>
+                    {
                         Some(&mut **f)
                     }
                     _ => None,
@@ -909,7 +846,7 @@ impl Run<'_> {
                 let b = budget_for[j];
                 let counts = match f.is {
                     Some(_) => vec![b],
-                    None => neyman_allocation(b, &f.weights(), &f.stddevs()),
+                    None => neyman_allocation(b, &f.strata.weights(), &f.strata.std_devs()),
                 };
                 counts.iter().any(|&c| c > 0).then_some(counts)
             });

@@ -94,7 +94,7 @@
 //!
 //! # Determinism
 //!
-//! Sampling follows the same counter-derived discipline as
+//! Sampling runs on the chunk executor of
 //! [`crate::sampler::refine_plan`]: chunk `c` of the estimator's
 //! stream always seeds its RNG with `mix_seed(plan.seed, c)`, chunk
 //! results are reduced in chunk order, and the cross-entropy refit is a
@@ -104,10 +104,9 @@
 
 use crate::estimate::Estimate;
 use crate::profile::{BoxDensity, BoxDraw, DensityPlan, Dist, DrawPlan, UsageProfile};
-use crate::sampler::{mix_seed, BulkPred, SamplePlan};
+use crate::sampler::{run_chunks, BulkPred, SamplePlan};
 use qcoral_interval::{Interval, IntervalBox};
-use rand::{rngs::SmallRng, Rng, SeedableRng};
-use rayon::prelude::*;
+use rand::{rngs::SmallRng, Rng};
 use serde::{Deserialize, Serialize};
 
 /// Default rare-event threshold: a factor whose stratified pilot
@@ -734,7 +733,6 @@ pub struct IsEstimator {
     accum: SnisAccum,
     next_chunk: u64,
     mass: f64,
-    rounds: u32,
 }
 
 impl IsEstimator {
@@ -760,18 +758,18 @@ impl IsEstimator {
             accum: SnisAccum::EMPTY,
             next_chunk: 0,
             mass,
-            rounds: 0,
         })
     }
 
     /// Runs one adaptation round of `add` samples under `plan`.
     ///
-    /// Chunk `c` of the estimator's lifetime stream always seeds
-    /// `mix_seed(plan.seed, c)` (the round merely advances the chunk
-    /// cursor), chunk accumulators merge in chunk order, and the refit
-    /// consumes chunk-ordered statistics — so the outcome is
-    /// bit-identical serial vs parallel and depends only on the
-    /// sequence of per-round budgets.
+    /// The round's chunks continue the estimator's lifetime chunk stream
+    /// on the sampler's chunk executor (chunk `c` seeds
+    /// `mix_seed(plan.seed, c)`; the deadline stops further chunks),
+    /// chunk accumulators merge in chunk order, and the refit consumes
+    /// chunk-ordered statistics — so the outcome is bit-identical serial
+    /// vs parallel and depends only on the sequence of per-round
+    /// budgets.
     pub fn round<P>(&mut self, pred: &P, add: u64, plan: SamplePlan) -> RoundReport
     where
         P: BulkPred + ?Sized,
@@ -779,58 +777,40 @@ impl IsEstimator {
         if add == 0 {
             return RoundReport::default();
         }
-        let chunk = plan.chunk.max(1);
-        let nchunks = add.div_ceil(chunk);
         let ndim = self.ndim;
         let k = self.mixture.components.len();
         let mixture = &self.mixture;
         let profile_density = &self.profile_density;
-        let expired = || plan.deadline.is_some_and(|d| d.expired());
-        let run_chunk = |j: u64, point: &mut Vec<f64>| -> (SnisAccum, CeStats, u64) {
-            let mut acc = SnisAccum::EMPTY;
-            let mut ce = CeStats::new(k, ndim);
-            if expired() {
-                return (acc, ce, 0);
-            }
-            let len = chunk.min(add - j * chunk);
-            let mut rng = SmallRng::seed_from_u64(mix_seed(plan.seed, self.next_chunk + j));
-            for _ in 0..len {
-                let ki = mixture.pick(&mut rng);
-                if !mixture.components[ki].sample(&mut rng, point) {
-                    acc.push(0.0, false);
-                    continue;
+        let (chunks, nchunks) = run_chunks(
+            &plan,
+            self.next_chunk,
+            add,
+            || vec![0.0; ndim],
+            |point, rng, len| {
+                let mut acc = SnisAccum::EMPTY;
+                let mut ce = CeStats::new(k, ndim);
+                for _ in 0..len {
+                    let ki = mixture.pick(rng);
+                    if !mixture.components[ki].sample(rng, point) {
+                        acc.push(0.0, false);
+                        continue;
+                    }
+                    let pi = profile_density.density(point);
+                    let q = mixture.density_near(ki, point, pi);
+                    let w = if q > 0.0 && pi.is_finite() {
+                        pi / q
+                    } else {
+                        0.0
+                    };
+                    let hit = w > 0.0 && pred.holds(point);
+                    acc.push(w, hit);
+                    if hit {
+                        ce.add(ki, w, point);
+                    }
                 }
-                let pi = profile_density.density(point);
-                let q = mixture.density_near(ki, point, pi);
-                let w = if q > 0.0 && pi.is_finite() {
-                    pi / q
-                } else {
-                    0.0
-                };
-                let hit = w > 0.0 && pred.holds(point);
-                acc.push(w, hit);
-                if hit {
-                    ce.add(ki, w, point);
-                }
-            }
-            (acc, ce, len)
-        };
-        let chunks: Vec<(SnisAccum, CeStats, u64)> = if plan.parallel && nchunks > 1 {
-            (0..nchunks)
-                .into_par_iter()
-                .map_init(|| vec![0.0; ndim], |point, j| run_chunk(j, point))
-                .collect()
-        } else {
-            let mut point = vec![0.0; ndim];
-            let mut out = Vec::with_capacity(nchunks as usize);
-            for j in 0..nchunks {
-                if expired() {
-                    break;
-                }
-                out.push(run_chunk(j, &mut point));
-            }
-            out
-        };
+                (acc, ce)
+            },
+        );
         // Fixed reduction order: each chunk folds straight into the
         // lifetime accumulator in chunk-index order, exactly like the
         // stratified engine's integer sums. Folding chunks directly
@@ -838,20 +818,18 @@ impl IsEstimator {
         // tree a pure left fold over the chunk stream, so splitting a
         // budget across rounds cannot perturb the float results.
         let mut ce = CeStats::new(k, ndim);
-        let mut drawn = 0u64;
-        let mut hits = 0u64;
-        for (acc, stats, len) in &chunks {
-            hits += acc.hits();
+        let mut report = RoundReport::default();
+        for (len, (acc, stats)) in &chunks {
+            report.drawn += len;
+            report.hits += acc.hits();
             self.accum.merge(acc);
             ce.merge(stats);
-            drawn += len;
         }
         self.next_chunk += nchunks;
-        self.rounds += 1;
-        if hits > 0 {
+        if report.hits > 0 {
             self.mixture.refit(&ce);
         }
-        RoundReport { drawn, hits }
+        report
     }
 
     /// The current estimate of the *boundary* probability (the caller
@@ -860,16 +838,6 @@ impl IsEstimator {
     /// self-normalized ratio here.
     pub fn estimate(&self) -> Estimate {
         self.accum.unbiased(self.mass)
-    }
-
-    /// Standard deviation of [`IsEstimator::estimate`].
-    pub fn std_dev(&self) -> f64 {
-        self.estimate().std_dev()
-    }
-
-    /// Exact profile mass of the proposal's support (∪ boundary boxes).
-    pub fn support_mass(&self) -> f64 {
-        self.mass
     }
 
     /// Samples drawn over all rounds.
@@ -881,18 +849,14 @@ impl IsEstimator {
     pub fn hits(&self) -> u64 {
         self.accum.hits()
     }
-
-    /// Adaptation rounds run.
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::ScalarPred;
+    use crate::sampler::{Deadline, ScalarPred};
     use qcoral_interval::Interval;
+    use std::time::{Duration, Instant};
 
     fn unit_box(n: usize) -> IntervalBox {
         (0..n).map(|_| Interval::new(0.0, 1.0)).collect()
@@ -1046,5 +1010,58 @@ mod tests {
         );
         let est = is.estimate();
         assert!((est.mean - 0.05).abs() < 4.0 * est.std_dev() + 1e-9);
+    }
+
+    /// The chunk executor's deadline polling, seen from IS: a deadline
+    /// that has not passed changes nothing, bit for bit, serial or
+    /// parallel.
+    #[test]
+    fn unexpired_deadline_is_bit_invisible() {
+        let (domain, boundary, _) = tiny_corner();
+        let profile = UsageProfile::uniform(2);
+        let pred = ScalarPred(|p: &[f64]| p[0] < 1e-4 && p[1] < 1e-4);
+        let far = Deadline::after(Duration::from_secs(3600));
+        for plan in [SamplePlan::serial(7), SamplePlan::parallel(7)] {
+            let plan = SamplePlan { chunk: 512, ..plan };
+            let run = |plan: SamplePlan| {
+                let mut is = IsEstimator::seeded(&boundary, &profile, &domain).unwrap();
+                for _ in 0..3 {
+                    is.round(&pred, 3000, plan);
+                }
+                is
+            };
+            let (bare, with) = (run(plan), run(plan.with_deadline(Some(far))));
+            assert_eq!(
+                bare.accum, with.accum,
+                "a live deadline must not perturb IS"
+            );
+            assert_eq!(bare.mixture.weights, with.mixture.weights);
+        }
+    }
+
+    /// An expired deadline stops drawing: the round reports nothing
+    /// drawn, and `samples()` counts only the chunks that completed, so
+    /// the estimate stands as it was.
+    #[test]
+    fn expired_deadline_stops_drawing_but_stays_sound() {
+        let (domain, boundary, _) = tiny_corner();
+        let profile = UsageProfile::uniform(2);
+        let pred = ScalarPred(|p: &[f64]| p[0] < 1e-4 && p[1] < 1e-4);
+        let past = Deadline::at(Instant::now() - Duration::from_secs(1));
+        for plan in [SamplePlan::serial(7), SamplePlan::parallel(7)] {
+            let plan = SamplePlan { chunk: 512, ..plan };
+            let mut is = IsEstimator::seeded(&boundary, &profile, &domain).unwrap();
+            let report = is.round(&pred, 3000, plan.with_deadline(Some(past)));
+            assert_eq!(report, RoundReport::default(), "expired deadline drew");
+            assert_eq!(is.samples(), 0);
+            assert_eq!(is.estimate(), Estimate::ZERO);
+            // A round before expiry survives untouched.
+            is.round(&pred, 3000, plan);
+            let (drawn, accum) = (is.samples(), is.accum);
+            assert_eq!(drawn, 3000);
+            let late = is.round(&pred, 3000, plan.with_deadline(Some(past)));
+            assert_eq!(late.drawn, 0);
+            assert_eq!((is.samples(), is.accum), (drawn, accum));
+        }
     }
 }

@@ -9,25 +9,31 @@
 //!   (§3). Uniform profiles match the paper's implementation; piecewise-
 //!   uniform (histogram) profiles implement the discretization extension
 //!   the paper attributes to Filieri et al. \[11\].
-//! * [`hit_or_miss_plan`] — the Hit-or-Miss Monte Carlo estimator
-//!   (§3.2, Eq. 2).
-//! * [`stratified_plan`] — stratified sampling over an ICP paving (§3.3,
-//!   Eq. 3); [`refine_plan`] adds samples to one stratum round by round.
+//! * [`refine_plan`] — the Hit-or-Miss Monte Carlo estimator (§3.2,
+//!   Eq. 2) on one box, round by round.
+//! * [`Strata`] — stratified sampling over an ICP paving (§3.3, Eq. 3),
+//!   each stratum refined with [`refine_plan`]; [`Strata::whole`] is the
+//!   unstratified case.
 //! * [`IsEstimator`] — paver-seeded adaptive importance sampling for
 //!   rare-event factors (the [`is`] module), following SYMPAIS.
+//!
+//! All three draw through one counter-seeded chunk executor.
 //!
 //! # Example
 //!
 //! ```
 //! use qcoral_interval::{Interval, IntervalBox};
-//! use qcoral_mc::{hit_or_miss_plan, SamplePlan, ScalarPred, UsageProfile};
+//! use qcoral_mc::{initial_allocation, Allocation, SamplePlan, ScalarPred, Strata, Stratum, UsageProfile};
 //!
-//! let boxed: IntervalBox = [Interval::new(0.0, 1.0)].into_iter().collect();
+//! let boxed = |lo, hi| -> IntervalBox { [Interval::new(lo, hi)].into_iter().collect() };
 //! let profile = UsageProfile::uniform(1);
-//! // P[x < 0.25] over U[0, 1]
+//! // P[x < 0.25] over U[0, 1]: [0, 0.2] is known to satisfy it, [0.2, 0.4] is sampled.
 //! let pred = ScalarPred(|p: &[f64]| p[0] < 0.25);
-//! let est = hit_or_miss_plan(&pred, &boxed, &profile, 10_000, SamplePlan::serial(42));
-//! assert!((est.mean - 0.25).abs() < 0.02);
+//! let paving = [Stratum::inner(boxed(0.0, 0.2)), Stratum::boundary(boxed(0.2, 0.4))];
+//! let mut strata = Strata::new(paving, &profile, &boxed(0.0, 1.0), SamplePlan::serial(42));
+//! let counts = initial_allocation(Allocation::EqualPerStratum, 10_000, &strata.weights());
+//! strata.refine(&pred, &profile, &counts);
+//! assert!((strata.estimate().mean - 0.25).abs() < 0.005);
 //! ```
 
 #![warn(missing_docs)]
@@ -46,7 +52,6 @@ pub use profile::{
     DensityPlan, Dist, DrawPlan, UsageProfile,
 };
 pub use sampler::{
-    hit_or_miss_plan, initial_allocation, mix_seed, neyman_allocation, proportional_split,
-    refine_plan, stratified_plan, Allocation, BulkPred, Deadline, SamplePlan, ScalarPred, Stratum,
-    StratumAccum, COLUMN_BLOCK,
+    initial_allocation, mix_seed, neyman_allocation, proportional_split, refine_plan, Allocation,
+    BulkPred, Deadline, SamplePlan, ScalarPred, Strata, Stratum, StratumAccum, COLUMN_BLOCK,
 };

@@ -1032,6 +1032,11 @@ pub struct BoxDraw {
 }
 
 impl BoxDraw {
+    /// Whether the box has conditional mass: then every draw succeeds.
+    pub fn has_mass(&self) -> bool {
+        self.dims.iter().all(|plan| plan.0 != Draw::Empty)
+    }
+
     /// Draws one point into `out`, variable by variable. Returns `false`
     /// if the box has zero conditional mass; the variables before the
     /// first massless one have then been drawn, as in

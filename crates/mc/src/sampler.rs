@@ -1,27 +1,27 @@
 //! Hit-or-miss Monte Carlo and stratified sampling.
 //!
-//! One entry point per strategy — [`hit_or_miss_plan`] (Eq. 2),
-//! [`stratified_plan`] (Eq. 3) and [`refine_plan`] (one more round for
-//! one stratum) — each generic over a [`BulkPred`]. Samples are drawn in
-//! fixed-size chunks under a [`SamplePlan`], each chunk seeded from a
-//! counter ([`mix_seed`]) instead of a shared RNG stream. Chunk
-//! hit-counts are integers and strata are reduced in index order, so the
-//! returned [`Estimate`] is bit-identical whether the chunks run on one
-//! thread or many.
+//! One sampler per strategy, each generic over a [`BulkPred`]:
+//! [`Strata`] is stratified sampling over an ICP paving (Eq. 3), refined
+//! round by round, and [`Strata::whole`] its one-stratum case; one
+//! [`refine_plan`] round from [`StratumAccum::EMPTY`] is hit-or-miss
+//! Monte Carlo (Eq. 2) on one box. Samples are drawn in fixed-size
+//! chunks under a [`SamplePlan`], each chunk seeded from a counter
+//! ([`mix_seed`]) instead of a shared RNG stream, by the one chunk
+//! executor that [`crate::IsEstimator`] shares. Chunk hit-counts are
+//! integers and strata are reduced in index order, so every
+//! [`Estimate`] is bit-identical whether the chunks run on one thread or
+//! many.
 //!
-//! # Columnar bulk evaluation
+//! # Columnar evaluation
 //!
-//! A plain `Fn(&[f64]) -> bool` closure, wrapped in [`ScalarPred`], is
-//! evaluated row by row. A predicate that reports
-//! [`BulkPred::columnar`] switches the chunk executor to
-//! structure-of-arrays form: samples are drawn into per-variable
-//! *column* buffers, one [`COLUMN_BLOCK`]-sized block at a time — in
-//! the **identical RNG draw order** as the row path, so the samples,
-//! the integer hit counts, and the resulting [`Estimate`]s are
-//! bit-identical — and each block is handed to
+//! A chunk draws its samples into per-variable *column* buffers, one
+//! [`COLUMN_BLOCK`]-sized block at a time, and hands each block to
 //! [`BulkPred::count_hits`] in one call, letting register-allocated
 //! slice tapes (`qcoral_constraints::bulk`) amortize interpreter
-//! dispatch across whole lane blocks.
+//! dispatch across whole lane blocks. A plain `Fn(&[f64]) -> bool`
+//! closure, wrapped in [`ScalarPred`], counts through the default
+//! `count_hits`, which gathers each row: the same draws give the same
+//! counts.
 
 use std::time::{Duration, Instant};
 
@@ -65,17 +65,6 @@ impl Deadline {
     pub fn expired(self) -> bool {
         Instant::now() >= self.at
     }
-
-    /// The absolute cutoff instant.
-    pub fn instant(self) -> Instant {
-        self.at
-    }
-}
-
-/// Whether a plan's optional deadline has expired (`false` when the
-/// plan carries none).
-fn plan_expired(plan: &SamplePlan) -> bool {
-    plan.deadline.is_some_and(Deadline::expired)
 }
 
 /// SplitMix64-style mixing of a base seed with a stream id, used to derive
@@ -130,11 +119,6 @@ impl SamplePlan {
         }
     }
 
-    /// The same plan with a different base seed.
-    pub fn with_seed(self, seed: u64) -> SamplePlan {
-        SamplePlan { seed, ..self }
-    }
-
     /// Derives the plan for an independent sub-stream (e.g. one stratum).
     pub fn substream(self, stream: u64) -> SamplePlan {
         SamplePlan {
@@ -149,31 +133,22 @@ impl SamplePlan {
     }
 }
 
-/// A predicate the plan-layer samplers can evaluate either row by row or
-/// over whole sample columns.
+/// A predicate the samplers count hits of, one block of sample columns
+/// at a time.
 ///
-/// The contract that keeps bulk and scalar runs bit-identical: for any
+/// The contract that keeps every evaluator bit-identical: for any
 /// columns `cols` holding `n` samples, [`BulkPred::count_hits`] must
 /// return exactly the number of rows `i` on which [`BulkPred::holds`]
 /// returns `true` for the gathered point `[cols[0][i], cols[1][i], …]`.
-/// Implementors backed by a columnar evaluator (e.g. a
-/// `qcoral_constraints::bulk::BulkTape`) opt in via
-/// [`BulkPred::columnar`]; everything else inherits the row path
-/// unchanged.
 pub trait BulkPred: Sync {
-    /// Row-oriented evaluation of one sample point.
+    /// Evaluation of one sample point.
     fn holds(&self, point: &[f64]) -> bool;
-
-    /// Whether the chunk executor should draw columns and call
-    /// [`BulkPred::count_hits`] instead of looping rows. Defaults to
-    /// `false` (scalar closures keep today's row loop byte for byte).
-    fn columnar(&self) -> bool {
-        false
-    }
 
     /// Counts hits over the first `n` samples stored in per-variable
     /// columns (`cols[v][i]` = variable `v` of sample `i`). The default
-    /// gathers each row and defers to [`BulkPred::holds`].
+    /// gathers each row and defers to [`BulkPred::holds`]; a columnar
+    /// evaluator (e.g. a `qcoral_constraints::bulk::BulkTape`) counts
+    /// the whole block at once.
     fn count_hits(&self, cols: &[Vec<f64>], n: usize) -> u64 {
         let mut point = vec![0.0; cols.len()];
         let mut hits = 0u64;
@@ -190,8 +165,8 @@ pub trait BulkPred: Sync {
 }
 
 /// Adapter giving any `Fn(&[f64]) -> bool` closure the [`BulkPred`]
-/// row-path behaviour: pass `&ScalarPred(closure)` to any sampler entry
-/// point.
+/// default, row-gathering `count_hits`: pass `&ScalarPred(closure)` to
+/// any sampler.
 #[derive(Clone, Copy, Debug)]
 pub struct ScalarPred<F>(pub F);
 
@@ -201,7 +176,7 @@ impl<F: Fn(&[f64]) -> bool + Sync> BulkPred for ScalarPred<F> {
     }
 }
 
-/// Samples drawn per columnar block: matches the bulk tapes' lane width
+/// Samples drawn per column block: matches the bulk tapes' lane width
 /// (`qcoral_constraints::bulk::LANES`) so each block evaluates as one
 /// full slab, while keeping column-buffer memory at
 /// `COLUMN_BLOCK × ndim` f64s per task regardless of the chunk size.
@@ -209,85 +184,76 @@ impl<F: Fn(&[f64]) -> bool + Sync> BulkPred for ScalarPred<F> {
 /// any block size, and the RNG draw order never depends on it.
 pub const COLUMN_BLOCK: usize = 128;
 
-/// Per-chunk draw buffers: the row scratch both paths share, plus the
-/// column buffers the bulk path scatters samples into.
-struct DrawScratch {
-    point: Vec<f64>,
-    cols: Vec<Vec<f64>>,
-}
-
-impl DrawScratch {
-    fn new(ndim: usize, columnar: bool) -> DrawScratch {
-        DrawScratch {
-            point: vec![0.0; ndim],
-            cols: if columnar {
-                (0..ndim)
-                    .map(|_| Vec::with_capacity(COLUMN_BLOCK))
-                    .collect()
-            } else {
-                Vec::new()
-            },
+/// The chunk executor of [`refine_plan`] and
+/// [`crate::IsEstimator::round`]: spends `add` samples as the chunks
+/// `first, first + 1, …` of `plan`'s stream. Chunk `c` runs
+/// `body(scratch, rng, len)` on its `len` samples with an RNG seeded from
+/// `mix_seed(plan.seed, c)`; under `plan.parallel` chunks fan out with one
+/// `scratch()` per worker (`map_init`). Once the plan's deadline has
+/// expired no further chunk starts. Returns each completed chunk's
+/// `(len, result)` in chunk order, and the number of chunks `add` spans.
+pub(crate) fn run_chunks<S, R: Send>(
+    plan: &SamplePlan,
+    first: u64,
+    add: u64,
+    scratch: impl Fn() -> S + Sync + Send,
+    body: impl Fn(&mut S, &mut SmallRng, u64) -> R + Sync + Send,
+) -> (Vec<(u64, R)>, u64) {
+    let chunk = plan.chunk.max(1);
+    let nchunks = add.div_ceil(chunk);
+    let run = |s: &mut S, j: u64| -> Option<(u64, R)> {
+        if plan.deadline.is_some_and(Deadline::expired) {
+            return None;
         }
-    }
+        let len = chunk.min(add - j * chunk);
+        let mut rng = SmallRng::seed_from_u64(mix_seed(plan.seed, first + j));
+        Some((len, body(s, &mut rng, len)))
+    };
+    let done = if plan.parallel && nchunks > 1 {
+        (0..nchunks)
+            .into_par_iter()
+            .map_init(scratch, run)
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten()
+            .collect()
+    } else {
+        let mut s = scratch();
+        (0..nchunks).map_while(|j| run(&mut s, j)).collect()
+    };
+    (done, nchunks)
 }
 
-/// Counts hits of `pred` among `n` samples of chunk `c`, drawn from the
-/// stratum's compiled `draw` (scratch buffers are reused across samples
-/// and chunks). Returns `None` if the box has zero conditional mass under
-/// the profile.
-///
-/// The bulk branch draws [`COLUMN_BLOCK`]-sized blocks of samples into
-/// columns — in the exact per-sample, per-dimension RNG order of the row
-/// branch — and counts each block in one columnar call; since the
-/// predicate never touches the RNG, both branches see bit-identical
-/// samples and produce identical counts.
+/// Counts hits of `pred` among `n` samples drawn with `rng` from a
+/// stratum's compiled `draw`, which has mass. Each point is drawn into
+/// `point` and scattered into `cols`, and every [`COLUMN_BLOCK`] of
+/// columns is counted in one [`BulkPred::count_hits`] call while still
+/// cache-hot.
 fn chunk_hits<P: BulkPred + ?Sized>(
     pred: &P,
     draw: &BoxDraw,
     n: u64,
-    seed: u64,
-    c: u64,
-    scratch: &mut DrawScratch,
-) -> Option<u64> {
-    let mut rng = SmallRng::seed_from_u64(mix_seed(seed, c));
-    if pred.columnar() {
-        // Draw and evaluate in fixed-size blocks: column buffers stay
-        // O(COLUMN_BLOCK × ndim) no matter how large the chunk is, and
-        // a freshly drawn block is still cache-hot when evaluated.
-        // Draws remain strictly sequential (the predicate never touches
-        // the RNG), so the sample stream — and every count — is
-        // bit-identical to the row path.
-        let n = n as usize;
-        let mut hits = 0u64;
-        let mut remaining = n;
-        while remaining > 0 {
-            let w = COLUMN_BLOCK.min(remaining);
-            for col in scratch.cols.iter_mut() {
-                col.clear();
-            }
-            for _ in 0..w {
-                if !draw.sample(&mut rng, &mut scratch.point) {
-                    return None;
-                }
-                for (d, col) in scratch.cols.iter_mut().enumerate() {
-                    col.push(scratch.point[d]);
-                }
-            }
-            hits += pred.count_hits(&scratch.cols, w);
-            remaining -= w;
-        }
-        return Some(hits);
-    }
+    rng: &mut SmallRng,
+    (point, cols): &mut (Vec<f64>, Vec<Vec<f64>>),
+) -> u64 {
     let mut hits = 0u64;
-    for _ in 0..n {
-        if !draw.sample(&mut rng, &mut scratch.point) {
-            return None;
+    let mut remaining = n as usize;
+    while remaining > 0 {
+        let w = COLUMN_BLOCK.min(remaining);
+        for col in cols.iter_mut() {
+            col.clear();
         }
-        if pred.holds(&scratch.point) {
-            hits += 1;
+        for _ in 0..w {
+            let drawn = draw.sample(rng, point);
+            debug_assert!(drawn, "a box with mass always draws");
+            for (col, &x) in cols.iter_mut().zip(point.iter()) {
+                col.push(x);
+            }
         }
+        hits += pred.count_hits(cols, w);
+        remaining -= w;
     }
-    Some(hits)
+    hits
 }
 
 /// Incrementally refinable hit-or-miss state for one stratum.
@@ -345,8 +311,10 @@ impl StratumAccum {
     }
 }
 
-/// Draws `add` further samples for one stratum, continuing its chunk
-/// counter, and returns the merged accumulator.
+/// Hit-or-miss Monte Carlo (Eq. 2) for one stratum: draws `add` further
+/// samples from `profile` conditioned on `boxed`, continuing the
+/// accumulator's chunk counter, and returns the merged accumulator. One
+/// round from [`StratumAccum::EMPTY`] is the plain estimator.
 ///
 /// Drawing `a` then `b` samples visits the same chunk sub-streams as any
 /// other split of `a + b` into rounds would visit fresh chunks for — and
@@ -355,11 +323,9 @@ impl StratumAccum {
 /// sequence. `add == 0` (and refining a dead stratum) is a no-op.
 ///
 /// The stratum's draw is compiled once per call
-/// ([`UsageProfile::draw_plan`]) and shared by every chunk.
-///
-/// Columnar predicates evaluate each chunk in one structure-of-arrays
-/// call; samples are drawn in the identical RNG order either way, so the
-/// accumulator is bit-identical to the row path.
+/// ([`UsageProfile::draw_plan`]) and shared by every chunk. A box with
+/// zero conditional mass under the profile is known from that draw: the
+/// stratum is marked dead, draws nothing and keeps its chunk counter.
 pub fn refine_plan<P>(
     pred: &P,
     boxed: &IntervalBox,
@@ -374,202 +340,180 @@ where
     if add == 0 || acc.dead {
         return acc;
     }
-    let chunk = plan.chunk.max(1);
-    let nchunks = add.div_ceil(chunk);
-    let ndim = boxed.ndim();
-    let columnar = pred.columnar();
     let draw = profile.draw_plan(boxed, boxed);
-    // Per-chunk result: `None` = zero conditional mass (dead stratum),
-    // `Some((hits, drawn))`. A chunk skipped because the plan's deadline
-    // expired reports `Some((0, 0))` — it contributes nothing and `n`
-    // stays honest, so the partial accumulator remains a sound estimate.
-    let hits_of = |j: u64, scratch: &mut DrawScratch| -> Option<(u64, u64)> {
-        if plan_expired(&plan) {
-            return Some((0, 0));
-        }
-        let len = chunk.min(add - j * chunk);
-        chunk_hits(pred, &draw, len, plan.seed, acc.next_chunk + j, scratch).map(|h| (h, len))
-    };
-    let total: Option<(u64, u64)> = if plan.parallel && nchunks > 1 {
-        // Per-worker scratch (`map_init`), not per-chunk: each rayon
-        // worker draws all of its chunks through one reused buffer set,
-        // like the serial branch below.
-        (0..nchunks)
-            .into_par_iter()
-            .map_init(
-                || DrawScratch::new(ndim, columnar),
-                |scratch, j| hits_of(j, scratch),
-            )
-            .collect::<Vec<Option<(u64, u64)>>>()
-            .into_iter()
-            .try_fold((0u64, 0u64), |(h, d), part| {
-                part.map(|(ph, pd)| (h + ph, d + pd))
-            })
-    } else {
-        let mut scratch = DrawScratch::new(ndim, columnar);
-        let mut sum = Some((0u64, 0u64));
-        for j in 0..nchunks {
-            if plan_expired(&plan) {
-                break;
-            }
-            match (sum, hits_of(j, &mut scratch)) {
-                (Some((a, d)), Some((h, len))) => sum = Some((a + h, d + len)),
-                _ => {
-                    sum = None;
-                    break;
-                }
-            }
-        }
-        sum
-    };
-    match total {
-        // Zero conditional mass: the box contributes nothing, ever.
-        None => StratumAccum { dead: true, ..acc },
-        Some((hits, drawn)) => StratumAccum {
-            hits: acc.hits + hits,
-            // `drawn == add` unless the deadline expired mid-run; either
-            // way `hits/n` only counts chunks actually evaluated.
-            n: acc.n + drawn,
-            next_chunk: acc.next_chunk + nchunks,
-            dead: false,
+    if !draw.has_mass() {
+        return StratumAccum { dead: true, ..acc };
+    }
+    let ndim = boxed.ndim();
+    let (chunks, nchunks) = run_chunks(
+        &plan,
+        acc.next_chunk,
+        add,
+        || {
+            let cols = (0..ndim).map(|_| Vec::with_capacity(COLUMN_BLOCK));
+            (vec![0.0; ndim], cols.collect())
         },
+        |scratch, rng, len| chunk_hits(pred, &draw, len, rng, scratch),
+    );
+    // Chunks the deadline skipped are absent, so `hits/n` counts only
+    // samples actually drawn and a partial accumulator stays sound.
+    StratumAccum {
+        hits: acc.hits + chunks.iter().map(|&(_, hits)| hits).sum::<u64>(),
+        n: acc.n + chunks.iter().map(|&(len, _)| len).sum::<u64>(),
+        next_chunk: acc.next_chunk + nchunks,
+        dead: false,
     }
 }
 
-/// Hit-or-miss Monte Carlo (Eq. 2) over counter-seeded chunks: draws
-/// `n` samples from `profile` conditioned on `boxed` and counts how many
-/// satisfy `pred`.
+/// Stratified sampling over an ICP paving (§3.3, Eq. 3), refined round
+/// by round.
 ///
-/// Deterministic under any thread schedule: chunk `c` always draws from
-/// `mix_seed(plan.seed, c)` and the integer hit counts commute. If the
-/// box has zero probability mass under the profile the exact `0 ± 0` is
-/// returned.
-///
-/// Equivalent to one [`refine_plan`] round from [`StratumAccum::EMPTY`].
-///
-/// # Panics
-///
-/// Panics if `n == 0` or on box/profile dimension mismatch.
-pub fn hit_or_miss_plan<P>(
-    pred: &P,
-    boxed: &IntervalBox,
-    profile: &UsageProfile,
-    n: u64,
-    plan: SamplePlan,
-) -> Estimate
-where
-    P: BulkPred + ?Sized,
-{
-    assert!(n > 0, "hit-or-miss needs at least one sample");
-    refine_plan(pred, boxed, profile, n, plan, StratumAccum::EMPTY).estimate()
+/// Stratum `i` weighs its profile mass `wᵢ = P(Rᵢ)/P(D)`. Certain strata
+/// (ICP inner boxes: mean 1, variance 0) fold into [`Strata::exact`] and
+/// zero-weight strata are dropped; every other stratum samples its own
+/// sub-stream `plan.substream(i)`. [`Strata::estimate`] adds
+/// `E[X̂] = Σ wᵢE[X̂ᵢ]` and `Var[X̂] = Σ wᵢ²Var[X̂ᵢ]` onto the exact mass
+/// in stratum order, so it is bit-identical across thread schedules.
+#[derive(Clone, Debug)]
+pub struct Strata {
+    exact: Estimate,
+    sampled: Vec<Sampled>,
+    parallel: bool,
 }
 
-/// Stratified sampling over an ICP paving (§3.3, Eq. 3), on
-/// counter-seeded chunks.
-///
-/// Each stratum is analyzed with hit-or-miss Monte Carlo (inner strata are
-/// exact: mean 1, variance 0), weighted by its probability mass
-/// `wᵢ = P(Rᵢ)/P(D)` and combined with `E[X̂] = Σ wᵢE[X̂ᵢ]`,
-/// `Var[X̂] = Σ wᵢ²Var[X̂ᵢ]`. The region not covered by any stratum is
-/// known to contain no solutions and contributes exactly `0 ± 0`.
-///
-/// Stratum `i` samples under the independent sub-stream
-/// `plan.substream(i)`; contributions are reduced in stratum order, so the
-/// result is bit-identical across thread schedules and to the serial
-/// plan.
-///
-/// Sample counts come from [`initial_allocation`] (plus a
-/// [`neyman_allocation`] follow-up pass under
-/// [`Allocation::VarianceAdaptive`]), so the budget is respected up to
-/// the one-sample-per-stratum floor.
-///
-/// # Panics
-///
-/// Panics on dimension mismatches between strata, `domain` and `profile`.
-pub fn stratified_plan<P>(
-    pred: &P,
-    strata: &[Stratum],
-    domain: &IntervalBox,
-    profile: &UsageProfile,
-    total_samples: u64,
-    allocation: Allocation,
+/// A sampled stratum: not certain, with positive profile mass.
+#[derive(Clone, Debug)]
+struct Sampled {
+    boxed: IntervalBox,
+    weight: f64,
     plan: SamplePlan,
-) -> Estimate
-where
-    P: BulkPred + ?Sized,
-{
-    let weights: Vec<f64> = strata
-        .iter()
-        .map(|s| profile.box_probability(&s.boxed, domain))
-        .collect();
-    let sampled: Vec<usize> = strata
-        .iter()
-        .enumerate()
-        .filter(|(i, s)| !s.certain && weights[*i] > 0.0)
-        .map(|(i, _)| i)
-        .collect();
+    accum: StratumAccum,
+}
 
-    // Certain strata contribute their exact mass, in stratum order.
-    let mut acc = Estimate::ZERO;
-    for (i, s) in strata.iter().enumerate() {
-        if s.certain {
-            acc = acc.sum(Estimate::ONE.scale(weights[i]));
+impl Strata {
+    /// The strata of `strata` over `domain`, none sampled yet. Panics on
+    /// dimension mismatches between strata, `domain` and `profile`.
+    pub fn new(
+        strata: impl IntoIterator<Item = Stratum>,
+        profile: &UsageProfile,
+        domain: &IntervalBox,
+        plan: SamplePlan,
+    ) -> Strata {
+        let mut exact = Estimate::ZERO;
+        let mut sampled = Vec::new();
+        for (i, s) in strata.into_iter().enumerate() {
+            let weight = profile.box_probability(&s.boxed, domain);
+            if s.certain {
+                exact = exact.sum(Estimate::ONE.scale(weight));
+            } else if weight > 0.0 {
+                sampled.push(Sampled {
+                    boxed: s.boxed,
+                    weight,
+                    plan: plan.substream(i as u64),
+                    accum: StratumAccum::EMPTY,
+                });
+            }
+        }
+        Strata {
+            exact,
+            sampled,
+            parallel: plan.parallel,
         }
     }
-    if sampled.is_empty() {
-        return acc;
+
+    /// Hit-or-miss Monte Carlo (Eq. 2) as strata: `boxed` is one sampled
+    /// stratum of weight exactly `1.0` on `plan`'s own stream.
+    pub fn whole(boxed: IntervalBox, plan: SamplePlan) -> Strata {
+        Strata {
+            exact: Estimate::ZERO,
+            sampled: vec![Sampled {
+                boxed,
+                weight: 1.0,
+                plan,
+                accum: StratumAccum::EMPTY,
+            }],
+            parallel: plan.parallel,
+        }
     }
 
-    let sampled_weights: Vec<f64> = sampled.iter().map(|&i| weights[i]).collect();
-    let counts = initial_allocation(allocation, total_samples, &sampled_weights);
-    let refine_stratum = |j: usize, add: u64, accum: StratumAccum| -> StratumAccum {
-        let i = sampled[j];
-        refine_plan(
-            pred,
-            &strata[i].boxed,
-            profile,
-            add,
-            plan.substream(i as u64),
-            accum,
-        )
-    };
-    let fan_out = |counts: &[u64], accums: &[StratumAccum]| -> Vec<StratumAccum> {
-        if plan.parallel && sampled.len() > 1 {
-            (0..sampled.len())
-                .into_par_iter()
-                .map(|j| refine_stratum(j, counts[j], accums[j]))
-                .collect()
-        } else {
-            (0..sampled.len())
-                .map(|j| refine_stratum(j, counts[j], accums[j]))
-                .collect()
-        }
-    };
-    let mut accums = fan_out(&counts, &vec![StratumAccum::EMPTY; sampled.len()]);
-    if matches!(
-        allocation,
-        Allocation::VarianceAdaptive | Allocation::ImportanceAdaptive
-    ) && !plan_expired(&plan)
+    /// The number of sampled strata.
+    pub fn len(&self) -> usize {
+        self.sampled.len()
+    }
+
+    /// Whether no stratum is left to sample: the estimate is exact.
+    pub fn is_empty(&self) -> bool {
+        self.sampled.is_empty()
+    }
+
+    /// The exact mass of the certain strata.
+    pub fn exact(&self) -> Estimate {
+        self.exact
+    }
+
+    /// The sampled strata's weights, in stratum order.
+    pub fn weights(&self) -> Vec<f64> {
+        self.sampled.iter().map(|s| s.weight).collect()
+    }
+
+    /// The sampled strata's [`StratumAccum::std_dev`]s, in stratum order.
+    pub fn std_devs(&self) -> Vec<f64> {
+        self.sampled.iter().map(|s| s.accum.std_dev()).collect()
+    }
+
+    /// The sampled strata's boxes, in stratum order.
+    pub fn boxes(&self) -> Vec<IntervalBox> {
+        self.sampled.iter().map(|s| s.boxed.clone()).collect()
+    }
+
+    /// Samples drawn so far, over all strata.
+    pub fn drawn(&self) -> u64 {
+        self.sampled.iter().map(|s| s.accum.n).sum()
+    }
+
+    /// Each sampled stratum's weight and hit-or-miss estimate, in stratum
+    /// order.
+    pub fn estimates(&self) -> impl Iterator<Item = (f64, Estimate)> + '_ {
+        self.sampled.iter().map(|s| (s.weight, s.accum.estimate()))
+    }
+
+    /// The Eq. 3 estimate: the exact mass plus the weighted stratum
+    /// estimates, reduced in stratum order.
+    pub fn estimate(&self) -> Estimate {
+        self.estimates()
+            .map(|(w, e)| e.scale(w))
+            .fold(self.exact, Estimate::sum)
+    }
+
+    /// The pilot estimate of [`Allocation::ImportanceAdaptive`]'s rarity
+    /// test, `exact + Σ wᵢ·p̂ᵢ`: the weighted means are summed on their
+    /// own before the exact mass is added, a different rounding from
+    /// [`Strata::estimate`]'s mean.
+    pub fn pilot_mean(&self) -> f64 {
+        self.exact.mean + self.estimates().map(|(w, e)| w * e.mean).sum::<f64>()
+    }
+
+    /// Draws `counts[j]` more samples for sampled stratum `j` with
+    /// [`refine_plan`], continuing its chunk stream; the strata fan out
+    /// across threads under the plan's `parallel`.
+    pub fn refine<P>(&mut self, pred: &P, profile: &UsageProfile, counts: &[u64])
+    where
+        P: BulkPred + ?Sized,
     {
-        // Follow-up pass: the pilot spent roughly half the budget; the
-        // rest goes where `weight × stddev` says the variance lives.
-        // Exact strata (stddev 0) are excluded.
-        let spent: u64 = counts.iter().sum();
-        let stddevs: Vec<f64> = accums.iter().map(StratumAccum::std_dev).collect();
-        let follow = neyman_allocation(
-            total_samples.saturating_sub(spent),
-            &sampled_weights,
-            &stddevs,
-        );
-        accums = fan_out(&follow, &accums);
+        let jobs: Vec<(&mut Sampled, u64)> = self
+            .sampled
+            .iter_mut()
+            .zip(counts.iter().copied())
+            .collect();
+        let refine = |(s, n): (&mut Sampled, u64)| {
+            s.accum = refine_plan(pred, &s.boxed, profile, n, s.plan, s.accum);
+        };
+        if self.parallel && jobs.len() > 1 {
+            jobs.into_par_iter().map(refine).collect::<Vec<()>>();
+        } else {
+            jobs.into_iter().for_each(refine);
+        }
     }
-    // Fixed reduction order keeps the floating-point sum identical across
-    // schedules.
-    accums
-        .iter()
-        .zip(&sampled_weights)
-        .map(|(a, &w)| a.estimate().scale(w))
-        .fold(acc, Estimate::sum)
 }
 
 /// One stratum of a stratified-sampling plan: a box plus whether it is an
@@ -619,12 +563,11 @@ pub enum Allocation {
     VarianceAdaptive,
     /// [`Allocation::VarianceAdaptive`] plus per-factor rare-event
     /// escalation: when the factor's pilot *estimate* — exact inner mass
-    /// plus `Σ wᵢ·p̂ᵢ` over its sampled strata — falls below the
-    /// analyzer's threshold, the factor's boundary budget is handed to
-    /// the paver-seeded adaptive importance-sampling engine
-    /// ([`crate::is::IsEstimator`]) instead of further stratified
-    /// rounds. At this layer ([`stratified_plan`], which has no
-    /// escalation machinery) it behaves exactly like `VarianceAdaptive`.
+    /// plus `Σ wᵢ·p̂ᵢ` over its sampled strata ([`Strata::pilot_mean`])
+    /// — falls below the analyzer's threshold, the factor's boundary
+    /// budget is handed to the paver-seeded adaptive importance-sampling
+    /// engine ([`crate::is::IsEstimator`]) instead of further stratified
+    /// rounds. [`initial_allocation`] treats it like `VarianceAdaptive`.
     ImportanceAdaptive,
 }
 
@@ -804,6 +747,43 @@ mod tests {
         ]
     }
 
+    /// Hit-or-miss Monte Carlo (Eq. 2): one round from the empty
+    /// accumulator.
+    fn hit_or_miss(
+        pred: &impl BulkPred,
+        boxed: &IntervalBox,
+        profile: &UsageProfile,
+        n: u64,
+        plan: SamplePlan,
+    ) -> Estimate {
+        refine_plan(pred, boxed, profile, n, plan, StratumAccum::EMPTY).estimate()
+    }
+
+    /// Stratified sampling (Eq. 3) of `total` samples by `allocation`,
+    /// with the Neyman follow-up under `VarianceAdaptive`.
+    fn stratified(
+        pred: &impl BulkPred,
+        strata: &[Stratum],
+        domain: &IntervalBox,
+        profile: &UsageProfile,
+        total: u64,
+        allocation: Allocation,
+        plan: SamplePlan,
+    ) -> Estimate {
+        let mut s = Strata::new(strata.to_vec(), profile, domain, plan);
+        let counts = initial_allocation(allocation, total, &s.weights());
+        s.refine(pred, profile, &counts);
+        if allocation == Allocation::VarianceAdaptive {
+            let rest = total.saturating_sub(counts.iter().sum());
+            s.refine(
+                pred,
+                profile,
+                &neyman_allocation(rest, &s.weights(), &s.std_devs()),
+            );
+        }
+        s.estimate()
+    }
+
     #[test]
     fn unexpired_deadline_is_bit_invisible() {
         let b = unit_square();
@@ -811,8 +791,8 @@ mod tests {
         let pred = ScalarPred(|x: &[f64]| x[0] > 0.0);
         let far = Deadline::after(Duration::from_secs(3600));
         for plan in [SamplePlan::serial(7), SamplePlan::parallel(7)] {
-            let bare = hit_or_miss_plan(&pred, &b, &p, 20_000, plan);
-            let with = hit_or_miss_plan(&pred, &b, &p, 20_000, plan.with_deadline(Some(far)));
+            let bare = hit_or_miss(&pred, &b, &p, 20_000, plan);
+            let with = hit_or_miss(&pred, &b, &p, 20_000, plan.with_deadline(Some(far)));
             assert_eq!(bare, with, "a live deadline must not perturb estimates");
         }
     }
@@ -846,7 +826,7 @@ mod tests {
         let b = unit_square();
         let p = UsageProfile::uniform(2);
         let pred = ScalarPred(|x: &[f64]| x[0] > 0.0);
-        let est = hit_or_miss_plan(&pred, &b, &p, 20_000, SamplePlan::serial(42));
+        let est = hit_or_miss(&pred, &b, &p, 20_000, SamplePlan::serial(42));
         assert!((est.mean - 0.5).abs() < 0.02, "{}", est.mean);
         assert!(est.variance > 0.0);
     }
@@ -856,9 +836,9 @@ mod tests {
         let b = unit_square();
         let p = UsageProfile::uniform(2);
         let plan = SamplePlan::serial(42);
-        let never = hit_or_miss_plan(&ScalarPred(|_: &[f64]| false), &b, &p, 100, plan);
+        let never = hit_or_miss(&ScalarPred(|_: &[f64]| false), &b, &p, 100, plan);
         assert_eq!(never, Estimate::ZERO);
-        let always = hit_or_miss_plan(&ScalarPred(|_: &[f64]| true), &b, &p, 100, plan);
+        let always = hit_or_miss(&ScalarPred(|_: &[f64]| true), &b, &p, 100, plan);
         assert_eq!(always.mean, 1.0);
         assert_eq!(always.variance, 0.0);
     }
@@ -873,8 +853,8 @@ mod tests {
         let domain = unit_square();
         let profile = UsageProfile::uniform(2);
         let plan = SamplePlan::serial(1234);
-        let plain = hit_or_miss_plan(&pc, &domain, &profile, 10_000, plan);
-        let strat = stratified_plan(
+        let plain = hit_or_miss(&pc, &domain, &profile, 10_000, plan);
+        let strat = stratified(
             &pc,
             &figure2_strata(),
             &domain,
@@ -903,7 +883,7 @@ mod tests {
                 .collect(),
         )];
         let calls = AtomicUsize::new(0);
-        let est = stratified_plan(
+        let est = stratified(
             &ScalarPred(|_: &[f64]| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 true
@@ -924,7 +904,7 @@ mod tests {
     fn empty_strata_list_is_zero() {
         let domain = unit_square();
         let profile = UsageProfile::uniform(2);
-        let est = stratified_plan(
+        let est = stratified(
             &ScalarPred(|_: &[f64]| true),
             &[],
             &domain,
@@ -953,7 +933,7 @@ mod tests {
                     .collect(),
             ),
         ];
-        let est = stratified_plan(
+        let est = stratified(
             &pc,
             &strata,
             &domain,
@@ -972,7 +952,7 @@ mod tests {
         let domain: IntervalBox = [Interval::new(-1.0, 1.0)].into_iter().collect();
         let profile = UsageProfile::uniform(1)
             .with_dist(0, Dist::piecewise(vec![-1.0, 0.0, 1.0], vec![4.0, 1.0]));
-        let est = hit_or_miss_plan(
+        let est = hit_or_miss(
             &ScalarPred(|x: &[f64]| x[0] > 0.0),
             &domain,
             &profile,
@@ -1048,89 +1028,9 @@ mod tests {
         assert_eq!(proportional_split(5, &[0.0, 0.0]), vec![0, 0]);
     }
 
-    /// A columnar predicate (here: the default gather evaluator with
-    /// `columnar()` forced on) must see the bit-identical sample stream
-    /// as the row path: the chunk executor draws the same RNG sequence
-    /// in both modes, so estimates and accumulators agree exactly —
-    /// serial, parallel, across refinement rounds and under stratified
-    /// composition.
-    #[test]
-    fn columnar_chunk_executor_is_bit_identical_to_row_path() {
-        struct ColumnarHalfSpace;
-        impl BulkPred for ColumnarHalfSpace {
-            fn holds(&self, p: &[f64]) -> bool {
-                p[0] + p[1] > 0.3
-            }
-            fn columnar(&self) -> bool {
-                true
-            }
-        }
-        let b = unit_square();
-        let p = UsageProfile::uniform(2);
-        let pred = ScalarPred(|x: &[f64]| x[0] + x[1] > 0.3);
-        for chunk in [1u64, 100, 4096] {
-            let mut plan = SamplePlan::serial(7);
-            plan.chunk = chunk;
-            let row = hit_or_miss_plan(&pred, &b, &p, 9_777, plan);
-            let col = hit_or_miss_plan(&ColumnarHalfSpace, &b, &p, 9_777, plan);
-            assert_eq!(row, col, "chunk {chunk}: columnar diverged");
-            let mut par = SamplePlan::parallel(7);
-            par.chunk = chunk;
-            assert_eq!(
-                col,
-                hit_or_miss_plan(&ColumnarHalfSpace, &b, &p, 9_777, par)
-            );
-        }
-        // Round-split refinement continues the identical chunk streams.
-        let plan = SamplePlan::serial(41);
-        let row = [500u64, 1_311, 96]
-            .iter()
-            .fold(StratumAccum::EMPTY, |acc, &add| {
-                refine_plan(&pred, &b, &p, add, plan, acc)
-            });
-        let col = [500u64, 1_311, 96]
-            .iter()
-            .fold(StratumAccum::EMPTY, |acc, &add| {
-                refine_plan(&ColumnarHalfSpace, &b, &p, add, plan, acc)
-            });
-        assert_eq!(row, col);
-        // Stratified composition with mixed certain/boundary strata.
-        let strata = vec![
-            Stratum::inner(
-                [Interval::new(-1.0, 0.0), Interval::new(-1.0, 1.0)]
-                    .into_iter()
-                    .collect(),
-            ),
-            Stratum::boundary(
-                [Interval::new(0.0, 1.0), Interval::new(-1.0, 1.0)]
-                    .into_iter()
-                    .collect(),
-            ),
-        ];
-        let srow = stratified_plan(
-            &pred,
-            &strata,
-            &b,
-            &p,
-            4_000,
-            Allocation::Proportional,
-            plan,
-        );
-        let scol = stratified_plan(
-            &ColumnarHalfSpace,
-            &strata,
-            &b,
-            &p,
-            4_000,
-            Allocation::Proportional,
-            plan,
-        );
-        assert_eq!(srow, scol);
-    }
-
     /// Refining in rounds visits fresh chunks, so the estimate depends
     /// only on the budget sequence — and a single round reproduces
-    /// `hit_or_miss_plan` exactly.
+    /// the unstratified [`Strata::whole`] exactly.
     #[test]
     fn refine_plan_rounds_are_deterministic() {
         let b = unit_square();
@@ -1138,10 +1038,9 @@ mod tests {
         let pred = ScalarPred(|x: &[f64]| x[0] > 0.0);
         let plan = SamplePlan::serial(99);
         let one_shot = refine_plan(&pred, &b, &p, 5_000, plan, StratumAccum::EMPTY);
-        assert_eq!(
-            one_shot.estimate(),
-            hit_or_miss_plan(&pred, &b, &p, 5_000, plan)
-        );
+        let mut whole = Strata::whole(b.clone(), plan);
+        whole.refine(&pred, &p, &[5_000]);
+        assert_eq!(one_shot.estimate(), whole.estimate());
 
         // Same budget sequence twice ⇒ bit-identical accumulators,
         // serial or parallel.
@@ -1175,7 +1074,7 @@ mod tests {
         let profile = UsageProfile::uniform(2);
         let strata = figure2_strata();
         let plan = SamplePlan::serial(1234);
-        let adaptive = stratified_plan(
+        let adaptive = stratified(
             &pc,
             &strata,
             &domain,
@@ -1185,7 +1084,7 @@ mod tests {
             plan,
         );
         assert!((adaptive.mean - 0.25).abs() < 0.01, "{}", adaptive.mean);
-        let plain = hit_or_miss_plan(&pc, &domain, &profile, 10_000, plan);
+        let plain = hit_or_miss(&pc, &domain, &profile, 10_000, plan);
         assert!(
             adaptive.variance < plain.variance / 2.0,
             "adaptive {} should beat plain {}",
@@ -1193,7 +1092,7 @@ mod tests {
             plain.variance
         );
         // Parallel execution is bit-identical.
-        let par = stratified_plan(
+        let par = stratified(
             &pc,
             &strata,
             &domain,
@@ -1215,7 +1114,7 @@ mod tests {
         let strata = vec![Stratum::inner(
             [Interval::new(0.0, 1.0)].into_iter().collect(),
         )];
-        let est = stratified_plan(
+        let est = stratified(
             &ScalarPred(|_: &[f64]| -> bool { unreachable!("inner strata are not sampled") }),
             &strata,
             &domain,
@@ -1226,5 +1125,43 @@ mod tests {
         );
         assert!((est.mean - 0.2).abs() < 1e-12);
         assert_eq!(est.variance, 0.0);
+    }
+
+    /// A box without conditional mass is known from its compiled draw:
+    /// `refine_plan` marks the stratum dead before drawing, keeps its
+    /// chunk counter, and refining it again does nothing.
+    #[test]
+    fn zero_mass_box_is_dead_before_drawing() {
+        use crate::Dist;
+        let profile = UsageProfile::uniform(1)
+            .with_dist(0, Dist::piecewise(vec![-1.0, 0.0, 1.0], vec![1.0, 0.0]));
+        let boxed: IntervalBox = [Interval::new(0.5, 1.0)].into_iter().collect();
+        let calls = AtomicUsize::new(0);
+        let pred = ScalarPred(|_: &[f64]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            true
+        });
+        let before = StratumAccum {
+            hits: 3,
+            n: 10,
+            next_chunk: 2,
+            dead: false,
+        };
+        for plan in [SamplePlan::serial(3), SamplePlan::parallel(3)] {
+            let dead = refine_plan(&pred, &boxed, &profile, 10_000, plan, before);
+            assert_eq!(
+                dead,
+                StratumAccum {
+                    dead: true,
+                    ..before
+                }
+            );
+            assert_eq!(dead.estimate(), Estimate::ZERO);
+            assert_eq!(
+                refine_plan(&pred, &boxed, &profile, 5_000, plan, dead),
+                dead
+            );
+        }
+        assert_eq!(calls.into_inner(), 0, "a dead stratum draws nothing");
     }
 }

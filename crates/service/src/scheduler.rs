@@ -90,7 +90,11 @@ struct Shared {
     inflight_cv: Condvar,
     queue_cap: usize,
     max_batch: usize,
+    /// Closes admission; the dispatcher exits once the queue is empty.
     stop: AtomicBool,
+    /// Raised only after the dispatcher has exited, so idle workers keep
+    /// serving until every admitted job has run.
+    workers_stop: AtomicBool,
     // Per-instance `qcoral-obs` counters: the scheduler owns its exact
     // numbers (tests assert them per instance) and the server *attaches*
     // these handles to its registry via `register_metrics` — one
@@ -144,6 +148,7 @@ impl Scheduler {
             queue_cap: queue_cap.max(1),
             max_batch: max_batch.max(1),
             stop: AtomicBool::new(false),
+            workers_stop: AtomicBool::new(false),
             served: Counter::new(),
             rejected: Counter::new(),
             shed: Counter::new(),
@@ -296,19 +301,22 @@ impl Scheduler {
         let Some(threads) = self.threads.lock().expect("scheduler lock").take() else {
             return;
         };
+        // Each flag is raised under the lock of the queue its threads
+        // wait on: a thread between its stop check and its wait holds
+        // that lock, so it is either before the check or already waiting
+        // for the notify.
         {
-            // Raise the flag under both queue locks: a thread between its
-            // stop check and its wait holds one of them, so it is either
-            // before the check or already waiting for the notify below.
             let _admitted = self.shared.admitted.lock().expect("scheduler lock");
-            let _ready = self.shared.ready.lock().expect("scheduler lock");
             self.shared.stop.store(true, Ordering::Release);
         }
         self.shared.admitted_cv.notify_all();
-        self.shared.ready_cv.notify_all();
+        // The dispatcher exits only once the admission queue is empty and
+        // its last batch has finished, so every admitted job has run.
         let _ = threads.dispatcher.join();
-        // The dispatcher exits only between batches, so nothing is
-        // in-flight anymore; wake and join the workers.
+        {
+            let _ready = self.shared.ready.lock().expect("scheduler lock");
+            self.shared.workers_stop.store(true, Ordering::Release);
+        }
         self.shared.ready_cv.notify_all();
         for w in threads.workers {
             let _ = w.join();
@@ -324,7 +332,7 @@ fn worker_loop(shared: &Shared) {
                 if let Some(job) = ready.pop_front() {
                     break job;
                 }
-                if shared.stop.load(Ordering::Acquire) {
+                if shared.workers_stop.load(Ordering::Acquire) {
                     return;
                 }
                 ready = shared.ready_cv.wait(ready).expect("scheduler lock");
@@ -632,5 +640,47 @@ mod tests {
         let m = sched.metrics();
         assert_eq!(m.shed, 3);
         assert_eq!(m.served, 2, "blocker + live job");
+    }
+
+    #[test]
+    fn shutdown_runs_jobs_admitted_before_it() {
+        // One worker, batches of one: job A holds the worker on a gate
+        // while job B waits in the admission queue behind it.
+        let sched = Arc::new(Scheduler::start(1, 64, 1, |_| {}));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        sched
+            .submit(Box::new(move || {
+                started_tx.send(()).unwrap();
+                let _ = gate_rx.recv();
+            }))
+            .unwrap();
+        started_rx.recv().unwrap();
+        let ran = Arc::new(AtomicBool::new(false));
+        let b_ran = Arc::clone(&ran);
+        sched
+            .submit(Box::new(move || b_ran.store(true, Ordering::SeqCst)))
+            .unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let stopping = Arc::clone(&sched);
+        let stopper = std::thread::spawn(move || {
+            stopping.shutdown();
+            let _ = done_tx.send(());
+        });
+        // Open the gate only once shutdown has closed admission, so B is
+        // still queued when the stop is raised.
+        while sched.submit(Box::new(|| {})).is_ok() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        gate_tx.send(()).unwrap();
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "shutdown hung with an admitted job queued"
+        );
+        stopper.join().expect("shutdown thread panicked");
+        assert!(
+            ran.load(Ordering::SeqCst),
+            "job admitted before shutdown never ran"
+        );
     }
 }

@@ -15,9 +15,10 @@ use std::sync::{Arc, Barrier};
 use qcoral::{Analyzer, CompiledPred, FactorStore, Options};
 use qcoral_constraints::parse::parse_system;
 use qcoral_icp::{domain_box, PavingCache};
+use qcoral_interval::IntervalBox;
 use qcoral_mc::{
-    hit_or_miss_plan, mix_seed, stratified_plan, Allocation, SamplePlan, ScalarPred, Stratum,
-    UsageProfile,
+    initial_allocation, mix_seed, refine_plan, Allocation, BulkPred, Estimate, SamplePlan,
+    ScalarPred, Strata, Stratum, StratumAccum, UsageProfile,
 };
 use qcoral_subjects::{nonuniform_subjects, rare_subjects, table3_subjects};
 use qcoral_symexec::SymConfig;
@@ -248,12 +249,24 @@ fn nonuniform_profiles_are_deterministic_and_restart_stable() {
     }
 }
 
-/// The columnar bulk path is pinned **bit-identical to the scalar row
-/// path** on every VolComp-suite subject: for each path condition, the
-/// plan-layer samplers must return the same `Estimate` whether the
-/// predicate is a scalar closure over the row tape or the compiled
-/// columnar `BulkPred` — serial and parallel, plain hit-or-miss and
-/// stratified composition alike. (The analyzer rides the bulk path
+/// Hit-or-miss Monte Carlo (Eq. 2): one `refine_plan` round from the
+/// empty accumulator.
+fn hit_or_miss(
+    pred: &impl BulkPred,
+    boxed: &IntervalBox,
+    profile: &UsageProfile,
+    n: u64,
+    plan: SamplePlan,
+) -> Estimate {
+    refine_plan(pred, boxed, profile, n, plan, StratumAccum::EMPTY).estimate()
+}
+
+/// The columnar bulk evaluator is pinned **bit-identical to the scalar
+/// evaluator** on every VolComp-suite subject: for each path condition,
+/// the samplers must return the same `Estimate` whether the predicate is
+/// a scalar closure over the row tape (counted row by row through the
+/// default `count_hits`) or the compiled columnar `BulkPred` — serial
+/// and parallel, plain hit-or-miss and stratified composition alike. (The analyzer rides the bulk path
 /// unconditionally, so together with the serial/parallel and
 /// warm-restart suites above — which CI runs under
 /// `RAYON_NUM_THREADS=1` and `=4` — this pins the whole chain: bulk ==
@@ -271,10 +284,10 @@ fn bulk_path_matches_scalar_path_bit_for_bit() {
             let pred = CompiledPred::compile(pc);
             let scalar_pred = ScalarPred(|x: &[f64]| pred.scalar().holds(x));
             let plan = SamplePlan::serial(mix_seed(97, i as u64));
-            let scalar = hit_or_miss_plan(&scalar_pred, &boxed, &profile, 3_000, plan);
-            let bulk = hit_or_miss_plan(&pred, &boxed, &profile, 3_000, plan);
+            let scalar = hit_or_miss(&scalar_pred, &boxed, &profile, 3_000, plan);
+            let bulk = hit_or_miss(&pred, &boxed, &profile, 3_000, plan);
             assert_eq!(scalar, bulk, "{}[pc {i}]: bulk diverged", subj.name);
-            let par = hit_or_miss_plan(
+            let par = hit_or_miss(
                 &pred,
                 &boxed,
                 &profile,
@@ -294,24 +307,13 @@ fn bulk_path_matches_scalar_path_bit_for_bit() {
                 Stratum::boundary(lo_box.into_iter().collect()),
                 Stratum::boundary(hi_box.into_iter().collect()),
             ];
-            let s_scalar = stratified_plan(
-                &scalar_pred,
-                &strata,
-                &boxed,
-                &profile,
-                2_000,
-                Allocation::Proportional,
-                plan,
-            );
-            let s_bulk = stratified_plan(
-                &pred,
-                &strata,
-                &boxed,
-                &profile,
-                2_000,
-                Allocation::Proportional,
-                plan,
-            );
+            let stratified = |pred: &dyn BulkPred| {
+                let mut s = Strata::new(strata.clone(), &profile, &boxed, plan);
+                let counts = initial_allocation(Allocation::Proportional, 2_000, &s.weights());
+                s.refine(pred, &profile, &counts);
+                s.estimate()
+            };
+            let (s_scalar, s_bulk) = (stratified(&scalar_pred), stratified(&pred));
             assert_eq!(s_scalar, s_bulk, "{}[pc {i}]: stratified bulk", subj.name);
         }
     }
