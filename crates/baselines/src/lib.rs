@@ -8,11 +8,13 @@
 //!   problems; degrades on many-path, high-dimensional subjects — the
 //!   same failure mode the paper reports (PACK: missed interval; VOL:
 //!   value > 1).
-//! * [`volcomp`] — an iterative interval-bounding method, standing in for
-//!   the VolComp tool of Sankaranarayanan et al. \[30\] (research artifact,
+//! * [`volcomp`] — an interval-bounding method, standing in for the
+//!   VolComp tool of Sankaranarayanan et al. \[30\] (research artifact,
 //!   no longer distributed). Returns a closed interval guaranteed to
-//!   contain the exact probability; returns a vacuous `[0, 1]` when
-//!   branch-and-bound cannot prune (the paper's VOL row).
+//!   contain the exact probability, read off the ICP paving of each path
+//!   condition (inner mass below, inner plus boundary mass above); the
+//!   interval stays a vacuous `[0, 1]` when the paver cannot prune (the
+//!   paper's VOL row).
 //! * [`plain_mc`] — whole-disjunction hit-or-miss Monte Carlo, the
 //!   "Mathematica Monte Carlo" column of Table 4.
 
@@ -24,4 +26,4 @@ pub mod volcomp;
 
 pub use adaptive::{adaptive_probability, AdaptiveConfig, AdaptiveResult};
 pub use plain_mc::plain_monte_carlo;
-pub use volcomp::{volcomp_bounds, ProbBounds, VolCompConfig};
+pub use volcomp::{volcomp_bounds, ProbBounds, VOLCOMP_PAVER};

@@ -4,17 +4,18 @@
 //! interval over the real numbers containing the requested solution"
 //! (paper §6.2) by iteratively bounding the volume of the solution set
 //! from below (regions proven all-solutions) and above (1 minus regions
-//! proven solution-free). This reproduction uses the ICP contractor for
-//! both proofs and branch-and-bound refinement in between; like the
-//! original, it degenerates to the vacuous `[0, 1]` when pruning fails
-//! (the paper's VOL subject).
+//! proven solution-free). This reproduction reads both bounds off the
+//! ICP paving of each path condition, as Kirkeby's probabilistic output
+//! analyses reuse an over-approximating analysis: inner boxes are proven
+//! all-solutions and everything outside the paving is proven
+//! solution-free. Like the original, it degenerates to the vacuous
+//! `[0, 1]` when pruning fails (the paper's VOL subject).
 
-use std::collections::BinaryHeap;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use qcoral_constraints::ConstraintSet;
-use qcoral_icp::{Contractor, Tri};
+use qcoral_icp::{pave, PaverConfig};
 use qcoral_interval::IntervalBox;
 
 /// A closed probability interval guaranteed to contain the exact value.
@@ -44,125 +45,37 @@ impl fmt::Display for ProbBounds {
     }
 }
 
-/// Budget knobs for the bounding loop.
-#[derive(Clone, Debug)]
-pub struct VolCompConfig {
-    /// Box-splitting budget per path condition.
-    pub max_boxes_per_pc: usize,
-    /// Wall-clock budget per path condition.
-    pub time_budget: Duration,
-    /// Boxes narrower than this (max side) are not split further.
-    pub min_width: f64,
-}
-
-impl Default for VolCompConfig {
-    fn default() -> VolCompConfig {
-        VolCompConfig {
-            max_boxes_per_pc: 2_000,
-            time_budget: Duration::from_secs(5),
-            min_width: 1e-4,
-        }
-    }
-}
-
-struct Item {
-    boxed: IntervalBox,
-    weight: f64,
-}
-
-impl PartialEq for Item {
-    fn eq(&self, other: &Self) -> bool {
-        self.weight == other.weight
-    }
-}
-
-impl Eq for Item {}
-
-impl PartialOrd for Item {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Item {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.weight
-            .partial_cmp(&other.weight)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    }
-}
+/// VolComp's default paving budget per path condition: 2 000 boxes, no
+/// bisection below a side of 10⁻⁴, 5 s.
+pub const VOLCOMP_PAVER: PaverConfig = PaverConfig {
+    max_boxes: 2_000,
+    precision_digits: 4,
+    time_budget: Duration::from_secs(5),
+    max_passes: 8,
+};
 
 /// Bounds `Pr[x uniform over domain satisfies cs]` within a guaranteed
-/// closed interval. Disjoint path conditions contribute additively; the
-/// final interval is clamped to `[0, 1]`.
-pub fn volcomp_bounds(cs: &ConstraintSet, domain: &IntervalBox, cfg: &VolCompConfig) -> ProbBounds {
+/// closed interval, paving each path condition under `cfg`: the lower
+/// bound is the relative volume of the inner boxes, the upper bound
+/// that of inner and boundary boxes. Disjoint path conditions contribute
+/// additively; the final interval is clamped to `[0, 1]`.
+pub fn volcomp_bounds(cs: &ConstraintSet, domain: &IntervalBox, cfg: &PaverConfig) -> ProbBounds {
     let mut lo = 0.0;
     let mut hi = 0.0;
     for pc in cs.pcs() {
-        let b = bound_pc(pc, domain, cfg);
-        lo += b.lo;
-        hi += b.hi;
+        let paving = pave(pc, domain, cfg);
+        let inner: f64 = paving.inner.iter().map(|b| b.relative_volume(domain)).sum();
+        let boundary: f64 = paving
+            .boundary
+            .iter()
+            .map(|b| b.relative_volume(domain))
+            .sum();
+        lo += inner;
+        hi += inner + boundary;
     }
     ProbBounds {
         lo: lo.clamp(0.0, 1.0),
         hi: hi.clamp(0.0, 1.0),
-    }
-}
-
-fn bound_pc(
-    pc: &qcoral_constraints::PathCondition,
-    domain: &IntervalBox,
-    cfg: &VolCompConfig,
-) -> ProbBounds {
-    let start = Instant::now();
-    let contractor = Contractor::new(pc, domain.ndim());
-    let mut lo = 0.0;
-    let mut undecided = 0.0;
-    let mut heap = BinaryHeap::new();
-    heap.push(Item {
-        boxed: domain.clone(),
-        weight: 1.0,
-    });
-    let mut splits = 0usize;
-
-    while let Some(Item { mut boxed, weight }) = heap.pop() {
-        // Contract: mass removed by contraction is proven solution-free.
-        if !contractor.contract(&mut boxed) {
-            continue;
-        }
-        let w = weight.min(boxed.relative_volume(domain));
-        match contractor.certainty(&boxed) {
-            Tri::True => {
-                lo += w;
-                continue;
-            }
-            Tri::False => continue,
-            Tri::Unknown => {}
-        }
-        let out_of_budget = splits >= cfg.max_boxes_per_pc
-            || boxed.max_width() <= cfg.min_width
-            || boxed.ndim() == 0
-            || start.elapsed() >= cfg.time_budget;
-        if out_of_budget {
-            undecided += w;
-        } else {
-            splits += 1;
-            let (l, r) = boxed.bisect();
-            let lw = l.relative_volume(domain);
-            let rw = r.relative_volume(domain);
-            heap.push(Item {
-                boxed: l,
-                weight: lw,
-            });
-            heap.push(Item {
-                boxed: r,
-                weight: rw,
-            });
-        }
-    }
-    ProbBounds {
-        lo,
-        hi: (lo + undecided).min(1.0),
     }
 }
 
@@ -181,7 +94,7 @@ mod tests {
     #[test]
     fn box_constraint_is_exact() {
         let (cs, dom) = setup("var x in [0, 1]; pc x >= 0.25 && x <= 0.75;");
-        let b = volcomp_bounds(&cs, &dom, &VolCompConfig::default());
+        let b = volcomp_bounds(&cs, &dom, &VOLCOMP_PAVER);
         assert!(b.contains(0.5));
         assert!(b.width() < 1e-9, "width {}", b.width());
     }
@@ -192,17 +105,17 @@ mod tests {
         let coarse = volcomp_bounds(
             &cs,
             &dom,
-            &VolCompConfig {
-                max_boxes_per_pc: 16,
-                ..VolCompConfig::default()
+            &PaverConfig {
+                max_boxes: 16,
+                ..VOLCOMP_PAVER
             },
         );
         let fine = volcomp_bounds(
             &cs,
             &dom,
-            &VolCompConfig {
-                max_boxes_per_pc: 4_096,
-                ..VolCompConfig::default()
+            &PaverConfig {
+                max_boxes: 4_096,
+                ..VOLCOMP_PAVER
             },
         );
         assert!(coarse.contains(0.25), "{coarse}");
@@ -214,7 +127,7 @@ mod tests {
     #[test]
     fn circle_bounds_contain_truth() {
         let (cs, dom) = setup("var x in [-1, 1]; var y in [-1, 1]; pc x*x + y*y <= 1;");
-        let b = volcomp_bounds(&cs, &dom, &VolCompConfig::default());
+        let b = volcomp_bounds(&cs, &dom, &VOLCOMP_PAVER);
         let exact = std::f64::consts::PI / 4.0;
         assert!(b.contains(exact), "{b} should contain {exact}");
         assert!(b.width() < 0.1, "{b}");
@@ -223,14 +136,14 @@ mod tests {
     #[test]
     fn unsat_is_zero_zero() {
         let (cs, dom) = setup("var x in [0, 1]; pc x > 2;");
-        let b = volcomp_bounds(&cs, &dom, &VolCompConfig::default());
+        let b = volcomp_bounds(&cs, &dom, &VOLCOMP_PAVER);
         assert_eq!(b, ProbBounds { lo: 0.0, hi: 0.0 });
     }
 
     #[test]
     fn tautology_is_one_one() {
         let (cs, dom) = setup("var x in [0, 1]; pc x >= 0;");
-        let b = volcomp_bounds(&cs, &dom, &VolCompConfig::default());
+        let b = volcomp_bounds(&cs, &dom, &VOLCOMP_PAVER);
         assert!((b.lo - 1.0).abs() < 1e-9);
         assert!((b.hi - 1.0).abs() < 1e-9);
     }
@@ -243,9 +156,9 @@ mod tests {
         let b = volcomp_bounds(
             &cs,
             &dom,
-            &VolCompConfig {
-                max_boxes_per_pc: 2,
-                ..VolCompConfig::default()
+            &PaverConfig {
+                max_boxes: 2,
+                ..VOLCOMP_PAVER
             },
         );
         // True probability ≈ 0.42; the interval must contain it.
@@ -256,7 +169,7 @@ mod tests {
     #[test]
     fn disjoint_sum_and_clamp() {
         let (cs, dom) = setup("var x in [0, 1]; pc x < 0.25; pc x > 0.5;");
-        let b = volcomp_bounds(&cs, &dom, &VolCompConfig::default());
+        let b = volcomp_bounds(&cs, &dom, &VOLCOMP_PAVER);
         assert!(b.contains(0.75), "{b}");
         // Strict inequalities leave min_width-sized undecided slivers at
         // the two boundaries.

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qcoral::{Analyzer, Options};
-use qcoral_baselines::{adaptive_probability, volcomp_bounds, AdaptiveConfig, VolCompConfig};
+use qcoral_baselines::{adaptive_probability, volcomp_bounds, AdaptiveConfig, VOLCOMP_PAVER};
 use qcoral_icp::domain_box;
 use qcoral_mc::UsageProfile;
 use qcoral_subjects::table3_subjects;
@@ -25,7 +25,7 @@ fn bench_methods(c: &mut Criterion) {
         b.iter(|| adaptive_probability(&cs, &dbox, &AdaptiveConfig::default()))
     });
     g.bench_function("volcomp", |b| {
-        b.iter(|| volcomp_bounds(&cs, &dbox, &VolCompConfig::default()))
+        b.iter(|| volcomp_bounds(&cs, &dbox, &VOLCOMP_PAVER))
     });
     g.bench_function("qcoral_strat_partcache", |b| {
         b.iter(|| {

@@ -34,6 +34,8 @@ use qcoral_mc::{Allocation, UsageProfile};
 use qcoral_subjects::table3_subjects;
 use qcoral_symexec::SymConfig;
 
+use crate::{geomean, samples_to_target};
+
 /// One subject's samples-to-target measurements.
 #[derive(Clone, Debug, Serialize)]
 pub struct Row {
@@ -74,21 +76,6 @@ pub struct Summary {
     pub adaptive_wins_all_mixed: bool,
 }
 
-fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
-    let (mut log_sum, mut n) = (0.0, 0u32);
-    for x in xs {
-        if x > 0.0 {
-            log_sum += x.ln();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        1.0
-    } else {
-        (log_sum / n as f64).exp()
-    }
-}
-
 fn static_opts(samples: u64) -> Options {
     let mut opts = Options::strat_partcache()
         .with_samples(samples)
@@ -108,40 +95,6 @@ fn static_run(
     Analyzer::new(static_opts(samples))
         .with_paving_cache(Arc::clone(cache))
         .analyze(cs, domain, &UsageProfile::uniform(domain.len()))
-}
-
-/// Smallest one-shot budget meeting `target`, by doubling then bisecting.
-fn static_samples_to_target(
-    cache: &Arc<PavingCache>,
-    cs: &ConstraintSet,
-    domain: &Domain,
-    target: f64,
-    start: u64,
-) -> Report {
-    let mut budget = start;
-    let mut best = loop {
-        let r = static_run(cache, cs, domain, budget);
-        if r.estimate.std_dev() <= target || budget >= 1 << 24 {
-            break r;
-        }
-        budget *= 2;
-    };
-    // Bisect between the last failing and the first succeeding budget.
-    let (mut lo, mut hi) = (budget / 2, budget);
-    for _ in 0..5 {
-        if hi <= lo + 1 {
-            break;
-        }
-        let mid = lo + (hi - lo) / 2;
-        let r = static_run(cache, cs, domain, mid);
-        if r.estimate.std_dev() <= target {
-            best = r;
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    best
 }
 
 /// Runs the samples-to-target protocol over the VolComp suite.
@@ -176,7 +129,14 @@ pub fn run(reference_budget: u64, round_budget: u64) -> Summary {
         }
         let target = reference.estimate.std_dev();
 
-        let static_best = static_samples_to_target(&cache, &cs, &domain, target, round_budget);
+        let static_best = samples_to_target(
+            |budget| {
+                let r = static_run(&cache, &cs, &domain, budget);
+                (r.estimate.std_dev(), r)
+            },
+            target,
+            round_budget,
+        );
 
         let adaptive_opts = static_opts(round_budget)
             .with_target_stderr(target)

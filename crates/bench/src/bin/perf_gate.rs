@@ -31,6 +31,8 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::exit;
 
+use qcoral_bench::geomean;
+
 /// The gated files and their gated numeric fields.
 const GATED: &[(&str, &[&str])] = &[
     (
@@ -95,13 +97,6 @@ fn median(mut xs: Vec<f64>) -> f64 {
     } else {
         (xs[mid - 1] + xs[mid]) / 2.0
     }
-}
-
-fn geomean(ratios: &[f64]) -> f64 {
-    if ratios.is_empty() {
-        return 1.0;
-    }
-    (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp()
 }
 
 fn usage() -> ! {
@@ -178,7 +173,7 @@ fn main() {
                 rated.push((key, f / b));
             }
         }
-        let g = geomean(&ratios);
+        let g = geomean(ratios.iter().copied());
         let verdict = if ratios.is_empty() {
             "no comparable metrics"
         } else if g > max_regression {

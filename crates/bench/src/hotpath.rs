@@ -12,12 +12,16 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use qcoral::{Analyzer, CompiledPred, Options};
-use qcoral_constraints::{BulkScratch, ConstraintSet, Domain, EvalTape, PathCondition};
-use qcoral_icp::{ContractScratch, Contractor, Paver, PaverConfig, Paving, Tri};
+use qcoral_constraints::{
+    BulkScratch, ConstraintSet, Domain, EvalTape, IvalScratch, PathCondition, Tri,
+};
+use qcoral_icp::{Paver, PaverConfig, Paving};
 use qcoral_interval::{Interval, IntervalBox};
 use qcoral_mc::{refine_plan, SamplePlan, ScalarPred, StratumAccum, UsageProfile};
 use qcoral_subjects::table3_subjects;
 use qcoral_symexec::SymConfig;
+
+use crate::geomean;
 
 /// One subject's hot-path measurements.
 #[derive(Clone, Debug, Serialize)]
@@ -155,14 +159,14 @@ fn best_of<R>(reps: u32, mut f: impl FnMut() -> R) -> (Duration, R) {
 }
 
 /// Reference paver reproducing the pre-unified-IR architecture for the
-/// bulk-paving comparison: every atom gets its *own* single-atom
-/// contractor (and tape), the HC4 fixpoint loop runs in the driver
-/// (`with_max_passes(1)` per atom per sweep), and the branch-and-prune
-/// loop pops and contracts one box at a time. The production [`Paver`]
-/// runs the same policy through one whole-conjunction tape with batched
-/// structure-of-arrays contraction; the time ratio is the paving win.
+/// bulk-paving comparison: every atom gets its *own* single-atom tape,
+/// the HC4 fixpoint loop runs in the driver (one pass per atom per
+/// sweep), and the branch-and-prune loop pops and contracts one box at
+/// a time. The production [`Paver`] runs the same policy through one
+/// whole-conjunction tape with batched structure-of-arrays contraction;
+/// the time ratio is the paving win.
 struct LegacyPaver {
-    atoms: Vec<Contractor>,
+    atoms: Vec<EvalTape>,
     config: PaverConfig,
 }
 
@@ -193,14 +197,11 @@ impl Ord for LegacyItem {
 }
 
 impl LegacyPaver {
-    fn new(pc: &PathCondition, nvars: usize, config: PaverConfig) -> LegacyPaver {
+    fn new(pc: &PathCondition, config: PaverConfig) -> LegacyPaver {
         let atoms = pc
             .atoms()
             .iter()
-            .map(|a| {
-                let single = PathCondition::from_atoms(vec![a.clone()]);
-                Contractor::new(&single, nvars).with_max_passes(1)
-            })
+            .map(|a| EvalTape::compile(&PathCondition::from_atoms(vec![a.clone()])))
             .collect();
         LegacyPaver { atoms, config }
     }
@@ -208,14 +209,14 @@ impl LegacyPaver {
     fn contract(
         &self,
         boxed: &mut IntervalBox,
-        scratch: &mut ContractScratch,
+        scratch: &mut IvalScratch,
         widths: &mut Vec<f64>,
     ) -> bool {
         for _ in 0..self.config.max_passes {
             widths.clear();
             widths.extend(boxed.dims().iter().map(Interval::width));
-            for c in &self.atoms {
-                if !c.contract_with(boxed, scratch) {
+            for t in &self.atoms {
+                if !t.contract(boxed, 1, scratch) {
                     return false;
                 }
             }
@@ -230,10 +231,10 @@ impl LegacyPaver {
         true
     }
 
-    fn certainty(&self, boxed: &IntervalBox, scratch: &mut ContractScratch) -> Tri {
+    fn certainty(&self, boxed: &IntervalBox, scratch: &mut IvalScratch) -> Tri {
         let mut acc = Tri::True;
-        for c in &self.atoms {
-            acc = acc.and(c.certainty_with(boxed, scratch));
+        for t in &self.atoms {
+            acc = acc.and(t.certainty(boxed, scratch));
             if acc == Tri::False {
                 return Tri::False;
             }
@@ -243,7 +244,7 @@ impl LegacyPaver {
 
     fn pave(&self, domain: &IntervalBox) -> Paving {
         let start = Instant::now();
-        let mut scratch = ContractScratch::new();
+        let mut scratch = IvalScratch::new();
         let mut widths = Vec::new();
         let mut paving = Paving::default();
         let mut heap = BinaryHeap::new();
@@ -437,7 +438,7 @@ fn measure_subject(
     let legacy: Vec<LegacyPaver> = cs
         .pcs()
         .iter()
-        .map(|pc| LegacyPaver::new(pc, ndim, pave_cfg.clone()))
+        .map(|pc| LegacyPaver::new(pc, pave_cfg.clone()))
         .collect();
     let pavers: Vec<Paver> = cs
         .pcs()
@@ -522,21 +523,6 @@ fn measure_obs_overhead(samples: u64, reps: u32) -> ObsOverhead {
         trace_on_secs: on.as_secs_f64(),
         trace_on_ratio: on.as_secs_f64() / off.as_secs_f64().max(1e-12),
         estimates_identical: est_off == est_on,
-    }
-}
-
-fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
-    let (mut log_sum, mut n) = (0.0, 0u32);
-    for x in xs {
-        if x > 0.0 {
-            log_sum += x.ln();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        1.0
-    } else {
-        (log_sum / n as f64).exp()
     }
 }
 

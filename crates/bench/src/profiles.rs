@@ -42,6 +42,8 @@ use qcoral_mc::{mix_seed, proportional_split, Allocation, Estimate, Moments, Usa
 use qcoral_subjects::nonuniform_subjects;
 use qcoral_symexec::SymConfig;
 
+use crate::{geomean, samples_to_target};
+
 /// One subject's samples-to-target measurements.
 #[derive(Clone, Debug, Serialize)]
 pub struct Row {
@@ -78,21 +80,6 @@ pub struct Summary {
     pub aligned_wins: u64,
     /// Non-trivial subject count.
     pub contested: u64,
-}
-
-fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
-    let (mut log_sum, mut n) = (0.0, 0u32);
-    for x in xs {
-        if x > 0.0 {
-            log_sum += x.ln();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        1.0
-    } else {
-        (log_sum / n as f64).exp()
-    }
 }
 
 fn aligned_opts(samples: u64) -> Options {
@@ -177,38 +164,6 @@ pub fn reweighted_run(
     (total, samples)
 }
 
-/// Smallest per-PC budget whose runner meets `target`, by doubling then
-/// bisecting (5 steps). Returns the winning `(stderr, samples)`.
-fn samples_to_target(
-    mut run: impl FnMut(u64) -> (f64, u64),
-    target: f64,
-    start: u64,
-) -> (f64, u64) {
-    let mut budget = start.max(2);
-    let mut best = loop {
-        let r = run(budget);
-        if r.0 <= target || budget >= 1 << 24 {
-            break r;
-        }
-        budget *= 2;
-    };
-    let (mut lo, mut hi) = (budget / 2, budget);
-    for _ in 0..5 {
-        if hi <= lo + 1 {
-            break;
-        }
-        let mid = lo + (hi - lo) / 2;
-        let r = run(mid);
-        if r.0 <= target {
-            best = r;
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    best
-}
-
 /// Runs the aligned-vs-reweighted protocol over the non-uniform suite.
 pub fn run(reference_budget: u64) -> Summary {
     let mut rows = Vec::new();
@@ -237,13 +192,10 @@ pub fn run(reference_budget: u64) -> Summary {
         let target = reference.estimate.std_dev();
         let start = (reference_budget / 16).max(64);
 
-        let mut aligned_best: Option<Report> = None;
-        let (aligned_stderr, aligned_samples) = samples_to_target(
+        let aligned = samples_to_target(
             |budget| {
                 let r = aligned_run(&cache, &cs, &domain, &profile, budget);
-                let out = (r.estimate.std_dev(), r.stats.samples_drawn);
-                aligned_best = Some(r);
-                out
+                (r.estimate.std_dev(), r)
             },
             target,
             start,
@@ -252,20 +204,20 @@ pub fn run(reference_budget: u64) -> Summary {
         let (reweighted_stderr, reweighted_samples) = samples_to_target(
             |budget| {
                 let (est, n) = reweighted_run(&cache, &cs, &dbox, &profile, &paver, budget, 1);
-                (est.std_dev(), n)
+                (est.std_dev(), (est.std_dev(), n))
             },
             target,
             start,
         );
 
-        let stats = &aligned_best.as_ref().expect("at least one run").stats;
+        let aligned_samples = aligned.stats.samples_drawn;
         rows.push(Row {
             subject: subj.name.to_owned(),
             target_stderr: target,
             trivial: false,
             aligned_samples,
-            aligned_stderr,
-            aligned_strata: stats.inner_boxes + stats.boundary_boxes,
+            aligned_stderr: aligned.estimate.std_dev(),
+            aligned_strata: aligned.stats.inner_boxes + aligned.stats.boundary_boxes,
             reweighted_samples,
             reweighted_stderr,
             samples_saved: reweighted_samples as f64 / aligned_samples.max(1) as f64,

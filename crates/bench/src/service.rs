@@ -16,6 +16,8 @@ use qcoral::Options;
 use qcoral_service::{Client, ServiceConfig};
 use qcoral_subjects::table3_subjects;
 
+use crate::geomean;
+
 /// One subject's loopback measurements.
 #[derive(Clone, Debug, Serialize)]
 pub struct Row {
@@ -70,21 +72,6 @@ pub struct Summary {
     pub recovery_secs: f64,
     /// WAL entries replayed by that recovery.
     pub wal_replay_entries: u64,
-}
-
-fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
-    let (mut log_sum, mut n) = (0.0, 0u32);
-    for x in xs {
-        if x > 0.0 {
-            log_sum += x.ln();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        1.0
-    } else {
-        (log_sum / n as f64).exp()
-    }
 }
 
 struct Measured {

@@ -9,9 +9,9 @@ use std::time::Instant;
 use serde::Serialize;
 
 use qcoral::{Analyzer, Options};
-use qcoral_baselines::{adaptive_probability, volcomp_bounds, AdaptiveConfig, VolCompConfig};
+use qcoral_baselines::{adaptive_probability, volcomp_bounds, AdaptiveConfig, VOLCOMP_PAVER};
 use qcoral_constraints::{ConstraintSet, Expr};
-use qcoral_icp::domain_box;
+use qcoral_icp::{domain_box, PaverConfig};
 use qcoral_mc::UsageProfile;
 use qcoral_subjects::table3_subjects;
 use qcoral_symexec::SymConfig;
@@ -82,10 +82,10 @@ pub fn run_one(
     // Scale the per-PC bounding budget down on many-path subjects so the
     // harness stays interactive (the budget pressure is itself the
     // paper's observed VolComp behaviour on PACK/VOL-class subjects).
-    let volcomp_cfg = VolCompConfig {
-        max_boxes_per_pc: (8_192 / cs.len().max(1)).max(64),
+    let volcomp_cfg = PaverConfig {
+        max_boxes: (8_192 / cs.len().max(1)).max(64),
         time_budget: std::time::Duration::from_millis(500),
-        ..VolCompConfig::default()
+        ..VOLCOMP_PAVER
     };
     let t1 = Instant::now();
     let bounds = volcomp_bounds(&cs, &dbox, &volcomp_cfg);

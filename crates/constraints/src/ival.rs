@@ -1,6 +1,6 @@
 //! The interval evaluation kind of the unified tape IR: forward interval
-//! evaluation plus HC4 backward contraction, over one or many boxes per
-//! dispatch.
+//! evaluation, HC4 backward contraction and certainty classification,
+//! over one or many boxes per dispatch.
 //!
 //! [`EvalTape`] is the IR — a hash-consed node pool in topological order
 //! plus the `(lhs, op, rhs)` triple per atom. [`crate::bulk::BulkTape`]
@@ -27,17 +27,48 @@
 //! pool rows currently hold valid intervals (`valid`), and forward work
 //! is skipped for prefixes that are still valid. Narrowing a lane's box
 //! invalidates the rows from the narrowed variable's leaf onward; a pass
-//! that leaves a lane's box unchanged settles the lane. Certainty
-//! classification is served separately by
-//! [`EvalTape::eval_atoms_batch`]: narrowed node values enclose the
-//! *solution* set, not the whole box, so deciding whether an atom holds
-//! over every point of a box needs one clean forward evaluation.
+//! that leaves a lane's box unchanged settles the lane.
+//!
+//! # Certainty
+//!
+//! This module is the one owner of what "contracted" and "certain" mean.
+//! Narrowed node values enclose the *solution* set, not the whole box,
+//! so deciding whether an atom holds over every point of a box needs one
+//! clean forward evaluation, [`EvalTape::eval_atoms_batch`], whose node
+//! rows are the single forward interval sweep of the crate. The per-atom
+//! rule then turns the two operand images into a [`Tri`] verdict: an
+//! empty image (an operand undefined on the whole box) never satisfies
+//! an atom, and an atom is certain only if its relation holds between
+//! every pair of values of the images. [`EvalTape::contract_classify`]
+//! — contract, re-evaluate, classify — is the paver's one kernel.
 
 use qcoral_interval::{Interval, IntervalBox};
 
 use crate::atom::RelOp;
 use crate::ctape::{EvalTape, Node};
 use crate::expr::{BinOp, UnOp};
+
+/// Three-valued verdict for a box against a constraint.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Tri {
+    /// Every point of the box satisfies the constraint.
+    True,
+    /// No point of the box satisfies the constraint.
+    False,
+    /// The box may contain both solutions and non-solutions.
+    Unknown,
+}
+
+impl Tri {
+    /// Three-valued conjunction.
+    pub fn and(self, other: Tri) -> Tri {
+        match (self, other) {
+            (Tri::False, _) | (_, Tri::False) => Tri::False,
+            (Tri::True, Tri::True) => Tri::True,
+            _ => Tri::Unknown,
+        }
+    }
+}
 
 /// Per-lane contraction status.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -88,6 +119,15 @@ impl IvalScratch {
         self.images[atom * self.lanes + lane]
     }
 
+    /// Pool node `node`'s forward interval on `lane`'s box from the last
+    /// [`EvalTape::eval_atoms_batch`] call: a superset of the node's
+    /// image over the box, empty where the sub-expression is undefined
+    /// on the whole box (e.g. `sqrt` of a negative range). Not written
+    /// for a lane whose box was empty.
+    pub fn node(&self, node: usize, lane: usize) -> Interval {
+        self.vals[node * self.lanes + lane]
+    }
+
     fn begin(&mut self, tape: &EvalTape, lanes: usize, ndim: usize) {
         self.lanes = lanes;
         self.vals.clear();
@@ -117,27 +157,6 @@ fn mark_unsat(lane: usize, boxes: &mut [IntervalBox], state: &mut [LaneState]) {
 }
 
 impl EvalTape {
-    /// Clean forward evaluation of every pool node over one box, filling
-    /// `vals` (resized as needed). `vals[i]` is a superset of node `i`'s
-    /// image over the box; an empty entry means the sub-expression is
-    /// undefined everywhere on it (e.g. `sqrt` of a negative range).
-    pub fn forward_intervals(&self, boxed: &IntervalBox, vals: &mut Vec<Interval>) {
-        vals.clear();
-        vals.reserve(self.len());
-        for node in self.nodes() {
-            let v = match node {
-                Node::Const(c) => Interval::point(*c),
-                Node::Var(v) => boxed[*v as usize],
-                Node::Unary(op, c) => unary_ival(*op, vals[*c as usize]),
-                // Deduplication makes x·x literally share one child node;
-                // the square form is tighter than the generic product.
-                Node::Binary(BinOp::Mul, a, b) if a == b => vals[*a as usize].sqr(),
-                Node::Binary(op, a, b) => binary_ival(*op, vals[*a as usize], vals[*b as usize]),
-            };
-            vals.push(v);
-        }
-    }
-
     /// Single-box HC4 fixpoint contraction; a batch of one. Returns
     /// `false` if the box was proven empty (it is also emptied in
     /// place).
@@ -464,6 +483,60 @@ impl EvalTape {
             }
         }
     }
+
+    /// Classifies one box: [`Tri::True`] if every point satisfies the
+    /// whole conjunction, [`Tri::False`] if no point satisfies it,
+    /// [`Tri::Unknown`] otherwise. The box is not contracted first.
+    pub fn certainty(&self, boxed: &IntervalBox, scratch: &mut IvalScratch) -> Tri {
+        self.eval_atoms_batch(std::slice::from_ref(boxed), scratch);
+        self.classify_lane(0, scratch)
+    }
+
+    /// Contracts a whole batch of boxes and classifies each survivor, in
+    /// one structure-of-arrays dispatch per tape node — the paver's bulk
+    /// kernel. `verdicts[i]` reports box `i`: [`Tri::False`] when it was
+    /// proven solution-free (its box is emptied in place, exactly like a
+    /// failing [`EvalTape::contract`]), otherwise the
+    /// [`EvalTape::certainty`] of the *contracted* box. Lane for lane,
+    /// the verdicts and boxes are those of contracting and classifying
+    /// each box alone.
+    pub fn contract_classify(
+        &self,
+        boxes: &mut [IntervalBox],
+        max_passes: usize,
+        verdicts: &mut Vec<Tri>,
+        scratch: &mut IvalScratch,
+    ) {
+        verdicts.clear();
+        if boxes.is_empty() {
+            return;
+        }
+        self.contract_batch(boxes, max_passes, scratch);
+        // Certainty needs clean (un-narrowed) operand images over the
+        // contracted boxes; the batch shapes match, so lane sat-flags
+        // survive this second dispatch.
+        self.eval_atoms_batch(boxes, scratch);
+        for ln in 0..boxes.len() {
+            if !scratch.sat(ln) {
+                verdicts.push(Tri::False);
+            } else {
+                verdicts.push(self.classify_lane(ln, scratch));
+            }
+        }
+    }
+
+    /// Folds per-atom certainties for one lane of the scratch's images.
+    fn classify_lane(&self, lane: usize, scratch: &IvalScratch) -> Tri {
+        let mut acc = Tri::True;
+        for (k, &(_, op, _)) in self.atom_nodes().iter().enumerate() {
+            let (l, r) = scratch.image(k, lane);
+            acc = acc.and(atom_certainty(l, op, r));
+            if acc == Tri::False {
+                return Tri::False;
+            }
+        }
+        acc
+    }
 }
 
 /// Evaluates pool row `i` for every lane set in `mask`.
@@ -579,37 +652,6 @@ fn binary_row(op: BinOp, dst: &mut [Interval], a: &[Interval], b: &[Interval], m
     }
 }
 
-/// Single-value unary forward evaluation.
-fn unary_ival(op: UnOp, x: Interval) -> Interval {
-    match op {
-        UnOp::Neg => -x,
-        UnOp::Abs => x.abs(),
-        UnOp::Sqrt => x.sqrt(),
-        UnOp::Exp => x.exp(),
-        UnOp::Ln => x.ln(),
-        UnOp::Sin => x.sin(),
-        UnOp::Cos => x.cos(),
-        UnOp::Tan => x.tan(),
-        UnOp::Asin => x.asin(),
-        UnOp::Acos => x.acos(),
-        UnOp::Atan => x.atan(),
-    }
-}
-
-/// Single-value binary forward evaluation.
-fn binary_ival(op: BinOp, a: Interval, b: Interval) -> Interval {
-    match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        BinOp::Pow => a.pow(&b),
-        BinOp::Min => a.min_i(&b),
-        BinOp::Max => a.max_i(&b),
-        BinOp::Atan2 => a.atan2(&b),
-    }
-}
-
 /// Cross-narrows the operand images of `l ⋈ r`. Equivalent to HC4 on
 /// the normalized `l − r ⋈ 0` form (the projections through the
 /// subtraction node reduce to exactly these endpoint cuts) without the
@@ -631,6 +673,34 @@ fn narrow_atom(op: RelOp, l: Interval, r: Interval) -> (Interval, Interval) {
         }
         // ≠ removes a measure-zero set: no interval narrowing possible.
         RelOp::Ne => (l, r),
+    }
+}
+
+/// Certainty of `l ⋈ r` given the interval images of the two operands
+/// over a box. An empty image means the operand is undefined on the
+/// whole box, which can never satisfy an atom (NaN semantics). Working
+/// on the operand images directly (rather than the sign of `l − r`)
+/// avoids the subtraction's outward rounding.
+fn atom_certainty(l: Interval, op: RelOp, r: Interval) -> Tri {
+    if l.is_empty() || r.is_empty() {
+        return Tri::False;
+    }
+    let disjoint = l.hi() < r.lo() || r.hi() < l.lo();
+    let same_point = l.is_point() && r.is_point() && l.lo() == r.lo();
+    let (certain, impossible) = match op {
+        RelOp::Lt => (l.hi() < r.lo(), l.lo() >= r.hi()),
+        RelOp::Le => (l.hi() <= r.lo(), l.lo() > r.hi()),
+        RelOp::Gt => (l.lo() > r.hi(), l.hi() <= r.lo()),
+        RelOp::Ge => (l.lo() >= r.hi(), l.hi() < r.lo()),
+        RelOp::Eq => (same_point, disjoint),
+        RelOp::Ne => (disjoint, same_point),
+    };
+    if certain {
+        Tri::True
+    } else if impossible {
+        Tri::False
+    } else {
+        Tri::Unknown
     }
 }
 
@@ -911,10 +981,10 @@ mod tests {
     fn forward_matches_point_eval() {
         let e = x().mul(y()).sin().add(x().sqrt());
         let t = tape_of(vec![Atom::new(e, RelOp::Gt, Expr::constant(0.0))]);
-        let mut vals = Vec::new();
-        t.forward_intervals(&bx(&[(4.0, 4.0), (0.5, 0.5)]), &mut vals);
+        let mut s = IvalScratch::new();
+        t.eval_atoms_batch(&[bx(&[(4.0, 4.0), (0.5, 0.5)])], &mut s);
         let (l, _, _) = t.atom_nodes()[0];
-        let r = vals[l as usize];
+        let r = s.node(l as usize, 0);
         let exact = (4.0f64 * 0.5).sin() + 2.0;
         assert!(r.contains(exact), "{r} should contain {exact}");
         assert!(r.width() < 1e-9);
@@ -923,10 +993,10 @@ mod tests {
     #[test]
     fn forward_empty_for_undefined() {
         let t = tape_of(vec![Atom::new(x().sqrt(), RelOp::Gt, Expr::constant(0.0))]);
-        let mut vals = Vec::new();
-        t.forward_intervals(&bx(&[(-3.0, -1.0)]), &mut vals);
+        let mut s = IvalScratch::new();
+        t.eval_atoms_batch(&[bx(&[(-3.0, -1.0)])], &mut s);
         let (l, _, _) = t.atom_nodes()[0];
-        assert!(vals[l as usize].is_empty());
+        assert!(s.node(l as usize, 0).is_empty());
     }
 
     #[test]

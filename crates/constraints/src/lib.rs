@@ -55,5 +55,5 @@ pub use bulk::{BulkScratch, BulkTape, LANES};
 pub use ctape::{expr_fingerprint, EvalTape, Node};
 pub use domain::{Domain, VarId};
 pub use expr::{BinOp, Expr, UnOp};
-pub use ival::IvalScratch;
+pub use ival::{IvalScratch, Tri};
 pub use varset::VarSet;

@@ -19,9 +19,11 @@
 //!
 //! The algorithm is the classical branch-and-prune loop over an HC4
 //! contractor: forward interval evaluation of each constraint's expression
-//! tree, backward projection narrowing ([`Contractor`]), then fixpoint
-//! iteration over all conjuncts, bisecting undecided boxes until a stop
-//! criterion fires ([`pave`]).
+//! DAG, backward projection narrowing, fixpoint iteration over all
+//! conjuncts, then bisection of undecided boxes until a stop criterion
+//! fires ([`pave`]). Contraction and certainty are methods of the
+//! compiled conjunction, [`EvalTape`] (`EvalTape::contract_classify`);
+//! [`Paver`] is the one branch-and-prune loop around them.
 //!
 //! # Example
 //!
@@ -40,14 +42,12 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod contract;
 pub mod paver;
 
 pub use cache::{batch_lru_cutoff, LruCache};
-pub use contract::{ContractScratch, Contractor, Tri};
 pub use paver::{pave, Paver, PaverConfig, Paving, PavingCache};
 
-use qcoral_constraints::Domain;
+use qcoral_constraints::{Domain, EvalTape, IvalScratch, PathCondition};
 use qcoral_interval::{Interval, IntervalBox};
 
 /// Converts a [`Domain`] into the corresponding [`IntervalBox`].
@@ -61,10 +61,9 @@ pub fn domain_box(domain: &Domain) -> IntervalBox {
 /// Quick satisfiability filter used by the symbolic executor: returns
 /// `false` only if interval propagation *proves* the conjunction has no
 /// solution inside `boxed`. A `true` answer means "possibly satisfiable".
-pub fn maybe_satisfiable(pc: &qcoral_constraints::PathCondition, boxed: &IntervalBox) -> bool {
-    let contractor = Contractor::new(pc, boxed.ndim());
+pub fn maybe_satisfiable(pc: &PathCondition, boxed: &IntervalBox) -> bool {
     let mut b = boxed.clone();
-    contractor.contract(&mut b)
+    EvalTape::compile(pc).contract(&mut b, 8, &mut IvalScratch::new())
 }
 
 #[cfg(test)]

@@ -11,11 +11,10 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use qcoral_constraints::{EvalTape, PathCondition};
+use qcoral_constraints::{EvalTape, IvalScratch, PathCondition, Tri};
 use qcoral_interval::IntervalBox;
 
 use crate::cache::LruCache;
-use crate::contract::{ContractScratch, Contractor, Tri};
 
 /// Stop criteria for the paver, mirroring the RealPaver configuration the
 /// paper reports in §5: "time budget per query of 2 s, a bound on the
@@ -125,22 +124,36 @@ impl Ord for WorkItem {
 /// stays modest to keep best-first ordering meaningful.
 const PAVE_BATCH: usize = 16;
 
-/// A reusable paver holding a compiled [`Contractor`].
+/// A reusable paver holding one compiled conjunction.
 #[derive(Debug)]
 pub struct Paver {
-    contractor: Contractor,
+    tape: Arc<EvalTape>,
     config: PaverConfig,
 }
 
 impl Paver {
     /// Compiles `pc` for paving over boxes with `nvars` dimensions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the condition references a variable index `≥ nvars`.
     pub fn new(pc: &PathCondition, nvars: usize, config: PaverConfig) -> Paver {
-        Paver::with_contractor(Contractor::new(pc, nvars), config)
+        Paver::from_tape(Arc::new(EvalTape::compile(pc)), nvars, config)
     }
 
-    fn with_contractor(contractor: Contractor, config: PaverConfig) -> Paver {
-        let contractor = contractor.with_max_passes(config.max_passes);
-        Paver { contractor, config }
+    /// A paver over an already compiled conjunction, sharing its node
+    /// pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tape reads a variable index `≥ nvars`.
+    fn from_tape(tape: Arc<EvalTape>, nvars: usize, config: PaverConfig) -> Paver {
+        assert!(
+            tape.var_bound() <= nvars,
+            "path condition references variable beyond domain ({} > {nvars})",
+            tape.var_bound()
+        );
+        Paver { tape, config }
     }
 
     /// The paver's configuration.
@@ -151,14 +164,15 @@ impl Paver {
     /// Pavés `domain`, returning disjoint boxes covering all solutions of
     /// the compiled conjunction. Work items are popped up to
     /// `PAVE_BATCH` (16) at a time and contracted + classified in one bulk
-    /// dispatch; decisions are then made in pop (largest-first) order, so
-    /// the budget accounting matches the serial loop. One
-    /// [`ContractScratch`] is reused across the whole branch-and-prune
-    /// loop, so the per-box work is free of heap allocation except for
-    /// the boxes themselves.
+    /// dispatch ([`EvalTape::contract_classify`]); decisions are then
+    /// made in pop (largest-first) order, so the budget accounting
+    /// matches the serial loop. One [`IvalScratch`] is reused across the
+    /// whole branch-and-prune loop, so the per-box work is free of heap
+    /// allocation except for the boxes themselves.
     pub fn pave(&self, domain: &IntervalBox) -> Paving {
         let start = Instant::now();
-        let mut scratch = ContractScratch::new();
+        let max_passes = self.config.max_passes.max(1);
+        let mut scratch = IvalScratch::new();
         let mut paving = Paving::default();
         let mut heap = BinaryHeap::new();
         heap.push(WorkItem {
@@ -179,8 +193,8 @@ impl Paver {
             }
             // Contraction never increases the box count, so it is applied
             // even once the box budget is exhausted.
-            self.contractor
-                .contract_classify_with(&mut batch, &mut verdicts, &mut scratch);
+            self.tape
+                .contract_classify(&mut batch, max_passes, &mut verdicts, &mut scratch);
             let n = batch.len();
             for (i, boxed) in batch.drain(..).enumerate() {
                 match verdicts[i] {
@@ -308,8 +322,7 @@ impl PavingCache {
             max_passes: config.max_passes,
         };
         self.map.get_or_insert_with(key, || {
-            let contractor = Contractor::from_tape(Arc::clone(tape), domain.ndim());
-            Paver::with_contractor(contractor, config.clone()).pave(domain)
+            Paver::from_tape(Arc::clone(tape), domain.ndim(), config.clone()).pave(domain)
         })
     }
 }

@@ -236,49 +236,6 @@ impl Interval {
     }
 
     // ------------------------------------------------------------------
-    // Certainty comparisons: `certainly_*` holds iff the relation holds for
-    // *every* pair of elements; `possibly_*` iff it holds for *some* pair.
-    // All are vacuously false on empty intervals for `possibly` and
-    // vacuously true for `certainly`.
-    // ------------------------------------------------------------------
-
-    /// `∀x∈self, y∈other: x < y`.
-    #[inline]
-    pub fn certainly_lt(&self, other: &Interval) -> bool {
-        self.is_empty() || other.is_empty() || self.hi < other.lo
-    }
-
-    /// `∀x∈self, y∈other: x ≤ y`.
-    #[inline]
-    pub fn certainly_le(&self, other: &Interval) -> bool {
-        self.is_empty() || other.is_empty() || self.hi <= other.lo
-    }
-
-    /// `∀x∈self, y∈other: x > y`.
-    #[inline]
-    pub fn certainly_gt(&self, other: &Interval) -> bool {
-        other.certainly_lt(self)
-    }
-
-    /// `∀x∈self, y∈other: x ≥ y`.
-    #[inline]
-    pub fn certainly_ge(&self, other: &Interval) -> bool {
-        other.certainly_le(self)
-    }
-
-    /// `∃x∈self, y∈other: x < y`.
-    #[inline]
-    pub fn possibly_lt(&self, other: &Interval) -> bool {
-        !self.is_empty() && !other.is_empty() && self.lo < other.hi
-    }
-
-    /// `∃x∈self, y∈other: x ≤ y`.
-    #[inline]
-    pub fn possibly_le(&self, other: &Interval) -> bool {
-        !self.is_empty() && !other.is_empty() && self.lo <= other.hi
-    }
-
-    // ------------------------------------------------------------------
     // Elementary functions. Every function returns an outward-rounded
     // superset of the exact image.
     // ------------------------------------------------------------------
@@ -1003,22 +960,6 @@ mod tests {
         assert_eq!(l.hi(), r.lo());
         assert_eq!(l.lo(), 0.0);
         assert_eq!(r.hi(), 10.0);
-    }
-
-    #[test]
-    fn certainty_comparisons() {
-        let a = Interval::new(0.0, 1.0);
-        let b = Interval::new(2.0, 3.0);
-        let c = Interval::new(0.5, 2.5);
-        assert!(a.certainly_lt(&b));
-        assert!(a.certainly_le(&b));
-        assert!(!a.certainly_lt(&c));
-        assert!(a.possibly_lt(&c));
-        assert!(b.certainly_gt(&a));
-        assert!(c.possibly_le(&a));
-        let touching = Interval::new(1.0, 2.0);
-        assert!(a.certainly_le(&touching));
-        assert!(!a.certainly_lt(&touching));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! ephemeral port and prints the resolved one), then serves until
 //! stopped. With `--snapshot`, the cross-run factor cache is recovered
 //! at startup (snapshot + write-ahead-log replay; the recovery outcome
-//! is logged) and persisted after every micro-batch.
+//! is logged). Every new factor estimate is appended to the write-ahead
+//! log as it is computed, and a timer compacts the log into the
+//! snapshot every 2 s.
 //!
 //! Diagnostics go to stderr as single-line JSON records
 //! (`{"ts":…,"level":"info","event":…,…}`), level-filtered by the

@@ -11,7 +11,9 @@
 //!   ([`wire`], [`protocol`]).
 //! * **Scheduling** — a bounded admission queue feeding a fixed worker
 //!   pool in micro-batches; overload rejects fast with an error
-//!   response, and persistence work amortizes per batch ([`scheduler`]).
+//!   response ([`scheduler`]). Persistence stays off the request path:
+//!   a write-ahead log makes each new factor estimate durable, and a
+//!   timer compacts it into the snapshot ([`store`]).
 //! * **The headline mechanism** — a **cross-run factor-estimate store**
 //!   ([`qcoral::FactorStore`]): factor results keyed by canonical factor
 //!   form × projected profile × a fingerprint of the sampling options

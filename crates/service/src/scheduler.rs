@@ -8,22 +8,21 @@
 //!    memory growth and ballooning latency.
 //! 2. **Micro-batching** — a dispatcher thread drains up to `max_batch`
 //!    admitted jobs at a time, hands them to the workers, and waits for
-//!    the batch to finish before running the `after_batch` hook. The
-//!    service uses the hook to persist the factor-store snapshot: writes
-//!    are amortized per batch, not per request, and a snapshot always
-//!    captures whole batches. Queued jobs whose deadline already passed
-//!    are **shed** at this point — their `on_shed` callback answers the
-//!    caller without the job ever pinning a worker.
+//!    the batch to finish before dispatching the next one. Queued jobs
+//!    whose deadline already passed are **shed** at this point — their
+//!    `on_shed` callback answers the caller without the job ever pinning
+//!    a worker.
 //! 3. **Workers** — a fixed pool executing jobs concurrently within the
 //!    batch. A panicking job is contained and counted; the pool keeps
 //!    running.
 //!
-//! The batch barrier trades a bounded amount of head-of-line blocking
-//! (at most `max_batch` jobs wait for the slowest member of the current
-//! batch) for a consistent persistence point: snapshots only ever
-//! capture whole batches. The server additionally caps per-request cost
-//! (sample budget, paver time budget, symexec depth) at admission, which
-//! bounds how slow the slowest batch member can be.
+//! The batch barrier costs a bounded amount of head-of-line blocking (at
+//! most `max_batch` jobs wait for the slowest member of the current
+//! batch). The server caps per-request cost (sample budget, paver time
+//! budget, symexec depth) at admission, which bounds how slow the
+//! slowest batch member can be. Persistence is not the scheduler's
+//! business: the server's persist timer compacts the snapshot, and the
+//! write-ahead log makes every factor insert durable.
 //!
 //! Jobs are opaque `FnOnce` closures; the scheduler knows nothing about
 //! the wire protocol.
@@ -130,14 +129,7 @@ struct Threads {
 
 impl Scheduler {
     /// Starts `workers` worker threads plus the dispatcher.
-    /// `after_batch` runs on the dispatcher thread after every completed
-    /// batch (and is given the batch size).
-    pub fn start(
-        workers: usize,
-        queue_cap: usize,
-        max_batch: usize,
-        after_batch: impl Fn(usize) + Send + 'static,
-    ) -> Scheduler {
+    pub fn start(workers: usize, queue_cap: usize, max_batch: usize) -> Scheduler {
         let shared = Arc::new(Shared {
             admitted: Mutex::new(VecDeque::new()),
             admitted_cv: Condvar::new(),
@@ -174,7 +166,7 @@ impl Scheduler {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("qcoral-dispatch".to_string())
-                .spawn(move || dispatcher_loop(&shared, after_batch))
+                .spawn(move || dispatcher_loop(&shared))
                 .expect("spawn dispatcher")
         };
 
@@ -367,7 +359,7 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn dispatcher_loop(shared: &Shared, after_batch: impl Fn(usize)) {
+fn dispatcher_loop(shared: &Shared) {
     loop {
         // Collect the next micro-batch: whatever is admitted, capped —
         // shedding deadline-expired jobs along the way (they answer via
@@ -427,7 +419,6 @@ fn dispatcher_loop(shared: &Shared, after_batch: impl Fn(usize)) {
         drop(inflight);
 
         shared.batches.inc();
-        after_batch(n);
     }
 }
 
@@ -440,11 +431,7 @@ mod tests {
 
     #[test]
     fn executes_everything_and_batches() {
-        let batches = Arc::new(Mutex::new(Vec::new()));
-        let b2 = Arc::clone(&batches);
-        let sched = Scheduler::start(2, 64, 4, move |n| {
-            b2.lock().unwrap().push(n);
-        });
+        let sched = Scheduler::start(2, 64, 4);
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..10 {
             let done = Arc::clone(&done);
@@ -463,17 +450,19 @@ mod tests {
         }
         sched.shutdown();
         assert_eq!(done.load(Ordering::SeqCst), 10);
-        let batches = batches.lock().unwrap();
-        assert_eq!(batches.iter().sum::<usize>(), 10);
+        let m = sched.metrics();
+        assert_eq!(m.served, 10);
+        // Ten jobs in batches of at most `max_batch` = 4.
         assert!(
-            batches.iter().all(|&n| (1..=4).contains(&n)),
-            "batch sizes within [1, max_batch]: {batches:?}"
+            (3..=10).contains(&m.batches),
+            "batches within [3, 10]: {}",
+            m.batches
         );
     }
 
     #[test]
     fn panicking_jobs_do_not_stall_the_pool() {
-        let sched = Scheduler::start(1, 16, 2, |_| {});
+        let sched = Scheduler::start(1, 16, 2);
         sched.submit(Box::new(|| panic!("job blew up"))).unwrap();
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..4 {
@@ -502,7 +491,7 @@ mod tests {
         // One worker blocked on a slow job, queue of 2: the 4th submit
         // must be rejected.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let sched = Scheduler::start(1, 2, 1, |_| {});
+        let sched = Scheduler::start(1, 2, 1);
         let g = Arc::clone(&gate);
         sched
             .submit(Box::new(move || {
@@ -541,7 +530,7 @@ mod tests {
         // A shed callback that blocks (the reply to a client that stopped
         // reading) must not hold up admission: another `submit` returns
         // while the callback is still waiting on its gate.
-        let sched = Scheduler::start(1, 16, 4, |_| {});
+        let sched = Scheduler::start(1, 16, 4);
         let (entered_tx, entered_rx) = mpsc::channel();
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         sched
@@ -579,7 +568,7 @@ mod tests {
         // Block the single worker so submissions sit in the queue past
         // their deadline.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let sched = Scheduler::start(1, 16, 4, |_| {});
+        let sched = Scheduler::start(1, 16, 4);
         let g = Arc::clone(&gate);
         sched
             .submit(Box::new(move || {
@@ -646,7 +635,7 @@ mod tests {
     fn shutdown_runs_jobs_admitted_before_it() {
         // One worker, batches of one: job A holds the worker on a gate
         // while job B waits in the admission queue behind it.
-        let sched = Arc::new(Scheduler::start(1, 64, 1, |_| {}));
+        let sched = Arc::new(Scheduler::start(1, 64, 1));
         let (started_tx, started_rx) = mpsc::channel();
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         sched

@@ -37,6 +37,9 @@ use crate::scheduler::Scheduler;
 use crate::store::PersistentStore;
 use crate::wire::{decode_request, encode_response, read_frame, salvage_id, FrameRead};
 
+/// How often the persist timer writes a dirty factor-store snapshot.
+const SNAPSHOT_INTERVAL: Duration = Duration::from_secs(2);
+
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -48,7 +51,8 @@ pub struct ServiceConfig {
     /// Admission-queue capacity; beyond it requests are rejected with an
     /// "overloaded" error.
     pub queue_cap: usize,
-    /// Micro-batch size limit (snapshot writes amortize per batch).
+    /// Micro-batch size limit: the dispatcher hands at most this many
+    /// admitted jobs to the workers at a time.
     pub max_batch: usize,
     /// Factor-store entry capacity (LRU eviction beyond it).
     pub store_cap: usize,
@@ -150,16 +154,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let store = Arc::new(PersistentStore::open(cfg.snapshot.clone(), cfg.store_cap));
 
-        // The after-batch hook persists the store once per micro-batch,
-        // debounced: a full snapshot is O(store size), so a busy server
-        // writes at most a couple per second and relies on the
-        // undebounced shutdown save for the final state.
-        let persist = Arc::clone(&store);
-        let scheduler = Scheduler::start(cfg.workers, cfg.queue_cap, cfg.max_batch, move |_n| {
-            if let Err(e) = persist.save_if_dirty_debounced(Duration::from_millis(500)) {
-                log::warn("snapshot_save_failed", &[("error", e.to_string())]);
-            }
-        });
+        let scheduler = Scheduler::start(cfg.workers, cfg.queue_cap, cfg.max_batch);
 
         // Per-instance registry: the scheduler and factor store own their
         // counters; the server registers those handles here so `Op::Metrics`
@@ -184,21 +179,27 @@ impl Server {
         });
         let stop = Arc::new(AtomicBool::new(false));
 
-        // Periodic persistence, independent of batches: the daemon is
-        // normally stopped by a signal (never reaching the graceful
-        // shutdown save), and an idle server would otherwise hold its
-        // last debounce window in memory only. With the timer, a killed
-        // process loses at most ~2 s of new factor estimates.
+        // Snapshot compaction, off the request path: every factor insert
+        // is already durable in the write-ahead log, so the snapshot only
+        // bounds the log (and the replay work of the next start). The
+        // timer saves a dirty store every `SNAPSHOT_INTERVAL`; graceful
+        // shutdown saves the final state.
         let persist_thread = shared.cfg.snapshot.is_some().then(|| {
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("qcoral-persist".to_string())
                 .spawn(move || {
+                    let mut last = Instant::now();
                     while !stop.load(Ordering::Acquire) {
+                        // Short ticks keep shutdown from waiting out a
+                        // whole interval.
                         std::thread::sleep(Duration::from_millis(250));
-                        if let Err(e) = shared.store.save_if_dirty_debounced(Duration::from_secs(2))
-                        {
+                        if last.elapsed() < SNAPSHOT_INTERVAL {
+                            continue;
+                        }
+                        last = Instant::now();
+                        if let Err(e) = shared.store.save_if_dirty() {
                             log::warn("periodic_snapshot_save_failed", &[("error", e.to_string())]);
                         }
                     }

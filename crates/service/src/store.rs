@@ -51,7 +51,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -190,11 +190,11 @@ impl RecoveryReport {
 pub struct PersistentStore {
     store: Arc<FactorStore>,
     path: Option<PathBuf>,
-    /// Serializes snapshot writes: the save methods are called
-    /// concurrently (per-batch hook, persist timer, shutdown), and both
-    /// the dirty/debounce checks and the shared `.tmp`-then-rename pair
-    /// must happen under one lock, or overlapping saves could interleave
-    /// and rename a torn file into place.
+    /// Serializes snapshot writes: the save methods can be called
+    /// concurrently (persist timer, shutdown, tools), and both the dirty
+    /// check and the shared `.tmp`-then-rename pair must happen under
+    /// one lock, or overlapping saves could interleave and rename a torn
+    /// file into place.
     save_state: Mutex<SaveState>,
     /// Shared with the store's insert hook; see [`WalState`].
     wal: Arc<Mutex<WalState>>,
@@ -207,7 +207,6 @@ pub struct PersistentStore {
 
 struct SaveState {
     saved_revision: u64,
-    last_save: Option<Instant>,
 }
 
 /// WAL writer state, shared between the [`PersistentStore`] (which
@@ -279,7 +278,6 @@ impl PersistentStore {
         PersistentStore {
             save_state: Mutex::new(SaveState {
                 saved_revision: store.revision(),
-                last_save: None,
             }),
             store,
             path,
@@ -332,26 +330,6 @@ impl PersistentStore {
         self.save_locked(&mut state)
     }
 
-    /// [`PersistentStore::save_if_dirty`], additionally skipping the
-    /// write when one happened within `min_interval`. A full snapshot is
-    /// O(store size); the per-batch hook uses this so a busy server near
-    /// capacity is not dominated by rewriting a multi-megabyte document
-    /// every batch. Dirtiness is not lost — a later batch (or the
-    /// shutdown save, which does not debounce) picks it up, and every
-    /// insert is already WAL-durable regardless.
-    pub fn save_if_dirty_debounced(&self, min_interval: Duration) -> io::Result<bool> {
-        if self.path.is_none() {
-            return Ok(false);
-        }
-        let mut state = self.save_state.lock().expect("save state");
-        if let Some(at) = state.last_save {
-            if at.elapsed() < min_interval {
-                return Ok(false);
-            }
-        }
-        self.save_locked(&mut state)
-    }
-
     /// Unconditionally writes the snapshot. No-op without a path.
     pub fn save(&self) -> io::Result<()> {
         if self.path.is_none() {
@@ -360,7 +338,6 @@ impl PersistentStore {
         let mut state = self.save_state.lock().expect("save state");
         let rev = self.store.revision();
         self.write_snapshot()?;
-        state.last_save = Some(Instant::now());
         state.saved_revision = rev;
         Ok(())
     }
@@ -376,7 +353,6 @@ impl PersistentStore {
             return Ok(false);
         }
         self.write_snapshot()?;
-        state.last_save = Some(Instant::now());
         state.saved_revision = rev;
         Ok(true)
     }

@@ -270,7 +270,7 @@ fn worker_panics_mid_batch_do_not_stall_or_leak_workers() {
     let _cleanup = ResetOnDrop;
     // Every 3rd job evaluation panics.
     configure("worker.job", Plan::EveryNth(3));
-    let sched = Scheduler::start(4, 64, 8, |_| {});
+    let sched = Scheduler::start(4, 64, 8);
     let done = Arc::new(AtomicUsize::new(0));
     for _ in 0..30 {
         let done = Arc::clone(&done);

@@ -512,10 +512,10 @@ fn concurrent_saves_never_tear_the_snapshot() {
         Some(snapshot.clone()),
         4096,
     ));
-    // Hammer the two save entry points the server races (per-batch hook
-    // and persist timer) while entries stream in: unserialized saves
-    // could interleave the shared tmp-write/rename pair and rename a
-    // torn file into place.
+    // Hammer both save entry points (the dirty-checked save of the
+    // persist timer and shutdown, and the unconditional save) while
+    // entries stream in: unserialized saves could interleave the shared
+    // tmp-write/rename pair and rename a torn file into place.
     let threads: Vec<_> = (0..4u64)
         .map(|t| {
             let store = std::sync::Arc::clone(&store);
@@ -532,9 +532,7 @@ fn concurrent_saves_never_tear_the_snapshot() {
                     if t % 2 == 0 {
                         store.save_if_dirty().expect("save io");
                     } else {
-                        store
-                            .save_if_dirty_debounced(std::time::Duration::from_millis(1))
-                            .expect("save io");
+                        store.save().expect("save io");
                     }
                 }
             })

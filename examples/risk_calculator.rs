@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example risk_calculator`
 
 use qcoral::{Analyzer, Options};
-use qcoral_baselines::{adaptive_probability, volcomp_bounds, AdaptiveConfig, VolCompConfig};
+use qcoral_baselines::{adaptive_probability, volcomp_bounds, AdaptiveConfig, VOLCOMP_PAVER};
 use qcoral_icp::domain_box;
 use qcoral_mc::{Dist, UsageProfile};
 use qcoral_subjects::table3_subjects;
@@ -33,7 +33,7 @@ fn main() {
         adaptive.value, adaptive.error_estimate, adaptive.converged
     );
 
-    let bounds = volcomp_bounds(&cs, &dbox, &VolCompConfig::default());
+    let bounds = volcomp_bounds(&cs, &dbox, &VOLCOMP_PAVER);
     println!("interval bounding    : {bounds}");
 
     let uniform = UsageProfile::uniform(domain.len());

@@ -2,9 +2,9 @@
 //! of every table, at reduced budgets so the suite stays fast.
 
 use qcoral::{Analyzer, Options};
-use qcoral_baselines::{adaptive_probability, volcomp_bounds, AdaptiveConfig, VolCompConfig};
+use qcoral_baselines::{adaptive_probability, volcomp_bounds, AdaptiveConfig, VOLCOMP_PAVER};
 use qcoral_constraints::parse::parse_system;
-use qcoral_icp::domain_box;
+use qcoral_icp::{domain_box, PaverConfig};
 use qcoral_mc::UsageProfile;
 use qcoral_subjects::{aerospace_subjects_with, all_solids, table3_subjects};
 use qcoral_symexec::SymConfig;
@@ -81,7 +81,7 @@ fn table3_methods_consistent_on_linear_subject() {
     let profile = UsageProfile::uniform(domain.len());
 
     let adaptive = adaptive_probability(&cs, &dbox, &AdaptiveConfig::default());
-    let bounds = volcomp_bounds(&cs, &dbox, &VolCompConfig::default());
+    let bounds = volcomp_bounds(&cs, &dbox, &VOLCOMP_PAVER);
     let report = Analyzer::new(Options::strat_partcache().with_samples(30_000).with_seed(5))
         .analyze(&cs, &domain, &profile);
 
@@ -170,9 +170,9 @@ fn volcomp_degenerates_where_qcoral_does_not() {
     let bounds = volcomp_bounds(
         &sys.constraint_set,
         &dbox,
-        &VolCompConfig {
-            max_boxes_per_pc: 4,
-            ..VolCompConfig::default()
+        &PaverConfig {
+            max_boxes: 4,
+            ..VOLCOMP_PAVER
         },
     );
     assert!(

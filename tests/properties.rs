@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use qcoral::{Analyzer, Options};
-use qcoral_baselines::{volcomp_bounds, VolCompConfig};
+use qcoral_baselines::{volcomp_bounds, VOLCOMP_PAVER};
 use qcoral_constraints::{Atom, ConstraintSet, Domain, Expr, PathCondition, RelOp, VarId};
 use qcoral_icp::{domain_box, pave, PaverConfig};
 use qcoral_mc::UsageProfile;
@@ -148,9 +148,9 @@ proptest! {
             "qCORAL {} vs truth {truth} for {cs}",
             report.estimate.mean
         );
-        let bounds = volcomp_bounds(&cs, &domain_box(&domain), &VolCompConfig {
-            max_boxes_per_pc: 512,
-            ..VolCompConfig::default()
+        let bounds = volcomp_bounds(&cs, &domain_box(&domain), &PaverConfig {
+            max_boxes: 512,
+            ..VOLCOMP_PAVER
         });
         prop_assert!(
             truth >= bounds.lo - 0.02 && truth <= bounds.hi + 0.02,
