@@ -51,7 +51,6 @@ pub const VOLCOMP_PAVER: PaverConfig = PaverConfig {
     max_boxes: 2_000,
     precision_digits: 4,
     time_budget: Duration::from_secs(5),
-    max_passes: 8,
 };
 
 /// Bounds `Pr[x uniform over domain satisfies cs]` within a guaranteed

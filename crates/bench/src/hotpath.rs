@@ -212,7 +212,7 @@ impl LegacyPaver {
         scratch: &mut IvalScratch,
         widths: &mut Vec<f64>,
     ) -> bool {
-        for _ in 0..self.config.max_passes {
+        for _ in 0..qcoral_icp::MAX_PASSES {
             widths.clear();
             widths.extend(boxed.dims().iter().map(Interval::width));
             for t in &self.atoms {

@@ -73,23 +73,16 @@ pub struct Options {
     /// Meant for use with `partition`.
     pub cache: bool,
     /// Sample allocation across strata (paper: equal per stratum).
-    /// [`Allocation::ImportanceAdaptive`] additionally arms the
-    /// rare-event escalation below.
-    pub allocation: Allocation,
-    /// Rare-event escalation threshold, active only under
-    /// [`Allocation::ImportanceAdaptive`]: a factor whose stratified
-    /// pilot round *estimates* a probability strictly below this (exact
+    /// [`Allocation::ImportanceAdaptive`] additionally arms rare-event
+    /// escalation: a factor whose stratified pilot round *estimates* a
+    /// probability strictly below [`qcoral_mc::IS_THRESHOLD`] (exact
     /// mass plus weighted boundary hit rate — the raw conditional hit
     /// rate is no rarity signal, because boundary strata hug the
     /// constraint surface) switches its boundary-region budget to the
     /// paver-seeded adaptive importance-sampling engine
     /// ([`qcoral_mc::IsEstimator`]); at or above it the factor stays
-    /// stratified. `1.0` forces IS on every factor with boundary
-    /// strata, `0.0` disables the switch entirely. Folded into the
-    /// sampling fingerprints only under `ImportanceAdaptive`, so every
-    /// other configuration keeps its historic cache keys (and warm
-    /// stores) unchanged.
-    pub is_threshold: f64,
+    /// stratified.
+    pub allocation: Allocation,
     /// ICP paver budget (paper defaults: 10 boxes, 3 digits, 2 s).
     pub paver: PaverConfig,
     /// Fan out distinct factors, strata and sample chunks across threads
@@ -160,7 +153,6 @@ impl Options {
             partition: false,
             cache: false,
             allocation: Allocation::EqualPerStratum,
-            is_threshold: qcoral_mc::DEFAULT_IS_THRESHOLD,
             paver: PaverConfig::default(),
             parallel: false,
             chunk: SamplePlan::DEFAULT_CHUNK,
@@ -207,16 +199,9 @@ impl Options {
 
     /// Sets the stratum allocation policy.
     /// [`Allocation::ImportanceAdaptive`] arms the rare-event
-    /// importance-sampling escalation (see [`Options::is_threshold`]).
+    /// importance-sampling escalation (see [`Options::allocation`]).
     pub fn with_allocation(mut self, allocation: Allocation) -> Options {
         self.allocation = allocation;
-        self
-    }
-
-    /// Sets the rare-event pilot-estimate threshold (see
-    /// [`Options::is_threshold`]).
-    pub fn with_is_threshold(mut self, threshold: f64) -> Options {
-        self.is_threshold = threshold;
         self
     }
 
@@ -282,7 +267,9 @@ impl Options {
     /// `DefaultHasher`, whose algorithm may change between Rust
     /// releases): the value is persisted in factor-store snapshots, so
     /// it must match across processes *and* toolchains or every restart
-    /// would silently start cold.
+    /// would silently start cold. Retired knobs keep their word, folded
+    /// from the constant that replaced them, so every key stays as it
+    /// was.
     pub fn sampling_fingerprint(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for word in [
@@ -307,7 +294,7 @@ impl Options {
             self.paver.max_boxes as u64,
             self.paver.precision_digits as u64,
             self.paver.time_budget.as_nanos() as u64,
-            self.paver.max_passes as u64,
+            qcoral_icp::MAX_PASSES as u64,
         ] {
             h = fnv_fold(h, word);
         }
@@ -316,7 +303,7 @@ impl Options {
         // fingerprint (uniform keys unchanged, warm stores stay warm),
         // while IS runs key on everything that shapes their streams.
         if self.allocation == Allocation::ImportanceAdaptive {
-            h = fnv_fold(h, self.is_threshold.to_bits());
+            h = fnv_fold(h, qcoral_mc::IS_THRESHOLD.to_bits());
         }
         h
     }
@@ -417,7 +404,7 @@ pub struct Stats {
     /// importance-sampling engine (see [`qcoral_mc::IsEstimator`]):
     /// under [`Allocation::ImportanceAdaptive`], the factors whose pilot
     /// estimate (exact inner mass plus `Σ wᵢ·p̂ᵢ` over the boundary
-    /// strata) fell below [`Options::is_threshold`] and whose proposal
+    /// strata) fell below [`qcoral_mc::IS_THRESHOLD`] and whose proposal
     /// produced hits. Always 0 under other allocations and for fully
     /// cache-answered runs.
     pub is_factors: u64,
@@ -721,7 +708,7 @@ impl Analyzer {
     /// stratum's weight at 95% confidence. Either size
     /// [`Options::samples`] so round 1 can see the event, or select
     /// [`Allocation::ImportanceAdaptive`]: after round 1, a factor whose
-    /// estimate fell below [`Options::is_threshold`] pilots a
+    /// estimate fell below [`qcoral_mc::IS_THRESHOLD`] pilots a
     /// paver-seeded [`qcoral_mc::IsEstimator`] with another `samples`,
     /// and each further round adapts that proposal instead of re-running
     /// Neyman. A pilot with zero hits falls back to stratified sampling
@@ -956,6 +943,19 @@ mod tests {
                 r.estimate.mean
             );
         }
+    }
+
+    /// Option fingerprints key every persisted factor-store entry, so a
+    /// change here silently cold-starts every warm store. Retired knobs
+    /// keep their word (see `sampling_fingerprint`).
+    #[test]
+    fn option_fingerprints_are_pinned() {
+        let default = Options::default();
+        assert_eq!(default.sampling_fingerprint(), 0x9e7e_b97b_7991_8ca4);
+        assert_eq!(default.iterative_fingerprint(), 0xfd98_9aae_bdb2_b8e2);
+        let rare = Options::default().with_allocation(Allocation::ImportanceAdaptive);
+        assert_eq!(rare.sampling_fingerprint(), 0x153b_c855_8329_2d69);
+        assert_eq!(rare.iterative_fingerprint(), 0x278d_7b90_8010_9e6f);
     }
 
     #[test]

@@ -56,7 +56,7 @@ use qcoral_icp::{domain_box, PavingCache};
 use qcoral_interval::IntervalBox;
 use qcoral_mc::{
     align_strata, initial_allocation, mix_seed, neyman_allocation, proportional_split, Allocation,
-    Deadline, Estimate, IsEstimator, SamplePlan, Strata, Stratum, UsageProfile,
+    Deadline, Estimate, IsEstimator, SamplePlan, Strata, Stratum, UsageProfile, IS_THRESHOLD,
 };
 
 use crate::analyzer::{factor_key, hash_key, publish_report, Analyzer, Options, Report, Stats};
@@ -635,7 +635,7 @@ impl Run<'_> {
     ///   then the rest by [`neyman_allocation`].
     /// * `ImportanceAdaptive`: an equal-split pilot over a quarter of the
     ///   budget. A factor whose pilot *estimate* falls below
-    ///   [`Options::is_threshold`] hands the rest to [`IS_ROUNDS`]
+    ///   [`IS_THRESHOLD`] hands the rest to [`IS_ROUNDS`]
     ///   importance-sampling rounds; otherwise — or when the IS pilot
     ///   round finds no hits — the rest follows Neyman.
     ///
@@ -665,7 +665,7 @@ impl Run<'_> {
             // conditional hit rate: boundary strata hug the constraint
             // surface, so their conditional rates are O(1) even for 1e-8
             // events — the rarity lives in the weights.
-            let rare = f.strata.drawn() > 0 && f.strata.pilot_mean() < self.opts.is_threshold;
+            let rare = f.strata.drawn() > 0 && f.strata.pilot_mean() < IS_THRESHOLD;
             if rare && remaining > 0 && !self.expired() {
                 // `IS_ROUNDS − 1` equal warm-up rounds refine the
                 // proposal, then a final round of half the IS budget
@@ -702,7 +702,7 @@ impl Run<'_> {
     ///    allocated (`VarianceAdaptive` and `ImportanceAdaptive` pilot
     ///    with the equal split);
     /// 2. under `ImportanceAdaptive`, a factor whose round-1 estimate
-    ///    fell below [`Options::is_threshold`] escalates, piloting its IS
+    ///    fell below [`IS_THRESHOLD`] escalates, piloting its IS
     ///    proposal with another `samples`;
     /// 3. each further round splits [`Options::round_budget`] across PCs
     ///    by their variance, aims each share at the PC's factor with the
@@ -765,7 +765,7 @@ impl Run<'_> {
                 .iter_mut()
                 .filter_map(|state| match state {
                     Prepared::Live(f)
-                        if f.strata.drawn() > 0 && f.estimate().mean < opts.is_threshold =>
+                        if f.strata.drawn() > 0 && f.estimate().mean < IS_THRESHOLD =>
                     {
                         Some(&mut **f)
                     }

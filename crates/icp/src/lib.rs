@@ -45,7 +45,7 @@ pub mod cache;
 pub mod paver;
 
 pub use cache::{batch_lru_cutoff, LruCache};
-pub use paver::{pave, Paver, PaverConfig, Paving, PavingCache};
+pub use paver::{pave, Paver, PaverConfig, Paving, PavingCache, MAX_PASSES};
 
 use qcoral_constraints::{Domain, EvalTape, IvalScratch, PathCondition};
 use qcoral_interval::{Interval, IntervalBox};
@@ -63,7 +63,7 @@ pub fn domain_box(domain: &Domain) -> IntervalBox {
 /// solution inside `boxed`. A `true` answer means "possibly satisfiable".
 pub fn maybe_satisfiable(pc: &PathCondition, boxed: &IntervalBox) -> bool {
     let mut b = boxed.clone();
-    EvalTape::compile(pc).contract(&mut b, 8, &mut IvalScratch::new())
+    EvalTape::compile(pc).contract(&mut b, MAX_PASSES, &mut IvalScratch::new())
 }
 
 #[cfg(test)]

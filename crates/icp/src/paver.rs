@@ -29,9 +29,13 @@ pub struct PaverConfig {
     pub precision_digits: u32,
     /// Wall-clock budget per query.
     pub time_budget: Duration,
-    /// Fixpoint pass limit per contraction.
-    pub max_passes: usize,
 }
+
+/// Fixpoint pass limit of every HC4 contraction the paver and
+/// [`crate::maybe_satisfiable`] run. One constant rather than a knob: no
+/// caller ever used another value, and the time budget is checked only
+/// between boxes, so a large limit would let one contraction outrun it.
+pub const MAX_PASSES: usize = 8;
 
 impl Default for PaverConfig {
     /// The paper's RealPaver configuration: 10 boxes, 3 decimal digits,
@@ -41,7 +45,6 @@ impl Default for PaverConfig {
             max_boxes: 10,
             precision_digits: 3,
             time_budget: Duration::from_secs(2),
-            max_passes: 8,
         }
     }
 }
@@ -171,7 +174,6 @@ impl Paver {
     /// allocation except for the boxes themselves.
     pub fn pave(&self, domain: &IntervalBox) -> Paving {
         let start = Instant::now();
-        let max_passes = self.config.max_passes.max(1);
         let mut scratch = IvalScratch::new();
         let mut paving = Paving::default();
         let mut heap = BinaryHeap::new();
@@ -194,7 +196,7 @@ impl Paver {
             // Contraction never increases the box count, so it is applied
             // even once the box budget is exhausted.
             self.tape
-                .contract_classify(&mut batch, max_passes, &mut verdicts, &mut scratch);
+                .contract_classify(&mut batch, MAX_PASSES, &mut verdicts, &mut scratch);
             let n = batch.len();
             for (i, boxed) in batch.drain(..).enumerate() {
                 match verdicts[i] {
@@ -250,7 +252,6 @@ struct PavingKey {
     max_boxes: usize,
     precision_digits: u32,
     time_budget_ns: u128,
-    max_passes: usize,
 }
 
 /// A concurrent cache of pavings keyed by the conjunction's fingerprint,
@@ -319,7 +320,6 @@ impl PavingCache {
             max_boxes: config.max_boxes,
             precision_digits: config.precision_digits,
             time_budget_ns: config.time_budget.as_nanos(),
-            max_passes: config.max_passes,
         };
         self.map.get_or_insert_with(key, || {
             Paver::from_tape(Arc::clone(tape), domain.ndim(), config.clone()).pave(domain)

@@ -109,10 +109,10 @@ use qcoral_interval::{Interval, IntervalBox};
 use rand::{rngs::SmallRng, Rng};
 use serde::{Deserialize, Serialize};
 
-/// Default rare-event threshold: a factor whose stratified pilot
-/// *estimates* a probability below this switches from stratified
-/// sampling to adaptive IS (overridable via the analyzer's `Options`).
-pub const DEFAULT_IS_THRESHOLD: f64 = 0.01;
+/// Rare-event threshold: under `ImportanceAdaptive` allocation, a factor
+/// whose stratified pilot *estimates* a probability below this switches
+/// from stratified sampling to adaptive IS.
+pub const IS_THRESHOLD: f64 = 0.01;
 
 /// Exponential-smoothing factor of the cross-entropy refit: how far the
 /// mixture moves toward the hit population each round.

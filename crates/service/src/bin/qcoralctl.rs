@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! qcoralctl --addr HOST:PORT status
-//! qcoralctl --addr HOST:PORT health
 //! qcoralctl --addr HOST:PORT metrics
 //! qcoralctl --addr HOST:PORT system  "var x in [0,1]; pc x < 0.5;" [options]
 //! qcoralctl --addr HOST:PORT program FILE.mj [options] [--max-depth N]
@@ -10,14 +9,14 @@
 //! options: [--samples N] [--seed N] [--plain|--strat] [--parallel]
 //!          [--target-stderr X] [--round-budget N] [--max-rounds N]
 //!          [--allocation equal|proportional|variance|importance]
-//!          [--is-threshold X] [--paver-boxes N]
-//!          [--profile SPEC] [--profile-epsilon X]
+//!          [--paver-boxes N] [--profile SPEC] [--profile-epsilon X]
 //!          [--retries N] [--timeout MS] [--trace FILE]
 //! ```
 //!
-//! `health` prints the server's fault-tolerance report: what startup
-//! recovery found (snapshot/WAL entries, corruption counts) plus
-//! shed/panicked/rejected counters.
+//! `status` prints the server's configuration and counters: store
+//! entries and hits, served/rejected/shed/panicked requests, what
+//! startup recovery found (snapshot/WAL entries, corruption counts), and
+//! WAL append failures.
 //!
 //! `metrics` prints the server's metric families as Prometheus-style
 //! text exposition (counters, gauges, and histograms with
@@ -42,12 +41,12 @@
 //! `--max-rounds` is exhausted (check `stats.target_met` in the reply).
 //!
 //! `--allocation importance` enables per-factor rare-event escalation:
-//! factors whose pilot estimate falls below `--is-threshold` (default
-//! 0.01) hand their boundary budget to the paver-seeded adaptive
-//! importance-sampling engine (check `stats.is_factors` /
-//! `stats.is_fallbacks` in the reply). For ~1e-8 events pair it with a
-//! finer paving via `--paver-boxes 128` — the boundary boxes seed the
-//! IS proposal and bound its importance weights.
+//! factors whose pilot estimate falls below 0.01
+//! (`qcoral_mc::IS_THRESHOLD`) hand their boundary budget to the
+//! paver-seeded adaptive importance-sampling engine (check
+//! `stats.is_factors` / `stats.is_fallbacks` in the reply). For ~1e-8
+//! events pair it with a finer paving via `--paver-boxes 128` — the
+//! boundary boxes seed the IS proposal and bound its importance weights.
 //!
 //! `--profile` attaches a non-uniform usage profile, one `name ~ dist`
 //! entry per input separated by `;`, e.g.
@@ -77,11 +76,11 @@ use qcoral_service::{Client, ClientError, NamedDist, RetryPolicy};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: qcoralctl --addr HOST:PORT <status|health|metrics|system SRC|program FILE> \
+        "usage: qcoralctl --addr HOST:PORT <status|metrics|system SRC|program FILE> \
          [--samples N] [--seed N] [--plain|--strat] [--parallel] [--max-depth N] \
          [--target-stderr X] [--round-budget N] [--max-rounds N] \
          [--allocation equal|proportional|variance|importance] \
-         [--is-threshold X] [--paver-boxes N] \
+         [--paver-boxes N] \
          [--profile 'x ~ N(0,1); y ~ Exp(2)'] [--profile-epsilon X] \
          [--retries N] [--timeout MS] [--trace FILE]"
     );
@@ -112,7 +111,6 @@ fn parse_cli() -> Cli {
     let mut round_budget = None;
     let mut max_rounds = None;
     let mut allocation = None;
-    let mut is_threshold = None;
     let mut paver_boxes = None;
     let mut profile = None;
     let mut profile_epsilon = None;
@@ -131,7 +129,6 @@ fn parse_cli() -> Cli {
             "--round-budget" => round_budget = Some(parse(&value())),
             "--max-rounds" => max_rounds = Some(parse(&value())),
             "--allocation" => allocation = Some(parse_allocation(&value())),
-            "--is-threshold" => is_threshold = Some(parse_float(&value())),
             "--paver-boxes" => paver_boxes = Some(parse(&value()) as usize),
             "--profile" => {
                 profile = Some(parse_profile_spec(&value()).unwrap_or_else(|e| {
@@ -177,9 +174,6 @@ fn parse_cli() -> Cli {
     }
     if let Some(allocation) = allocation {
         options.allocation = allocation;
-    }
-    if let Some(threshold) = is_threshold {
-        options.is_threshold = threshold;
     }
     if let Some(boxes) = paver_boxes {
         options.paver.max_boxes = boxes;
@@ -294,9 +288,6 @@ fn main() {
         "status" => client
             .status()
             .map(|s| serde_json::to_string_pretty(&s).expect("status serializes")),
-        "health" => client
-            .health()
-            .map(|h| serde_json::to_string_pretty(&h).expect("health serializes")),
         "metrics" => client.metrics().map(|m| m.text.trim_end().to_string()),
         "system" => {
             let src = read_input(cli.input.as_deref().unwrap_or_else(|| usage()), false);

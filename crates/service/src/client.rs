@@ -22,8 +22,7 @@ use qcoral::Options;
 use qcoral_mc::UsageProfile;
 
 use crate::protocol::{
-    AnalysisResponse, HealthReport, MetricsReport, NamedDist, Op, Outcome, Request, Response,
-    ServerStatus,
+    AnalysisResponse, MetricsReport, NamedDist, Op, Outcome, Request, Response, ServerStatus,
 };
 use crate::wire::{decode_response, encode_request, WireError};
 
@@ -263,20 +262,11 @@ impl Client {
         expect_report(response.outcome)
     }
 
-    /// Fetches server status/metrics.
+    /// Fetches the server status: configuration, store and scheduler
+    /// counters, the store's startup recovery and fault counters.
     pub fn status(&mut self) -> Result<ServerStatus, ClientError> {
         match self.call(Op::Status)?.outcome {
             Outcome::Status(s) => Ok(s),
-            Outcome::Error { message } => Err(ClientError::Remote(message)),
-            _ => Err(ClientError::UnexpectedOutcome),
-        }
-    }
-
-    /// Fetches the fault-tolerance health report (recovery outcome, WAL
-    /// and scheduler fault counters).
-    pub fn health(&mut self) -> Result<HealthReport, ClientError> {
-        match self.call(Op::Health)?.outcome {
-            Outcome::Health(h) => Ok(h),
             Outcome::Error { message } => Err(ClientError::Remote(message)),
             _ => Err(ClientError::UnexpectedOutcome),
         }

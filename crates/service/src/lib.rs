@@ -17,8 +17,8 @@
 //! * **The headline mechanism** — a **cross-run factor-estimate store**
 //!   ([`qcoral::FactorStore`]): factor results keyed by canonical factor
 //!   form × projected profile × a fingerprint of the sampling options
-//!   survive across requests, and — via a versioned JSON snapshot on
-//!   disk ([`store`]) — across restarts. Because every sampling seed
+//!   survive across requests, and — via a versioned snapshot of
+//!   checksummed JSON lines on disk ([`store`]) — across restarts. Because every sampling seed
 //!   derives from the canonical factor key, a store hit is
 //!   *bit-identical* to recomputation: a warm service answers recurring
 //!   factors with zero new pavings and zero new samples, without
@@ -55,8 +55,8 @@ pub mod wire;
 
 pub use client::{Client, ClientError, RetryPolicy};
 pub use protocol::{
-    AnalysisResponse, FailpointStatus, HealthReport, MetricsReport, NamedDist, Op, Outcome,
-    Request, Response, ServerStatus, PROTOCOL_VERSION,
+    AnalysisResponse, FailpointStatus, MetricsReport, NamedDist, Op, Outcome, Request, Response,
+    ServerStatus, PROTOCOL_VERSION,
 };
 pub use scheduler::SchedulerMetrics;
 pub use server::{Server, ServiceConfig};

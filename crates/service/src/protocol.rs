@@ -20,6 +20,8 @@ use serde::{Deserialize, Serialize};
 use qcoral::{Estimate, Options, Report};
 use qcoral_mc::{Dist, UsageProfile};
 
+use crate::store::RecoveryReport;
+
 /// Version of the request/response schema (see module docs).
 ///
 /// v2: `Options` gained the required `target_stderr`/`max_rounds`/
@@ -39,10 +41,10 @@ use qcoral_mc::{Dist, UsageProfile};
 /// required `deadline_exceeded` flag (the breaking change: v3 clients
 /// fail to decode v4 reports), `Options` gained the *optional*
 /// `deadline_ms` request deadline (absent ⇒ no deadline, so v4 servers
-/// still accept v3 request frames), and the new [`Op::Health`] op
-/// answers with a [`HealthReport`] (store recovery, WAL and scheduler
-/// fault counters). [`ServerStatus`] gained `requests_shed` and
-/// `jobs_panicked`.
+/// still accept v3 request frames), and the new `Health` op answered
+/// with a `HealthReport` (store recovery, WAL and scheduler fault
+/// counters; folded into [`ServerStatus`] in v8). [`ServerStatus`]
+/// gained `requests_shed` and `jobs_panicked`.
 ///
 /// v5: observability. `Options` gained the required `trace` flag (the
 /// breaking change: v4 request frames are rejected with a missing-field
@@ -68,7 +70,20 @@ use qcoral_mc::{Dist, UsageProfile};
 /// gained `backend` (what this server process uses). The JIT backend
 /// that motivated the field is gone: both now always read `"bulk"`, and
 /// the fields stay so the wire format does not change.
-pub const PROTOCOL_VERSION: u32 = 7;
+///
+/// v8: one probe and two retired knobs. The `Health` op and its
+/// `HealthReport` are gone: [`ServerStatus`] gained the four fields it
+/// lacked (`factor_store_recovered`, `recovery`, `wal_append_failures`
+/// and `failpoints`), and a v7 client asking for `Health` gets an
+/// [`Outcome::Error`] (an unknown op). `Options::is_threshold` left for
+/// the constant `qcoral_mc::IS_THRESHOLD`, and `PaverConfig::max_passes`
+/// for `qcoral_icp::MAX_PASSES`: v7 request frames that still carry
+/// either key decode with that key ignored, because the serde shim skips
+/// unknown keys, while v7 servers reject v8 request frames with a
+/// missing-field error. Both keys only ever took one value, and a
+/// network-supplied pass limit could pin a worker far past its paver
+/// time budget.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// One named marginal of a program request's usage profile: programs
 /// declare their inputs by name, so profiles address them by name too
@@ -117,12 +132,10 @@ pub enum Op {
         /// Per-variable input distributions; uniform when absent.
         profile: Option<UsageProfile>,
     },
-    /// Health/statistics probe; answered without entering the queue.
+    /// The one status probe ([`ServerStatus`]): configuration, store and
+    /// scheduler counters, store recovery and fault counters. Answered
+    /// without entering the queue.
     Status,
-    /// Fault-tolerance probe: store recovery outcome, WAL durability
-    /// and scheduler fault counters ([`HealthReport`]). Like
-    /// [`Op::Status`], answered inline so it works under full load.
-    Health,
     /// Metrics scrape: the server's counters, gauges and histograms as
     /// Prometheus-style text exposition ([`MetricsReport`]). Like
     /// [`Op::Status`], answered inline so scrapes work under full load.
@@ -152,8 +165,6 @@ pub enum Outcome {
     },
     /// Answer to [`Op::Status`].
     Status(ServerStatus),
-    /// Answer to [`Op::Health`].
-    Health(HealthReport),
     /// Answer to [`Op::Metrics`].
     Metrics(MetricsReport),
 }
@@ -176,7 +187,9 @@ pub struct AnalysisResponse {
     pub cut_paths: Option<u64>,
 }
 
-/// Server-side counters and configuration, for monitoring.
+/// Answer to [`Op::Status`]: server configuration, store and scheduler
+/// counters, what startup recovery found on disk, and the fault
+/// counters accumulated since.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ServerStatus {
     /// Schema version of this protocol.
@@ -215,6 +228,17 @@ pub struct ServerStatus {
     /// Predicate-evaluation backend this server uses for tape-compiled
     /// predicates: always `"bulk"`, the columnar interpreter.
     pub backend: String,
+    /// Persisted state (snapshot and/or WAL) survived into the warm
+    /// store at startup. `false` for a fresh path or in-memory store.
+    pub factor_store_recovered: bool,
+    /// Full startup-recovery breakdown.
+    pub recovery: RecoveryReport,
+    /// WAL append attempts that failed since startup (in-memory state
+    /// stays correct; crash durability until the next snapshot suffers).
+    pub wal_append_failures: u64,
+    /// Active fault-injection sites (empty unless the server was built
+    /// with the `failpoints` feature and points were configured).
+    pub failpoints: Vec<FailpointStatus>,
 }
 
 /// Answer to [`Op::Metrics`]: the server's metric families rendered as
@@ -229,37 +253,6 @@ pub struct MetricsReport {
     /// (scheduler, factor store, request timings) followed by the
     /// process-wide registry (analyzer, compile caches).
     pub text: String,
-}
-
-/// Answer to [`Op::Health`]: what startup recovery found on disk plus
-/// the fault counters accumulated since.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HealthReport {
-    /// Schema version of this protocol.
-    pub protocol_version: u32,
-    /// Persisted state (snapshot and/or WAL) survived into the warm
-    /// store at startup. `false` for a fresh path or in-memory store.
-    pub factor_store_recovered: bool,
-    /// Full startup-recovery breakdown.
-    pub recovery: crate::store::RecoveryReport,
-    /// WAL append attempts that failed since startup (in-memory state
-    /// stays correct; crash durability until the next snapshot suffers).
-    pub wal_append_failures: u64,
-    /// Entries currently in the cross-run factor store.
-    pub store_entries: u64,
-    /// Requests executed to completion.
-    pub requests_served: u64,
-    /// Requests rejected at admission (queue full).
-    pub requests_rejected: u64,
-    /// Queued requests shed after their deadline expired.
-    pub requests_shed: u64,
-    /// Jobs that panicked on a worker (contained).
-    pub jobs_panicked: u64,
-    /// Micro-batches dispatched.
-    pub batches_dispatched: u64,
-    /// Active fault-injection sites (empty unless the server was built
-    /// with the `failpoints` feature and points were configured).
-    pub failpoints: Vec<FailpointStatus>,
 }
 
 /// One fault-injection site's counters (see the `qcoral-failpoints`

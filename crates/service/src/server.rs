@@ -8,8 +8,8 @@
 //! clients, connections and (via the snapshot) restarts is answered from
 //! the cross-run cache, bit-identically to a fresh computation.
 //!
-//! [`Op::Status`] is answered inline on the reader thread: health probes
-//! must work *especially* when the queue is full.
+//! [`Op::Status`] and [`Op::Metrics`] are answered inline on the reader
+//! thread: probes must work *especially* when the queue is full.
 
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -30,8 +30,8 @@ use qcoral_repro::pipeline::{analyze_program_with_profile, PipelineError};
 use qcoral_symexec::SymConfig;
 
 use crate::protocol::{
-    AnalysisResponse, FailpointStatus, HealthReport, MetricsReport, Op, Outcome, Response,
-    ServerStatus, PROTOCOL_VERSION,
+    AnalysisResponse, FailpointStatus, MetricsReport, Op, Outcome, Response, ServerStatus,
+    PROTOCOL_VERSION,
 };
 use crate::scheduler::Scheduler;
 use crate::store::PersistentStore;
@@ -389,34 +389,19 @@ fn serve_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
                 continue;
             }
         };
-        // Status and Health are answered inline: probes must work
-        // *especially* when the queue is full.
-        if request.op == Op::Status {
+        // Probes are answered inline: they must work *especially* when
+        // the queue is full.
+        let probe = match request.op {
+            Op::Status => Some(Outcome::Status(status(shared))),
+            Op::Metrics => Some(Outcome::Metrics(metrics_report(shared))),
+            _ => None,
+        };
+        if let Some(outcome) = probe {
             write_response(
                 &writer,
                 &Response {
                     id: request.id,
-                    outcome: Outcome::Status(status(shared)),
-                },
-            );
-            continue;
-        }
-        if request.op == Op::Health {
-            write_response(
-                &writer,
-                &Response {
-                    id: request.id,
-                    outcome: Outcome::Health(health(shared)),
-                },
-            );
-            continue;
-        }
-        if request.op == Op::Metrics {
-            write_response(
-                &writer,
-                &Response {
-                    id: request.id,
-                    outcome: Outcome::Metrics(metrics_report(shared)),
+                    outcome,
                 },
             );
             continue;
@@ -516,6 +501,7 @@ fn status(shared: &ServerShared) -> ServerStatus {
     let store = shared.store.factor_store();
     let (hits, misses) = store.stats();
     let m = shared.scheduler.metrics();
+    let recovery = shared.store.recovery_report().clone();
     ServerStatus {
         protocol_version: PROTOCOL_VERSION,
         workers: shared.cfg.workers as u64,
@@ -533,6 +519,17 @@ fn status(shared: &ServerShared) -> ServerStatus {
         queue_depth: shared.scheduler.queue_depth(),
         inflight: shared.scheduler.inflight(),
         backend: qcoral::active_backend().to_string(),
+        factor_store_recovered: recovery.recovered(),
+        recovery,
+        wal_append_failures: shared.store.wal_append_failures(),
+        failpoints: qcoral_failpoints::stats()
+            .into_iter()
+            .map(|s| FailpointStatus {
+                name: s.name,
+                evaluations: s.evaluations,
+                fired: s.fired,
+            })
+            .collect(),
     }
 }
 
@@ -550,31 +547,6 @@ fn metrics_report(shared: &ServerShared) -> MetricsReport {
     MetricsReport {
         protocol_version: PROTOCOL_VERSION,
         text: metrics_text(shared),
-    }
-}
-
-fn health(shared: &ServerShared) -> HealthReport {
-    let recovery = shared.store.recovery_report().clone();
-    let m = shared.scheduler.metrics();
-    HealthReport {
-        protocol_version: PROTOCOL_VERSION,
-        factor_store_recovered: recovery.recovered(),
-        recovery,
-        wal_append_failures: shared.store.wal_append_failures(),
-        store_entries: shared.store.factor_store().len() as u64,
-        requests_served: m.served,
-        requests_rejected: m.rejected,
-        requests_shed: m.shed,
-        jobs_panicked: m.panicked,
-        batches_dispatched: m.batches,
-        failpoints: qcoral_failpoints::stats()
-            .into_iter()
-            .map(|s| FailpointStatus {
-                name: s.name,
-                evaluations: s.evaluations,
-                fired: s.fired,
-            })
-            .collect(),
     }
 }
 
@@ -697,7 +669,6 @@ fn execute_inner(
 ) -> Outcome {
     match op {
         Op::Status => Outcome::Status(status(shared)),
-        Op::Health => Outcome::Health(health(shared)),
         Op::Metrics => Outcome::Metrics(metrics_report(shared)),
         Op::System {
             source,
@@ -776,7 +747,6 @@ fn execute_inner(
                 // pipeline default, keeping answers identical to direct
                 // calls.
                 max_paths: defaults.max_paths.min(shared.cfg.max_pcs),
-                ..defaults
             };
             // Named marginals; resolution against parameter names (and
             // distribution re-validation) happens inside the pipeline,

@@ -1,53 +1,54 @@
 //! Crash-safe disk persistence for the cross-run [`FactorStore`].
 //!
-//! Persistence is two cooperating artifacts:
+//! Both files hold one record format: a *record* is one checksummed
+//! store entry on one JSON line, `{"entry":{…},"crc":…}`, where `crc` is
+//! FNV-1a over the entry's JSON text. One encoder ([`encode_wal_line`])
+//! writes every record and one streaming line reader reads both files.
 //!
-//! **Snapshot** (`<path>`): one versioned JSON document holding every
-//! store entry, each wrapped with a per-entry checksum, plus a footer
-//! checksum over the whole entry list:
+//! **Write-ahead log** (`<path>.wal`): one record per *fresh* factor
+//! insert, appended the moment the analyzer deposits the estimate.
 //!
-//! ```json
-//! {"version": 2,
-//!  "entries": [ {"entry": {"opts_fp": …, "fingerprint": …, "box_bits": […],
-//!                "profile_bits": […], "mean_bits": …, "variance_bits": …},
-//!               "crc": …}, … ],
-//!  "footer_crc": …}
+//! **Snapshot** (`<path>`): a compacted WAL. Line 1 is the version
+//! header, then comes one record per store entry (least recently used
+//! first, each byte-identical to its WAL line), and the last line is a
+//! footer with the record count and a checksum over the record crcs in
+//! order:
+//!
+//! ```text
+//! {"version":3}
+//! {"entry":{"opts_fp":…,"fingerprint":…,"box_bits":[…],"profile_bits":[…],"mean_bits":…,"variance_bits":…},"crc":…}
+//! …
+//! {"records":…,"footer_crc":…}
 //! ```
 //!
-//! **Write-ahead log** (`<path>.wal`): one checksummed JSON line per
-//! *fresh* factor insert, appended (and flushed) the moment the analyzer
-//! deposits the estimate — long before the next snapshot. Each line is a
-//! `{"entry": …, "crc": …}` object identical to a snapshot entry.
+//! Recovery on [`PersistentStore::open`] reads one line at a time, so a
+//! restart holds the store plus one record line, and is fail-soft:
 //!
-//! Recovery on [`PersistentStore::open`] is fail-soft at every layer:
+//! 1. Load the snapshot. A first line that is not this version's header
+//!    (every v2 document) means a cold snapshot, without parsing further.
+//!    Records whose checksum does not match are *skipped and counted* —
+//!    one flipped bit costs one entry, not the whole cache. A footer
+//!    mismatch (a record dropped, duplicated or reordered) is recorded
+//!    but keeps the per-record survivors.
+//! 2. Replay the WAL: valid lines are absorbed, corrupt complete lines
+//!    are skipped and counted, and a torn tail (a final partial line
+//!    from a crash mid-append) is truncated away so later appends start
+//!    on a clean boundary.
 //!
-//! 1. Load the snapshot. Entries whose checksum does not match are
-//!    *skipped and counted* — one flipped bit costs one entry, not the
-//!    whole cache. A footer mismatch is recorded but does not discard
-//!    the per-entry survivors. A wrong version or unparseable document
-//!    degrades to a cold snapshot (the WAL is still replayed).
-//! 2. Replay the WAL line by line: valid lines are absorbed, corrupt
-//!    complete lines are skipped and counted, and a torn tail (a final
-//!    partial line from a crash mid-append) is truncated away so later
-//!    appends start on a clean boundary.
+//! The outcome is a [`RecoveryReport`], surfaced through serviced
+//! startup logs and the `Status` protocol op. Estimates are stored as
+//! exact `f64` bits, so a warm restart answers recurring factors with
+//! the bit-identical estimates the original process computed.
 //!
-//! The outcome is summarized in a [`RecoveryReport`] surfaced through
-//! serviced startup logs and the `health` protocol op.
-//!
-//! Estimates are stored as exact `f64` bits, so recovery is
-//! observationally invisible: a warm restart answers recurring factors
-//! with the bit-identical estimates the original process computed —
-//! whether they came from the snapshot or from WAL replay.
-//!
-//! Saving writes a sibling `.tmp` file and renames it into place, then
-//! truncates the WAL (its entries are now in the snapshot); a crash at
-//! any point leaves either the old snapshot + full WAL or the new
-//! snapshot + empty WAL loadable. The WAL lock is held across the whole
-//! sequence so inserts racing a snapshot land in the post-truncation WAL
-//! (replaying an entry the snapshot already holds is idempotent).
+//! Saving streams the records to a sibling `.tmp` file, renames it into
+//! place, then truncates the WAL; a crash at any point leaves either the
+//! old snapshot + full WAL or the new snapshot + empty WAL loadable. The
+//! WAL lock is held across the whole sequence so inserts racing a
+//! snapshot land in the post-truncation WAL (replaying an entry the
+//! snapshot already holds is idempotent).
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -59,28 +60,58 @@ use qcoral::{FactorStore, FactorStoreEntry};
 use qcoral_failpoints::failpoint;
 use qcoral_obs::{log, Histogram, Registry};
 
-/// Version of the snapshot document. Bumped on any change to the entry
-/// or checksum schema; older snapshots are discarded (cold start) rather
-/// than misinterpreted. Version history:
+/// Version of the snapshot format. Bumped on any change to the record
+/// or checksum schema; a snapshot of another version is discarded (cold
+/// start) rather than misinterpreted. Version history:
 ///
 /// - 1: plain entry list, no checksums, no WAL.
-/// - 2: per-entry + footer checksums, sibling write-ahead log.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// - 2: one JSON document with per-entry + footer checksums, sibling
+///   write-ahead log.
+/// - 3: the WAL's record lines between a version header and a footer
+///   line, read one line at a time. A v2 document starts cold.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-#[derive(Serialize, Deserialize)]
-struct Snapshot {
-    version: u32,
-    entries: Vec<SnapshotEntry>,
+/// The snapshot's first line.
+fn snapshot_header() -> String {
+    format!("{{\"version\":{SNAPSHOT_VERSION}}}")
+}
+
+/// One checksummed store entry: a line of the WAL and of the snapshot.
+#[derive(Deserialize)]
+struct Record {
+    entry: FactorStoreEntry,
+    /// FNV-1a over the entry's JSON text.
+    crc: u64,
+}
+
+impl Record {
+    /// The entry still matches its checksum.
+    fn intact(&self) -> bool {
+        encode_record(&self.entry).1 == self.crc
+    }
+}
+
+/// The snapshot's last line: the record count and FNV-1a over the record
+/// crcs in order, so a dropped, duplicated or reordered record is
+/// detected even when every surviving line is intact.
+#[derive(Serialize, Deserialize, PartialEq)]
+struct Footer {
+    records: u64,
     footer_crc: u64,
 }
 
-/// One checksummed store entry — the unit of both the snapshot entry
-/// list and the WAL (one JSON line each).
-#[derive(Serialize, Deserialize)]
-struct SnapshotEntry {
-    entry: FactorStoreEntry,
-    /// FNV-1a over the canonical JSON encoding of `entry`.
-    crc: u64,
+/// The footer of zero records.
+const NO_RECORDS: Footer = Footer {
+    records: 0,
+    footer_crc: FNV_OFFSET,
+};
+
+impl Footer {
+    /// Counts one more record and folds in its crc.
+    fn push(&mut self, crc: u64) {
+        self.records += 1;
+        self.footer_crc = fnv1a(self.footer_crc, &crc.to_le_bytes());
+    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -94,40 +125,21 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Checksum of one entry: FNV-1a over its canonical JSON text. The serde
-/// shim emits struct fields in declaration order, so the encoding is
-/// deterministic.
-fn entry_crc(entry: &FactorStoreEntry) -> u64 {
+/// Encodes one entry as a record line (no trailing newline) and returns
+/// it with its crc. The entry is serialized once, and that text is both
+/// checksummed and written; the serde shim emits struct fields in
+/// declaration order, so the text is canonical.
+fn encode_record(entry: &FactorStoreEntry) -> (String, u64) {
     let text = serde_json::to_string(entry).expect("entry serializes");
-    fnv1a(FNV_OFFSET, text.as_bytes())
+    let crc = fnv1a(FNV_OFFSET, text.as_bytes());
+    (format!("{{\"entry\":{text},\"crc\":{crc}}}"), crc)
 }
 
-/// Footer checksum: FNV-1a over the entry count and every entry crc, so
-/// a dropped/duplicated/reordered entry is detected even when each
-/// surviving entry is individually intact.
-fn footer_crc(entries: &[SnapshotEntry]) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &(entries.len() as u64).to_le_bytes());
-    for e in entries {
-        h = fnv1a(h, &e.crc.to_le_bytes());
-    }
-    h
-}
-
-/// Writes the snapshot document of `entries` to `out`, one entry at a
-/// time: the bytes of `serde_json::to_string(&Snapshot { .. })`, without
-/// holding the document in memory. Each entry is serialized once; that
-/// text is both checksummed and written.
-fn write_snapshot_doc(entries: Vec<FactorStoreEntry>, out: &mut impl Write) -> io::Result<()> {
-    let mut footer = fnv1a(FNV_OFFSET, &(entries.len() as u64).to_le_bytes());
-    write!(out, "{{\"version\":{SNAPSHOT_VERSION},\"entries\":[")?;
-    for (i, entry) in entries.into_iter().enumerate() {
-        let text = serde_json::to_string(&entry).expect("entry serializes");
-        let crc = fnv1a(FNV_OFFSET, text.as_bytes());
-        footer = fnv1a(footer, &crc.to_le_bytes());
-        let sep = if i == 0 { "" } else { "," };
-        write!(out, "{sep}{{\"entry\":{text},\"crc\":{crc}}}")?;
-    }
-    write!(out, "],\"footer_crc\":{footer}}}")
+/// Encodes one factor-store entry as a record line (no trailing
+/// newline), the same for the WAL and the snapshot. Exposed so benches
+/// and tests can synthesize WAL files that recovery accepts.
+pub fn encode_wal_line(entry: &FactorStoreEntry) -> String {
+    encode_record(entry).0
 }
 
 /// The sibling write-ahead log path for a snapshot path: the snapshot
@@ -138,15 +150,32 @@ pub fn wal_path(snapshot: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Encodes one factor-store entry as a WAL line (no trailing newline).
-/// Exposed so benches and tests can synthesize WAL files that recovery
-/// accepts.
-pub fn encode_wal_line(entry: &FactorStoreEntry) -> String {
-    let wrapped = SnapshotEntry {
-        crc: entry_crc(entry),
-        entry: entry.clone(),
-    };
-    serde_json::to_string(&wrapped).expect("wal entry serializes")
+/// Parses one line as a `T`; `None` if it is not UTF-8 or not a `T`.
+fn parse_line<T: Deserialize>(line: &[u8]) -> Option<T> {
+    serde_json::from_str(std::str::from_utf8(line).ok()?).ok()
+}
+
+/// Streams `reader` one line at a time (`BufRead::read_until`), passing
+/// each complete non-empty line, without its newline, to `each`. Returns
+/// the byte length of the complete-line prefix and whether a partial
+/// final line (no newline) followed it.
+fn read_lines(mut reader: impl BufRead, mut each: impl FnMut(&[u8])) -> io::Result<(u64, bool)> {
+    let mut line = Vec::new();
+    let mut complete = 0u64;
+    loop {
+        line.clear();
+        let n = reader.read_until(b'\n', &mut line)?;
+        if n == 0 {
+            return Ok((complete, false));
+        }
+        if line.pop() != Some(b'\n') {
+            return Ok((complete, true));
+        }
+        complete += n as u64;
+        if !line.is_empty() {
+            each(&line);
+        }
+    }
 }
 
 /// What [`PersistentStore::open`] found on disk and how much of it
@@ -154,15 +183,15 @@ pub fn encode_wal_line(entry: &FactorStoreEntry) -> String {
 /// or an in-memory store.
 #[derive(Serialize, Deserialize, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// A snapshot document of the current version was parsed.
+    /// A snapshot of the current version was read (its header matched).
     pub snapshot_loaded: bool,
     /// Entries absorbed from the snapshot.
     pub snapshot_entries: u64,
-    /// Snapshot entries dropped for a checksum mismatch or failed
-    /// estimate validation.
+    /// Snapshot records dropped for a checksum mismatch, a parse failure
+    /// or failed estimate validation.
     pub snapshot_corrupt_entries: u64,
-    /// The snapshot's footer checksum did not match its entry list
-    /// (entries with valid per-entry checksums were still absorbed).
+    /// The snapshot's footer did not match its record list (records with
+    /// valid per-record checksums were still absorbed).
     pub footer_mismatch: bool,
     /// WAL lines absorbed on top of the snapshot.
     pub wal_replayed_entries: u64,
@@ -190,14 +219,19 @@ impl RecoveryReport {
 pub struct PersistentStore {
     store: Arc<FactorStore>,
     path: Option<PathBuf>,
-    /// Serializes snapshot writes: the save methods can be called
+    /// The store revision the last snapshot captured. The mutex also
+    /// serializes snapshot writes: the save methods can be called
     /// concurrently (persist timer, shutdown, tools), and both the dirty
     /// check and the shared `.tmp`-then-rename pair must happen under
     /// one lock, or overlapping saves could interleave and rename a torn
     /// file into place.
-    save_state: Mutex<SaveState>,
-    /// Shared with the store's insert hook; see [`WalState`].
-    wal: Arc<Mutex<WalState>>,
+    saved_revision: Mutex<u64>,
+    /// The WAL path, shared with the store's insert hook (which appends).
+    /// The mutex doubles as the snapshot/append ordering fence:
+    /// `write_snapshot` holds it across entries() + write + rename +
+    /// truncate, so an insert either lands in the snapshotted entry set
+    /// or appends to the freshly truncated WAL — never falls between.
+    wal: Arc<Mutex<Option<PathBuf>>>,
     recovery: RecoveryReport,
     /// Wall time of each snapshot write (tmp write + rename + WAL
     /// truncation), microseconds. Per-instance; the server registers it
@@ -205,31 +239,11 @@ pub struct PersistentStore {
     save_duration_us: Arc<Histogram>,
 }
 
-struct SaveState {
-    saved_revision: u64,
-}
-
-/// WAL writer state, shared between the [`PersistentStore`] (which
-/// truncates after snapshots) and the factor store's insert hook (which
-/// appends). The mutex doubles as the snapshot/append ordering fence:
-/// `write_snapshot` holds it across entries() + write + rename +
-/// truncate, so an insert either lands in the snapshotted entry set or
-/// appends to the freshly truncated WAL — never falls between.
-struct WalState {
-    path: Option<PathBuf>,
-}
-
 /// Cumulative count of WAL append attempts that failed with an I/O
 /// error (including injected ones). The entry is still safe in memory
 /// and reaches disk with the next snapshot; the counter surfaces the
-/// reduced crash-durability window through `health`.
+/// reduced crash-durability window through `Status`.
 static WAL_APPEND_FAILURES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative WAL append failures across all stores in this process
-/// (see [`PersistentStore::wal_append_failures`]).
-pub fn wal_append_failures() -> u64 {
-    WAL_APPEND_FAILURES.load(Ordering::Relaxed)
-}
 
 fn append_wal_line(path: &Path, line: &str) -> io::Result<()> {
     if failpoint!("store.wal.append") {
@@ -254,31 +268,34 @@ impl PersistentStore {
         let store = Arc::new(FactorStore::new(cap));
         let mut recovery = RecoveryReport::default();
         if let Some(p) = &path {
-            recovery = recover(&store, p);
+            load_snapshot(&store, p, &mut recovery);
+            replay_wal(&store, &wal_path(p), &mut recovery);
         }
-        let wal = Arc::new(Mutex::new(WalState {
-            path: path.as_deref().map(wal_path),
-        }));
+        let wal = Arc::new(Mutex::new(path.as_deref().map(wal_path)));
         if path.is_some() {
             // From here on, every fresh analyzer insert is logged before
             // the next snapshot can capture it. `absorb` (used by
-            // recovery above and by future snapshot loads) bypasses the
-            // hook, so replayed entries are not re-appended.
+            // recovery above) bypasses the hook, so replayed entries are
+            // not re-appended.
             let wal_hook = Arc::clone(&wal);
             store.set_insert_hook(Some(Box::new(move |entry: &FactorStoreEntry| {
                 let line = encode_wal_line(entry);
-                let state = wal_hook.lock().expect("wal state");
-                if let Some(p) = &state.path {
+                let wal = wal_hook.lock().expect("wal state");
+                if let Some(p) = &*wal {
                     if append_wal_line(p, &line).is_err() {
                         WAL_APPEND_FAILURES.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             })));
         }
+        // Records replayed from the WAL are not in the snapshot yet, so
+        // the store starts dirty and the next save compacts them.
+        let saved_revision = match recovery.wal_replayed_entries {
+            0 => store.revision(),
+            _ => u64::MAX,
+        };
         PersistentStore {
-            save_state: Mutex::new(SaveState {
-                saved_revision: store.revision(),
-            }),
+            saved_revision: Mutex::new(saved_revision),
             store,
             path,
             wal,
@@ -303,11 +320,6 @@ impl PersistentStore {
         &self.store
     }
 
-    /// The snapshot path, if persistence is enabled.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
-    }
-
     /// What [`PersistentStore::open`] recovered from disk.
     pub fn recovery_report(&self) -> &RecoveryReport {
         &self.recovery
@@ -317,56 +329,46 @@ impl PersistentStore {
     /// stays correct; crash durability until the next snapshot is what
     /// suffers).
     pub fn wal_append_failures(&self) -> u64 {
-        wal_append_failures()
+        WAL_APPEND_FAILURES.load(Ordering::Relaxed)
     }
 
     /// Saves a snapshot if the store changed since the last save.
     /// Returns whether a write happened. No-op without a path.
     pub fn save_if_dirty(&self) -> io::Result<bool> {
-        if self.path.is_none() {
-            return Ok(false);
-        }
-        let mut state = self.save_state.lock().expect("save state");
-        self.save_locked(&mut state)
+        self.save_locked(true)
     }
 
     /// Unconditionally writes the snapshot. No-op without a path.
     pub fn save(&self) -> io::Result<()> {
-        if self.path.is_none() {
-            return Ok(());
-        }
-        let mut state = self.save_state.lock().expect("save state");
-        let rev = self.store.revision();
-        self.write_snapshot()?;
-        state.saved_revision = rev;
-        Ok(())
+        self.save_locked(false).map(drop)
     }
 
-    /// Dirty-checked save; the caller holds the save lock, so exactly one
-    /// snapshot write is in flight at a time.
-    fn save_locked(&self, state: &mut SaveState) -> io::Result<bool> {
+    /// Writes the snapshot under the save lock, so exactly one write is
+    /// in flight at a time; with `only_if_dirty`, only if the store
+    /// changed since the last save.
+    fn save_locked(&self, only_if_dirty: bool) -> io::Result<bool> {
+        let Some(path) = &self.path else {
+            return Ok(false);
+        };
+        let mut saved = self.saved_revision.lock().expect("save state");
         // Revision is read before the entries are snapshotted: inserts
-        // racing the write may land in the file but not in
-        // `saved_revision`, which at worst re-saves them next round.
+        // racing the write may land in the file but not in `saved`,
+        // which at worst re-saves them next round.
         let rev = self.store.revision();
-        if rev == state.saved_revision {
+        if only_if_dirty && rev == *saved {
             return Ok(false);
         }
-        self.write_snapshot()?;
-        state.saved_revision = rev;
+        self.write_snapshot(path)?;
+        *saved = rev;
         Ok(true)
     }
 
     /// The actual tmp-file + rename write, followed by WAL truncation.
-    /// Callers must hold the save lock (see `save_state`); the WAL lock
-    /// is taken here for the duration so no insert can slip between "in
-    /// the snapshotted entry set" and "in the WAL". The document is
-    /// streamed to the tmp file (see `write_snapshot_doc`), so a save
-    /// never holds more than the store's entries and one entry's text.
-    fn write_snapshot(&self) -> io::Result<()> {
-        let Some(path) = &self.path else {
-            return Ok(());
-        };
+    /// Callers hold the save lock; the WAL lock is taken here for the
+    /// duration so no insert can slip between "in the snapshotted entry
+    /// set" and "in the WAL". Records are streamed one at a time, so a
+    /// save never holds more than the store's entries and one record.
+    fn write_snapshot(&self, path: &Path) -> io::Result<()> {
         let t0 = Instant::now();
         let wal = self.wal.lock().expect("wal state");
         let entries = self.store.entries();
@@ -375,7 +377,15 @@ impl PersistentStore {
             return Err(io::Error::other("injected snapshot write failure"));
         }
         let mut out = BufWriter::new(File::create(&tmp)?);
-        write_snapshot_doc(entries, &mut out)?;
+        writeln!(out, "{}", snapshot_header())?;
+        let mut footer = NO_RECORDS;
+        for entry in entries {
+            let (line, crc) = encode_record(&entry);
+            writeln!(out, "{line}")?;
+            footer.push(crc);
+        }
+        let footer = serde_json::to_string(&footer).expect("footer serializes");
+        writeln!(out, "{footer}")?;
         out.flush()?;
         drop(out);
         if failpoint!("store.snapshot.rename") {
@@ -387,7 +397,7 @@ impl PersistentStore {
         // since the last snapshot. Failure to truncate is harmless
         // (replay is idempotent) so the error is not propagated as a
         // failed save.
-        if let Some(wal_p) = &wal.path {
+        if let Some(wal_p) = &*wal {
             let _ = OpenOptions::new()
                 .create(true)
                 .write(true)
@@ -400,82 +410,79 @@ impl PersistentStore {
     }
 }
 
-/// Loads snapshot + WAL into `store`, truncating a torn WAL tail.
-fn recover(store: &FactorStore, path: &Path) -> RecoveryReport {
-    let mut report = RecoveryReport::default();
-
-    // Phase 1: snapshot. A missing file is a quiet first run; anything
-    // else that fails wholesale is reported and degrades to a cold
-    // snapshot, with the WAL still replayed on top.
-    if let Ok(text) = std::fs::read_to_string(path) {
-        match serde_json::from_str::<Snapshot>(&text) {
-            Ok(snap) if snap.version == SNAPSHOT_VERSION => {
-                report.snapshot_loaded = true;
-                report.footer_mismatch = footer_crc(&snap.entries) != snap.footer_crc;
-                let total = snap.entries.len() as u64;
-                let valid = snap
-                    .entries
-                    .into_iter()
-                    .filter(|se| entry_crc(&se.entry) == se.crc)
-                    .map(|se| se.entry);
-                report.snapshot_entries = store.absorb(valid) as u64;
-                report.snapshot_corrupt_entries = total - report.snapshot_entries;
-            }
-            Ok(snap) => log::warn(
-                "snapshot_version_mismatch",
-                &[
-                    ("path", path.display().to_string()),
-                    ("found", snap.version.to_string()),
-                    ("want", SNAPSHOT_VERSION.to_string()),
-                    ("action", "starting cold".to_string()),
-                ],
-            ),
-            Err(e) => log::warn(
-                "snapshot_unreadable",
-                &[
-                    ("path", path.display().to_string()),
-                    ("error", e.to_string()),
-                    ("action", "starting cold".to_string()),
-                ],
-            ),
-        }
+/// Recovery phase 1: loads the snapshot at `path` into `store`, one
+/// record line at a time. A missing file is a quiet first run.
+fn load_snapshot(store: &FactorStore, path: &Path, report: &mut RecoveryReport) {
+    let Ok(file) = File::open(path) else {
+        return;
+    };
+    let mut reader = BufReader::new(file);
+    // Reads no further than the header's length, so a file of another
+    // format (a v2 snapshot is one line) is never read whole.
+    let header = format!("{}\n", snapshot_header());
+    let mut first = Vec::new();
+    let _ = reader
+        .by_ref()
+        .take(header.len() as u64)
+        .read_until(b'\n', &mut first);
+    if first != header.as_bytes() {
+        log::warn(
+            "snapshot_version_mismatch",
+            &[
+                ("path", path.display().to_string()),
+                ("want", SNAPSHOT_VERSION.to_string()),
+                ("action", "starting cold".to_string()),
+            ],
+        );
+        return;
     }
-
-    // Phase 2: WAL replay. Only a crash between an insert and the next
-    // snapshot leaves lines here; each is validated independently.
-    let wal_p = wal_path(path);
-    if let Ok(bytes) = std::fs::read(&wal_p) {
-        // A torn tail is everything after the final newline: an append
-        // is a single write() of `line + '\n'`, so only the last record
-        // can be partial and completeness is exactly newline-termination.
-        let complete_len = match bytes.iter().rposition(|&b| b == b'\n') {
-            Some(pos) => pos + 1,
-            None => 0,
-        };
-        if complete_len < bytes.len() {
-            report.wal_torn_tail = true;
-            let _ = OpenOptions::new()
-                .write(true)
-                .open(&wal_p)
-                .and_then(|f| f.set_len(complete_len as u64));
-        }
-        for line in bytes[..complete_len].split(|&b| b == b'\n') {
-            if line.is_empty() {
-                continue;
-            }
-            let parsed = std::str::from_utf8(line)
-                .ok()
-                .and_then(|s| serde_json::from_str::<SnapshotEntry>(s).ok())
-                .filter(|se| entry_crc(&se.entry) == se.crc);
-            let absorbed = parsed.is_some_and(|se| store.absorb([se.entry]) == 1);
-            if absorbed {
-                report.wal_replayed_entries += 1;
+    report.snapshot_loaded = true;
+    let (mut seen, mut footer) = (NO_RECORDS, None);
+    // An I/O error ends the read early; the footer then cannot match.
+    let _ = read_lines(reader, |line| match parse_line::<Record>(line) {
+        Some(record) => {
+            seen.push(record.crc);
+            if record.intact() && store.absorb([record.entry]) == 1 {
+                report.snapshot_entries += 1;
             } else {
-                report.wal_corrupt_entries += 1;
+                report.snapshot_corrupt_entries += 1;
             }
         }
+        None => match parse_line::<Footer>(line) {
+            Some(f) => footer = Some(f),
+            None => report.snapshot_corrupt_entries += 1,
+        },
+    });
+    report.footer_mismatch = footer != Some(seen);
+}
+
+/// Recovery phase 2: replays the WAL at `wal` into `store`. Only a crash
+/// between an insert and the next snapshot leaves lines here; each is
+/// validated independently.
+fn replay_wal(store: &FactorStore, wal: &Path, report: &mut RecoveryReport) {
+    let Ok(file) = File::open(wal) else {
+        return;
+    };
+    let read = read_lines(BufReader::new(file), |line| {
+        let absorbed = parse_line::<Record>(line)
+            .filter(Record::intact)
+            .is_some_and(|r| store.absorb([r.entry]) == 1);
+        if absorbed {
+            report.wal_replayed_entries += 1;
+        } else {
+            report.wal_corrupt_entries += 1;
+        }
+    });
+    // A torn tail is everything after the final newline: an append is a
+    // single write() of `line + '\n'`, so only the last record can be
+    // partial and completeness is exactly newline-termination.
+    if let Ok((complete_len, true)) = read {
+        report.wal_torn_tail = true;
+        let _ = OpenOptions::new()
+            .write(true)
+            .open(wal)
+            .and_then(|f| f.set_len(complete_len));
     }
-    report
 }
 
 #[cfg(test)]
@@ -493,54 +500,127 @@ mod tests {
         }
     }
 
-    /// What the writer streams: the document it replaced, built whole.
-    fn whole_document(entries: &[FactorStoreEntry]) -> String {
-        let entries: Vec<SnapshotEntry> = entries
-            .iter()
-            .map(|entry| SnapshotEntry {
-                crc: entry_crc(entry),
-                entry: entry.clone(),
-            })
-            .collect();
-        let snap = Snapshot {
-            version: SNAPSHOT_VERSION,
-            footer_crc: footer_crc(&entries),
-            entries,
-        };
-        serde_json::to_string(&snap).expect("snapshot serializes")
+    fn temp_path(tag: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("qcoral-store-{tag}-{}.json", std::process::id()));
+        remove(&path);
+        path
+    }
+
+    fn remove(path: &Path) {
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(wal_path(path));
+    }
+
+    /// A saved snapshot of entries `0..n`, its lines and its path.
+    fn saved(tag: &str, n: u64) -> (PathBuf, Vec<String>) {
+        let path = temp_path(tag);
+        let store = PersistentStore::open(Some(path.clone()), 64);
+        store.factor_store().absorb((0..n).map(entry));
+        store.save().expect("save");
+        let text = std::fs::read_to_string(&path).expect("snapshot");
+        let lines = text.lines().map(str::to_string).collect();
+        (path, lines)
     }
 
     #[test]
-    fn streamed_snapshot_matches_the_whole_document() {
-        for n in [0u64, 1, 7] {
-            let entries: Vec<FactorStoreEntry> = (0..n).map(entry).collect();
-            let mut streamed = Vec::new();
-            write_snapshot_doc(entries.clone(), &mut streamed).expect("in-memory write");
+    fn saved_snapshot_reopens_with_the_same_entries_in_lru_order() {
+        for n in [0u64, 5] {
+            let path = temp_path(&format!("round-trip-{n}"));
+            let store = PersistentStore::open(Some(path.clone()), 64);
+            store.factor_store().absorb((0..n).map(entry));
+            store.save().expect("save");
+            let reopened = PersistentStore::open(Some(path.clone()), 64);
             assert_eq!(
-                String::from_utf8(streamed).expect("utf-8"),
-                whole_document(&entries),
+                reopened.factor_store().entries(),
+                store.factor_store().entries(),
                 "{n} entries"
             );
+            let report = reopened.recovery_report();
+            assert!(report.snapshot_loaded, "{n} entries");
+            assert_eq!(report.snapshot_entries, n);
+            assert!(!report.lossy(), "{n} entries: {report:?}");
+            remove(&path);
         }
     }
 
     #[test]
-    fn saved_snapshot_matches_the_whole_document() {
-        let path =
-            std::env::temp_dir().join(format!("qcoral-store-stream-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+    fn snapshot_records_are_wal_lines_between_header_and_footer() {
+        let (path, lines) = saved("layout", 3);
+        assert_eq!(lines.len(), 5, "header, 3 records, footer");
+        assert_eq!(lines[0], snapshot_header());
         let store = PersistentStore::open(Some(path.clone()), 64);
-        store.save().expect("empty save");
-        let empty = std::fs::read_to_string(&path).expect("snapshot");
-        assert_eq!(empty, whole_document(&[]));
-        store.factor_store().absorb((0..5).map(entry));
-        store.save().expect("populated save");
-        let full = std::fs::read_to_string(&path).expect("snapshot");
-        assert_eq!(full, whole_document(&store.factor_store().entries()));
+        let records: Vec<String> = store
+            .factor_store()
+            .entries()
+            .iter()
+            .map(encode_wal_line)
+            .collect();
+        assert_eq!(lines[1..4], records[..]);
+        let footer: Footer = serde_json::from_str(&lines[4]).expect("footer parses");
+        assert_eq!(footer.records, 3);
+        remove(&path);
+    }
+
+    #[test]
+    fn corrupt_middle_record_is_skipped_and_counted() {
+        let (path, mut lines) = saved("corrupt-record", 5);
+        // A flipped digit keeps the line valid JSON but breaks its crc;
+        // a mangled line does not parse at all.
+        lines[2] = lines[2].replacen("\"mean_bits\":", "\"mean_bits\":1", 1);
+        lines[4] = "{\"entry\":{\"opts_fp\"".to_string();
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let store = PersistentStore::open(Some(path.clone()), 64);
+        let report = store.recovery_report();
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.snapshot_corrupt_entries, 2, "{report:?}");
+        assert_eq!(report.snapshot_entries, 3, "the other records load");
+        assert_eq!(store.factor_store().len(), 3);
+        remove(&path);
+    }
+
+    #[test]
+    fn deleted_record_line_sets_footer_mismatch() {
+        let (path, mut lines) = saved("deleted-record", 5);
+        lines.remove(3);
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let store = PersistentStore::open(Some(path.clone()), 64);
+        let report = store.recovery_report();
+        assert!(report.footer_mismatch, "{report:?}");
+        assert_eq!(report.snapshot_entries, 4, "every intact line still loads");
+        assert_eq!(report.snapshot_corrupt_entries, 0);
+        remove(&path);
+    }
+
+    #[test]
+    fn v2_document_starts_cold_and_the_wal_still_replays() {
+        let path = temp_path("v2");
+        let record = encode_wal_line(&entry(1));
+        let v2 = format!("{{\"version\":2,\"entries\":[{record}],\"footer_crc\":7}}");
+        std::fs::write(&path, v2).unwrap();
+        std::fs::write(wal_path(&path), encode_wal_line(&entry(2)) + "\n").unwrap();
+        let store = PersistentStore::open(Some(path.clone()), 64);
+        let report = store.recovery_report();
+        assert!(!report.snapshot_loaded, "{report:?}");
+        assert_eq!(report.snapshot_entries, 0);
+        assert_eq!(report.wal_replayed_entries, 1);
+        assert_eq!(store.factor_store().entries(), vec![entry(2)]);
+        remove(&path);
+    }
+
+    #[test]
+    fn wal_recovery_leaves_the_store_dirty_until_saved() {
+        let path = temp_path("wal-dirty");
+        std::fs::write(wal_path(&path), encode_wal_line(&entry(4)) + "\n").unwrap();
+        let store = PersistentStore::open(Some(path.clone()), 64);
+        assert!(
+            store.save_if_dirty().expect("save"),
+            "replayed WAL compacts"
+        );
+        assert!(!store.save_if_dirty().expect("save"), "then it is clean");
+        assert_eq!(std::fs::read(wal_path(&path)).unwrap(), b"");
         let reopened = PersistentStore::open(Some(path.clone()), 64);
-        assert_eq!(reopened.recovery_report().snapshot_entries, 5);
-        assert!(!reopened.recovery_report().lossy());
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(wal_path(&path));
+        assert_eq!(reopened.recovery_report().snapshot_entries, 1);
+        remove(&path);
     }
 }

@@ -104,7 +104,7 @@ fn snapshot_rename_failure_recovers_from_wal_bit_identically() {
     // Restart without faults: recovery must replay the WAL.
     reset();
     let (server2, mut client2) = start(cfg);
-    let health = client2.health().expect("health");
+    let health = client2.status().expect("status");
     assert!(
         health.factor_store_recovered,
         "WAL replay counts as recovery"
@@ -140,14 +140,14 @@ fn wal_append_failures_degrade_to_snapshot_only_durability() {
     let cold = client
         .analyze_system(SOURCE, opts(), None)
         .expect("cold query");
-    let health = client.health().expect("health");
+    let health = client.status().expect("status");
     assert!(health.wal_append_failures > 0, "append failures surfaced");
     server.shutdown();
     assert!(snapshot.exists(), "graceful shutdown snapshot still lands");
 
     reset();
     let (server2, mut client2) = start(cfg);
-    let health = client2.health().expect("health");
+    let health = client2.status().expect("status");
     assert!(health.factor_store_recovered);
     assert!(health.recovery.snapshot_entries > 0, "snapshot recovered");
     assert!(!health.recovery.lossy(), "nothing was silently dropped");

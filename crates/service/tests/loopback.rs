@@ -13,6 +13,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 use qcoral::{Allocation, Analyzer, Options};
 use qcoral_mc::{Dist, UsageProfile};
@@ -485,23 +486,30 @@ fn snapshot_is_versioned_json() {
         .expect("query");
     server.shutdown();
     let text = std::fs::read_to_string(&snapshot).expect("snapshot exists");
-    let v = serde_json::Value::parse(&text).expect("snapshot is valid JSON");
+    let lines: Vec<serde_json::Value> = text
+        .lines()
+        .map(|line| serde_json::Value::parse(line).expect("every line is valid JSON"))
+        .collect();
+    let (header, rest) = lines.split_first().expect("a header line");
     assert_eq!(
-        v.get("version"),
-        Some(&serde_json::Value::Number("2".to_string())),
+        header.get("version"),
+        Some(&serde_json::Value::Number("3".to_string())),
         "snapshot carries its version"
     );
-    assert!(matches!(
-        v.get("entries"),
-        Some(serde_json::Value::Array(entries))
-            if !entries.is_empty()
-                && entries.iter().all(|e| e.get("entry").is_some() && e.get("crc").is_some())
-    ));
+    let (footer, records) = rest.split_last().expect("a footer line");
     assert!(
-        v.get("footer_crc").is_some(),
+        !records.is_empty()
+            && records
+                .iter()
+                .all(|e| e.get("entry").is_some() && e.get("crc").is_some()),
+        "one checksummed record per line"
+    );
+    assert!(
+        footer.get("footer_crc").is_some(),
         "snapshot carries a footer checksum"
     );
     let _ = std::fs::remove_file(&snapshot);
+    let _ = std::fs::remove_file(qcoral_service::store::wal_path(&snapshot));
 }
 
 #[test]
@@ -543,15 +551,59 @@ fn concurrent_saves_never_tear_the_snapshot() {
     }
     store.save_if_dirty().expect("final save");
     let text = std::fs::read_to_string(&snapshot).expect("snapshot exists");
-    let v = serde_json::Value::parse(&text).expect("snapshot parses — not torn");
-    assert!(matches!(
-        v.get("entries"),
-        Some(serde_json::Value::Array(_))
-    ));
-    // A reopen warm-loads every entry the racing writers produced.
+    assert!(
+        text.lines()
+            .all(|line| serde_json::Value::parse(line).is_ok()),
+        "every line parses — not torn"
+    );
+    // A reopen warm-loads every entry the racing writers produced, and
+    // the footer vouches for the record list.
     let reopened = qcoral_service::PersistentStore::open(Some(snapshot.clone()), 4096);
+    let report = reopened.recovery_report();
+    assert!(!report.lossy(), "{report:?}");
     assert_eq!(reopened.factor_store().len(), 200);
     let _ = std::fs::remove_file(&snapshot);
+    let _ = std::fs::remove_file(qcoral_service::store::wal_path(&snapshot));
+}
+
+/// `PaverConfig::max_passes` is retired: a frame that still carries the
+/// key decodes with the key ignored. The two nearly parallel lines below
+/// shrink the box by a factor of about 1 + 1e-9 per contraction pass, so
+/// a network-supplied limit of 10⁹ passes would pin a worker far past
+/// the paver's 2 s time budget, which is checked only between boxes.
+#[test]
+fn retired_pass_limit_cannot_pin_a_worker() {
+    let (server, _client) = start(ServiceConfig::default());
+    let frame = qcoral_service::wire::encode_request(&qcoral_service::Request {
+        id: 1,
+        op: qcoral_service::Op::System {
+            source: "var x in [0, 1]; var y in [0, 1]; \
+                     pc x == 1.000000001 * y && y == 1.000000001 * x;"
+                .to_string(),
+            options: Options::default(),
+            profile: None,
+        },
+    });
+    let hostile = frame.replacen("\"paver\":{", "\"paver\":{\"max_passes\":1000000000,", 1);
+    assert_ne!(hostile, frame, "the frame carries a paver object");
+    let stream = TcpStream::connect(server.addr()).expect("connect raw");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer.write_all(hostile.as_bytes()).unwrap();
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("an answer within 20 s");
+    let r = qcoral_service::wire::decode_response(&line).expect("response decodes");
+    assert_eq!(r.id, 1);
+    assert!(
+        matches!(r.outcome, Outcome::Report(_)),
+        "expected a report, got {:?}",
+        r.outcome
+    );
+    server.shutdown();
 }
 
 #[test]

@@ -12,7 +12,9 @@ use qcoral_mc::{Allocation, Dist, UsageProfile};
 use qcoral_service::wire::{
     decode_request, decode_response, encode_request, encode_response, salvage_id,
 };
-use qcoral_service::{AnalysisResponse, Op, Outcome, Request, Response, ServerStatus};
+use qcoral_service::{
+    AnalysisResponse, FailpointStatus, Op, Outcome, RecoveryReport, Request, Response, ServerStatus,
+};
 
 /// Characters that stress JSON escaping: quotes, backslashes, control
 /// characters, non-ASCII, and syntax the parser must not trip over.
@@ -33,10 +35,10 @@ fn arb_options() -> impl Strategy<Value = Options> {
         any::<bool>(),
         any::<bool>(),
         0u64..u64::MAX,
-        (1usize..64, 0u32..9, 0u64..10_000, 1usize..16),
+        (1usize..64, 0u32..9, 0u64..10_000),
     )
         .prop_map(
-            |(samples, stratified, partition, parallel, seed, (boxes, digits, millis, passes))| {
+            |(samples, stratified, partition, parallel, seed, (boxes, digits, millis))| {
                 let mut o = Options::default().with_samples(samples).with_seed(seed);
                 o.stratified = stratified;
                 o.partition = partition;
@@ -51,7 +53,6 @@ fn arb_options() -> impl Strategy<Value = Options> {
                     max_boxes: boxes,
                     precision_digits: digits,
                     time_budget: Duration::from_millis(millis),
-                    max_passes: passes,
                 };
                 o
             },
@@ -145,6 +146,24 @@ fn arb_outcome() -> impl Strategy<Value = Outcome> {
                     queue_depth: b % 5,
                     inflight: a % 5,
                     backend: if a % 2 == 0 { "bulk" } else { "scalar" }.to_string(),
+                    factor_store_recovered: a % 2 == 1,
+                    recovery: RecoveryReport {
+                        snapshot_loaded: b % 2 == 0,
+                        snapshot_entries: a,
+                        snapshot_corrupt_entries: b % 3,
+                        footer_mismatch: a % 3 == 0,
+                        wal_replayed_entries: b,
+                        wal_corrupt_entries: a % 4,
+                        wal_torn_tail: b % 5 == 0,
+                    },
+                    wal_append_failures: b % 11,
+                    failpoints: (0..a % 3)
+                        .map(|i| FailpointStatus {
+                            name: format!("{message}.{i}"),
+                            evaluations: a + i,
+                            fired: i,
+                        })
+                        .collect(),
                 }),
                 _ => Outcome::Report(AnalysisResponse {
                     report: Report {
@@ -213,6 +232,7 @@ fn malformed_frames_are_rejected() {
         "{\"id\":1}\n",                        // missing op
         "{\"id\":\"x\",\"op\":\"Status\"}\n",  // id not a number
         "{\"id\":1,\"op\":\"Nonsense\"}\n",    // unknown op
+        "{\"id\":1,\"op\":\"Health\"}\n",      // retired in v8
         "{\"id\":1,\"op\":{\"System\":{}}}\n", // missing fields
         "[1,2,3]\n",                           // wrong shape
         "{\"id\":1,\"op\":\"Status\"",         // unterminated

@@ -43,7 +43,8 @@ use qcoral_interval::IntervalBox;
 use crate::ast::{Cond, Program};
 use crate::flat::{flatten, FlatProgram, Instr};
 
-/// Exploration limits and toggles.
+/// Exploration limits. Branches the ICP contractor proves infeasible
+/// are always pruned.
 #[derive(Clone, Debug)]
 pub struct SymConfig {
     /// Maximum non-trivial branch decisions per path (the paper's SPF
@@ -52,17 +53,14 @@ pub struct SymConfig {
     /// Global cap on completed paths; exploration beyond it is recorded as
     /// bound-hit.
     pub max_paths: usize,
-    /// Prune branches the ICP contractor proves infeasible.
-    pub prune_infeasible: bool,
 }
 
 impl Default for SymConfig {
-    /// Paper-style defaults: depth 50, pruning on.
+    /// Paper-style defaults: depth 50, at most 100 000 paths.
     fn default() -> SymConfig {
         SymConfig {
             max_depth: 50,
             max_paths: 100_000,
-            prune_infeasible: true,
         }
     }
 }
@@ -192,8 +190,7 @@ fn step(
                 for (atoms, outcome) in cases.into_iter().rev() {
                     let mut pc = state.pc.clone();
                     pc.extend(atoms.iter().cloned());
-                    if cfg.prune_infeasible
-                        && !atoms.is_empty()
+                    if !atoms.is_empty()
                         && !maybe_satisfiable(&PathCondition::from_atoms(pc.clone()), dbox)
                     {
                         result.pruned += 1;
