@@ -12,7 +12,6 @@
 //! `[0, 1]` when pruning fails (the paper's VOL subject).
 
 use std::fmt;
-use std::time::Duration;
 
 use qcoral_constraints::ConstraintSet;
 use qcoral_icp::{pave, PaverConfig};
@@ -46,11 +45,10 @@ impl fmt::Display for ProbBounds {
 }
 
 /// VolComp's default paving budget per path condition: 2 000 boxes, no
-/// bisection below a side of 10⁻⁴, 5 s.
+/// bisection below a side of 10⁻⁴.
 pub const VOLCOMP_PAVER: PaverConfig = PaverConfig {
     max_boxes: 2_000,
     precision_digits: 4,
-    time_budget: Duration::from_secs(5),
 };
 
 /// Bounds `Pr[x uniform over domain satisfies cs]` within a guaranteed

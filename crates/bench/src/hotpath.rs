@@ -243,7 +243,6 @@ impl LegacyPaver {
     }
 
     fn pave(&self, domain: &IntervalBox) -> Paving {
-        let start = Instant::now();
         let mut scratch = IvalScratch::new();
         let mut widths = Vec::new();
         let mut paving = Paving::default();
@@ -266,25 +265,26 @@ impl LegacyPaver {
                 Tri::Unknown => {}
             }
             let total = paving.len() + heap.len() + 1;
-            if total >= self.config.max_boxes
+            let out_of_budget = total >= self.config.max_boxes
                 || boxed.max_width() <= min_width
-                || boxed.ndim() == 0
-                || start.elapsed() >= self.config.time_budget
-            {
-                paving.boundary.push(boxed);
-            } else {
+                || boxed.ndim() == 0;
+            if !out_of_budget {
                 let (l, r) = boxed.bisect();
-                let lv = l.volume();
-                let rv = r.volume();
-                heap.push(LegacyItem {
-                    boxed: l,
-                    volume: lv,
-                });
-                heap.push(LegacyItem {
-                    boxed: r,
-                    volume: rv,
-                });
+                if l != boxed && r != boxed {
+                    let lv = l.volume();
+                    let rv = r.volume();
+                    heap.push(LegacyItem {
+                        boxed: l,
+                        volume: lv,
+                    });
+                    heap.push(LegacyItem {
+                        boxed: r,
+                        volume: rv,
+                    });
+                    continue;
+                }
             }
+            paving.boundary.push(boxed);
         }
         paving
     }
@@ -364,12 +364,13 @@ fn measure_subject(
         .iter()
         .map(|&(lo, hi)| Interval::new(lo, hi))
         .collect();
+    let draw = profile.draw_plan(&boxed, &boxed);
     let mut rng = SmallRng::seed_from_u64(0xB01D);
     let mut point = vec![0.0; ndim];
     let mut rows_flat: Vec<f64> = Vec::with_capacity(n * ndim);
     let mut cols: Vec<Vec<f64>> = vec![Vec::with_capacity(n); ndim];
     for _ in 0..n {
-        assert!(profile.sample_in(&boxed, &boxed, &mut rng, &mut point));
+        assert!(draw.sample(&mut rng, &mut point));
         rows_flat.extend_from_slice(&point);
         for (d, col) in cols.iter_mut().enumerate() {
             col.push(point[d]);

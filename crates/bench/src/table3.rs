@@ -84,7 +84,6 @@ pub fn run_one(
     // paper's observed VolComp behaviour on PACK/VOL-class subjects).
     let volcomp_cfg = PaverConfig {
         max_boxes: (8_192 / cs.len().max(1)).max(64),
-        time_budget: std::time::Duration::from_millis(500),
         ..VOLCOMP_PAVER
     };
     let t1 = Instant::now();

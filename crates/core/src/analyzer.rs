@@ -24,10 +24,9 @@
 //! canonical factor key or the `(pc, factor)` index pair, plus the
 //! stratum and chunk counters — never from execution order. Combined
 //! with fixed reduction orders, a parallel run returns the bit-identical
-//! [`Report`] of the serial run, counters included, provided the ICP time
-//! budget does not bind, the same caveat the serial path already carries.
-//! (The tape-cache counters count the run's own lookups exactly; whether
-//! a lookup hits depends on what the process compiled before.)
+//! [`Report`] of the serial run, counters included. (The tape-cache
+//! counters count the run's own lookups exactly; whether a lookup hits
+//! depends on what the process compiled before.)
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -83,16 +82,12 @@ pub struct Options {
     /// ([`qcoral_mc::IsEstimator`]); at or above it the factor stays
     /// stratified.
     pub allocation: Allocation,
-    /// ICP paver budget (paper defaults: 10 boxes, 3 digits, 2 s).
+    /// ICP paver budget (paper defaults: 10 boxes, 3 digits).
     pub paver: PaverConfig,
     /// Fan out distinct factors, strata and sample chunks across threads
     /// (Theorem 1 explicitly allows it). Results are deterministic
     /// regardless of scheduling.
     pub parallel: bool,
-    /// Samples per RNG chunk: the parallel work granule of the sampler.
-    /// Affects which stream each sample draws from (so changing it changes
-    /// the estimate like reseeding does), never the statistics.
-    pub chunk: u64,
     /// RNG seed; same seed ⇒ same report.
     pub seed: u64,
     /// Target standard error for [`Analyzer::analyze_iterative`]: the
@@ -155,7 +150,6 @@ impl Options {
             allocation: Allocation::EqualPerStratum,
             paver: PaverConfig::default(),
             parallel: false,
-            chunk: SamplePlan::DEFAULT_CHUNK,
             seed: 0xC05A1u64,
             target_stderr: None,
             max_rounds: 8,
@@ -258,8 +252,8 @@ impl Options {
     }
 
     /// Fingerprint of every option that shapes a factor's *estimate*:
-    /// sample budget, seed, chunking, stratification, allocation and the
-    /// paver limits. `parallel` is excluded — fan-out never changes
+    /// sample budget, seed, stratification, allocation and the paver
+    /// limits. `parallel` is excluded — fan-out never changes
     /// results — so serial and parallel runs share cross-run cache
     /// entries. Keys the [`FactorStore`].
     ///
@@ -275,7 +269,7 @@ impl Options {
         for word in [
             self.samples,
             self.seed,
-            self.chunk.max(1),
+            SamplePlan::DEFAULT_CHUNK,
             self.stratified as u64,
             // EqualPerStratum keeps its historic encoding (its sample
             // streams are unchanged, so old snapshots stay warm);
@@ -293,7 +287,8 @@ impl Options {
             },
             self.paver.max_boxes as u64,
             self.paver.precision_digits as u64,
-            self.paver.time_budget.as_nanos() as u64,
+            // The retired paver time budget's default, 2 s in ns.
+            2_000_000_000,
             qcoral_icp::MAX_PASSES as u64,
         ] {
             h = fnv_fold(h, word);

@@ -482,9 +482,9 @@ impl Run<'_> {
             }
             tally.factor_store_misses = 1;
         }
-        // Past the deadline, skip the paving (which may legally spend its
-        // whole time budget) and answer `0 ± 0`: a sound lower bound for
-        // the flagged partial report.
+        // Past the deadline, skip the paving (a whole box budget of work)
+        // and answer `0 ± 0`: a sound lower bound for the flagged partial
+        // report.
         if self.expired() {
             return Prepared::Done(Estimate::ZERO);
         }
@@ -492,7 +492,7 @@ impl Run<'_> {
         let profile = self.profile.project(&slot.indices);
         let plan = SamplePlan {
             seed: slot.seed,
-            chunk: opts.chunk.max(1),
+            chunk: SamplePlan::DEFAULT_CHUNK,
             parallel: opts.parallel,
             deadline: self.deadline,
         };

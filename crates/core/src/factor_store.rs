@@ -9,7 +9,7 @@
 //! estimates by the same canonical factor identity a run deduplicates by
 //! (structural fingerprint × sub-box bits × projected profile) plus a
 //! fingerprint of every analyzer option that affects the sampled value
-//! (budget, seed, chunking, stratification, allocation, paver limits).
+//! (budget, seed, stratification, allocation, paver limits).
 //!
 //! Because every factor's RNG stream is derived from its canonical key
 //! (see `Analyzer`), a store hit returns the *bit-identical* estimate a

@@ -7,7 +7,6 @@
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
@@ -16,10 +15,17 @@ use qcoral_interval::IntervalBox;
 
 use crate::cache::LruCache;
 
-/// Stop criteria for the paver, mirroring the RealPaver configuration the
+/// Stop criteria for the paver, after the RealPaver configuration the
 /// paper reports in §5: "time budget per query of 2 s, a bound on the
 /// number of boxes reported per query of 10, and a lower bound on the size
 /// of the computed boxes of 3 decimal digits".
+///
+/// The 2 s time budget is left out on purpose. A clock makes a paving
+/// (and every stratum, estimate and factor-store entry built on it)
+/// depend on how fast the host ran, and the two counts already end every
+/// paving: each bisection strictly halves a side wider than the
+/// precision floor, and a box that bisection cannot shrink stays a
+/// boundary box (see [`Paver::pave`]).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PaverConfig {
     /// Maximum number of boxes reported (inner + boundary).
@@ -27,24 +33,20 @@ pub struct PaverConfig {
     /// Boxes whose largest side is below `10^-precision_digits` are not
     /// bisected further.
     pub precision_digits: u32,
-    /// Wall-clock budget per query.
-    pub time_budget: Duration,
 }
 
 /// Fixpoint pass limit of every HC4 contraction the paver and
 /// [`crate::maybe_satisfiable`] run. One constant rather than a knob: no
-/// caller ever used another value, and the time budget is checked only
-/// between boxes, so a large limit would let one contraction outrun it.
+/// caller ever used another value, and a network-supplied limit could
+/// let one contraction run for minutes.
 pub const MAX_PASSES: usize = 8;
 
 impl Default for PaverConfig {
-    /// The paper's RealPaver configuration: 10 boxes, 3 decimal digits,
-    /// 2 s budget.
+    /// The paper's RealPaver configuration: 10 boxes, 3 decimal digits.
     fn default() -> PaverConfig {
         PaverConfig {
             max_boxes: 10,
             precision_digits: 3,
-            time_budget: Duration::from_secs(2),
         }
     }
 }
@@ -172,8 +174,14 @@ impl Paver {
     /// matches the serial loop. One [`IvalScratch`] is reused across the
     /// whole branch-and-prune loop, so the per-box work is free of heap
     /// allocation except for the boxes themselves.
+    ///
+    /// The paving depends only on the conjunction, `domain` and the
+    /// configuration: no clock is read. An undecided box within budget
+    /// is bisected unless a half equals the box itself, as when its
+    /// widest side is one ulp wide and the midpoint rounds onto an end:
+    /// such a box stays a boundary box, since bisecting it again would
+    /// neither terminate nor keep the boxes disjoint.
     pub fn pave(&self, domain: &IntervalBox) -> Paving {
-        let start = Instant::now();
         let mut scratch = IvalScratch::new();
         let mut paving = Paving::default();
         let mut heap = BinaryHeap::new();
@@ -214,23 +222,24 @@ impl Paver {
                 let total = paving.len() + heap.len() + remaining + 1;
                 let out_of_budget = total >= self.config.max_boxes
                     || boxed.max_width() <= min_width
-                    || boxed.ndim() == 0
-                    || start.elapsed() >= self.config.time_budget;
-                if out_of_budget {
-                    paving.boundary.push(boxed);
-                } else {
+                    || boxed.ndim() == 0;
+                if !out_of_budget {
                     let (l, r) = boxed.bisect();
-                    let lv = l.volume();
-                    let rv = r.volume();
-                    heap.push(WorkItem {
-                        boxed: l,
-                        volume: lv,
-                    });
-                    heap.push(WorkItem {
-                        boxed: r,
-                        volume: rv,
-                    });
+                    if l != boxed && r != boxed {
+                        let lv = l.volume();
+                        let rv = r.volume();
+                        heap.push(WorkItem {
+                            boxed: l,
+                            volume: lv,
+                        });
+                        heap.push(WorkItem {
+                            boxed: r,
+                            volume: rv,
+                        });
+                        continue;
+                    }
                 }
+                paving.boundary.push(boxed);
             }
         }
         paving
@@ -251,7 +260,6 @@ struct PavingKey {
     box_bits: Vec<(u64, u64)>,
     max_boxes: usize,
     precision_digits: u32,
-    time_budget_ns: u128,
 }
 
 /// A concurrent cache of pavings keyed by the conjunction's fingerprint,
@@ -319,7 +327,6 @@ impl PavingCache {
                 .collect(),
             max_boxes: config.max_boxes,
             precision_digits: config.precision_digits,
-            time_budget_ns: config.time_budget.as_nanos(),
         };
         self.map.get_or_insert_with(key, || {
             Paver::from_tape(Arc::clone(tape), domain.ndim(), config.clone()).pave(domain)
@@ -506,7 +513,6 @@ mod tests {
             &PaverConfig {
                 max_boxes: 1024,
                 precision_digits: 0,
-                ..PaverConfig::default()
             },
         );
         let fine = pave(
@@ -515,7 +521,6 @@ mod tests {
             &PaverConfig {
                 max_boxes: 1024,
                 precision_digits: 3,
-                ..PaverConfig::default()
             },
         );
         assert!(
@@ -560,21 +565,29 @@ mod tests {
     }
 
     #[test]
-    fn zero_time_budget_halts_immediately_but_stays_sound() {
-        let (pc, dom) = setup("var x in [-1, 1]; var y in [-1, 1]; pc x * x + y * y <= 1;");
-        let paving = pave(
-            &pc,
-            &dom,
-            &PaverConfig {
-                max_boxes: 4096,
-                time_budget: Duration::ZERO,
-                ..PaverConfig::default()
-            },
-        );
-        // The very first undecided box is emitted without bisection.
-        assert_eq!(paving.len(), 1, "no refinement under a zero budget");
-        // Soundness is unaffected: a known solution stays covered.
-        assert!(paving_covers(&paving, &[0.0, 0.0]));
+    fn unshrinkable_box_stays_one_boundary_box() {
+        // Near 1/3 a one-ulp box bisects into itself and a point box,
+        // since the midpoint rounds onto an end. Under `<` the point box
+        // is refuted, so re-bisecting never ends; under `>` it survives,
+        // so re-bisecting fills the budget with copies of the point box.
+        // Either way the one-ulp box must stay one boundary box, at 17
+        // digits and with no precision floor at all.
+        for src in [
+            "var x in [0, 1]; pc x * 3 == 1 && x < 0.33333333333333337;",
+            "var x in [0, 1]; pc x * 3 == 1 && x > 0.3333333333333333;",
+        ] {
+            let (pc, dom) = setup(src);
+            for precision_digits in [17, 400] {
+                let cfg = PaverConfig {
+                    precision_digits,
+                    ..PaverConfig::default()
+                };
+                let paving = pave(&pc, &dom, &cfg);
+                assert!(paving.inner.is_empty(), "{src} at {precision_digits}");
+                assert_eq!(paving.boundary.len(), 1, "{src} at {precision_digits}");
+                assert!(paving_covers(&paving, &[1.0 / 3.0]), "{src}");
+            }
+        }
     }
 
     #[test]

@@ -110,44 +110,6 @@ pub fn discretize(dist: &Dist, dom: &Interval, epsilon: f64) -> Dist {
     }
 }
 
-/// The marginal's mass edges strictly inside `within`, after
-/// discretization at `epsilon`: the break points profile-aligned
-/// stratification splits boxes at. Empty for `Uniform` (no alignment
-/// needed — every stratum is already mass-proportional to volume).
-pub fn mass_edges(dist: &Dist, dom: &Interval, epsilon: f64, within: &Interval) -> Vec<f64> {
-    let discretized = discretize(dist, dom, epsilon);
-    match discretized {
-        Dist::Uniform => Vec::new(),
-        Dist::Piecewise { edges, .. } => edges
-            .into_iter()
-            .filter(|&e| e > within.lo() && e < within.hi())
-            .collect(),
-        _ => unreachable!("discretize returns Uniform or Piecewise"),
-    }
-}
-
-impl UsageProfile {
-    /// The canonical discretized form of the profile over `domain`:
-    /// every continuous marginal replaced by its [`discretize`]d
-    /// histogram. Piecewise/uniform marginals pass through unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics on profile/domain dimension mismatch.
-    pub fn discretized(&self, domain: &IntervalBox, epsilon: f64) -> UsageProfile {
-        assert_eq!(
-            domain.ndim(),
-            self.len(),
-            "domain/profile dimension mismatch"
-        );
-        let mut out = UsageProfile::uniform(self.len());
-        for i in 0..self.len() {
-            out = out.with_dist(i, discretize(self.dist(i), &domain[i], epsilon));
-        }
-        out
-    }
-}
-
 /// Splits each *boundary* stratum along the profile's discretized mass
 /// edges, so strata align with probability mass instead of raw box
 /// geometry. Inner (certain) strata are left whole: their contribution
@@ -324,16 +286,6 @@ mod tests {
         assert!(edges.contains(&0.25) && edges.contains(&0.75));
         assert_eq!(weights[0], 0.0, "mass below the truncation is zero");
         assert_eq!(*weights.last().unwrap(), 0.0);
-    }
-
-    #[test]
-    fn mass_edges_are_interior_and_epsilon_scaled() {
-        let dom = iv(0.0, 1.0);
-        let d = Dist::normal(0.5, 0.1);
-        let edges = mass_edges(&d, &dom, 1e-3, &iv(0.3, 0.7));
-        assert!(!edges.is_empty());
-        assert!(edges.iter().all(|&e| e > 0.3 && e < 0.7));
-        assert!(mass_edges(&Dist::Uniform, &dom, 1e-3, &dom).is_empty());
     }
 
     #[test]

@@ -116,38 +116,6 @@ impl Estimate {
             variance: w * w * self.variance,
         }
     }
-
-    /// A Chebyshev confidence interval: the estimated quantity lies in
-    /// the returned `(lo, hi)` with probability at least `confidence`
-    /// (the paper suggests exactly this use of the variance: "such
-    /// uncertainty could be used to quantify the probability the real
-    /// value belongs to an interval, for example by using Chebyshev's
-    /// inequality", §6.2). Ends are clamped to `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < confidence < 1`.
-    pub fn chebyshev_interval(&self, confidence: f64) -> (f64, f64) {
-        assert!(
-            confidence > 0.0 && confidence < 1.0,
-            "confidence must be in (0, 1), got {confidence}"
-        );
-        // P(|X − μ| ≥ kσ) ≤ 1/k² ⇒ choose k = 1/√(1 − confidence).
-        let k = (1.0 / (1.0 - confidence)).sqrt();
-        let r = k * self.std_dev();
-        ((self.mean - r).max(0.0), (self.mean + r).min(1.0))
-    }
-
-    /// Clamps the mean into `[0, 1]`. Composition of many estimates can
-    /// push the mean slightly outside the unit interval (the paper's VOL
-    /// subject reports an estimate `> 1`, §6.2); reports may clamp for
-    /// presentation.
-    pub fn clamped(self) -> Estimate {
-        Estimate {
-            mean: self.mean.clamp(0.0, 1.0),
-            variance: self.variance,
-        }
-    }
 }
 
 impl Default for Estimate {
@@ -362,42 +330,11 @@ mod tests {
     }
 
     #[test]
-    fn clamp_behaviour() {
-        let e = Estimate::new(1.0005, 1e-6).clamped();
-        assert_eq!(e.mean, 1.0);
-        let f = Estimate::new(-0.001, 1e-6).clamped();
-        assert_eq!(f.mean, 0.0);
-    }
-
-    #[test]
     fn identities() {
         let e = Estimate::new(0.3, 0.01);
         assert_eq!(e.sum(Estimate::ZERO), e);
         assert_eq!(e.product(Estimate::ONE), e);
         assert_eq!(e.product(Estimate::ZERO), Estimate::ZERO);
-    }
-
-    #[test]
-    fn chebyshev_interval_widens_with_confidence() {
-        let e = Estimate::new(0.5, 0.0001); // σ = 0.01
-        let (l90, h90) = e.chebyshev_interval(0.9);
-        let (l99, h99) = e.chebyshev_interval(0.99);
-        assert!(l99 < l90 && h99 > h90);
-        assert!(l90 < 0.5 && h90 > 0.5);
-        // k = √10 ≈ 3.162 at 90%: radius ≈ 0.0316.
-        assert!((h90 - 0.5 - 0.0316).abs() < 1e-3);
-        // Zero-variance estimates collapse to a point.
-        let exact = Estimate::new(0.25, 0.0);
-        assert_eq!(exact.chebyshev_interval(0.999), (0.25, 0.25));
-        // Clamping to the unit interval.
-        let near_one = Estimate::new(0.999, 0.01);
-        assert_eq!(near_one.chebyshev_interval(0.9).1, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "confidence must be in (0, 1)")]
-    fn chebyshev_rejects_bad_confidence() {
-        let _ = Estimate::new(0.5, 0.1).chebyshev_interval(1.0);
     }
 
     #[test]

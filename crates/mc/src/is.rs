@@ -34,27 +34,25 @@
 //!
 //! Each sample drawn from `q` is reweighted by the exact profile density
 //! over the exact proposal density, `w(x) = π(x) / q(x)` (both sides
-//! supplied by the [`Dist`] machinery). The accumulator tracks the
-//! joint moments of `(t, w)` with `t = w·1[hit]`, which supports both
-//! classical estimators:
+//! supplied by the [`Dist`] machinery). The accumulator ([`IsAccum`])
+//! tracks the moments of `t = w·1[hit]` and of `w`, and
+//! [`IsEstimator::estimate`] reports the **plain** IS estimate
 //!
 //! ```text
-//! plain IS          p̂ = t̄                        (unbiased: q is exactly normalized)
-//! self-normalized   p̂ = M_b · (t̄ / w̄)           M_b = exact π-mass of ∪ boundary boxes
+//! p̂ = t̄        (unbiased: q is exactly normalized)
 //! ```
 //!
-//! [`IsEstimator::estimate`] reports the **plain** form. Every mixture
-//! component integrates to exactly 1 over its box, so `E_q[w·1[hit]]`
-//! *is* the boundary probability — no normalizing constant needs
-//! estimating, which is precisely the situation where self-normalizing
-//! hurts: the ratio's denominator `w̄` estimates `M_b` (already known
-//! exactly!) and its variance explodes once adaptation tilts `q` toward
-//! the conditional hit distribution rather than toward `π`. The plain
-//! form's variance depends only on the hit terms and *shrinks* to zero
-//! as `q` approaches `π·1[hit]/p`. The ratio form remains available as
-//! [`SnisAccum::estimator`] (the estimate stays within `[0, M_b]` by
-//! construction) with a delta-method variance over the joint second
-//! moments.
+//! Every mixture component integrates to exactly 1 over its box, so
+//! `E_q[w·1[hit]]` *is* the boundary probability — no normalizing
+//! constant needs estimating. That is precisely the situation where
+//! self-normalizing (`p̂ = M_b · t̄/w̄`, with `M_b` the exact π-mass of
+//! the boundary boxes) hurts: the ratio's denominator `w̄` estimates
+//! `M_b`, which is already known exactly, and its variance explodes once
+//! adaptation tilts `q` toward the conditional hit distribution rather
+//! than toward `π`. The plain form's variance depends only on the hit
+//! terms and *shrinks* to zero as `q` approaches `π·1[hit]/p`. The
+//! moments of `w` serve only the coverage correction of
+//! [`IsAccum::unbiased`].
 //!
 //! # Compiled components
 //!
@@ -518,36 +516,33 @@ impl Neighbors {
     }
 }
 
-/// Jointly accumulated moments of the self-normalized IS estimator.
+/// Accumulated moments of the plain IS estimator.
 ///
 /// Per sample it pushes the pair `(t, w)` with `t = w·1[hit]`; the
-/// estimate is the ratio `t̄ / w̄` scaled by the exact proposal-support
-/// mass, with a delta-method variance over the joint second moments.
-/// Accumulation is Welford-style and merging Chan-style — the same
-/// discipline as [`crate::Moments`], extended with the cross term the
-/// ratio variance needs — so chunk accumulators merged in chunk order
-/// reproduce the serial stream bit for bit.
+/// estimate is `t̄` (see [`IsAccum::unbiased`]), and the moments of `w`
+/// drive its coverage correction. Accumulation is Welford-style and
+/// merging Chan-style — the same discipline as [`crate::Moments`] — so
+/// chunk accumulators merged in chunk order reproduce the serial stream
+/// bit for bit.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct SnisAccum {
+pub struct IsAccum {
     n: u64,
     hits: u64,
     mean_t: f64,
     mean_w: f64,
     m2_t: f64,
     m2_w: f64,
-    c_tw: f64,
 }
 
-impl SnisAccum {
+impl IsAccum {
     /// The state before any sampling.
-    pub const EMPTY: SnisAccum = SnisAccum {
+    pub const EMPTY: IsAccum = IsAccum {
         n: 0,
         hits: 0,
         mean_t: 0.0,
         mean_w: 0.0,
         m2_t: 0.0,
         m2_w: 0.0,
-        c_tw: 0.0,
     };
 
     /// Folds in one sample with importance weight `w` and hit flag.
@@ -562,15 +557,13 @@ impl SnisAccum {
         let dw = w - self.mean_w;
         self.mean_t += dt / n;
         self.mean_w += dw / n;
-        let dw2 = w - self.mean_w;
         self.m2_t += dt * (t - self.mean_t);
-        self.m2_w += dw * dw2;
-        self.c_tw += dt * dw2;
+        self.m2_w += dw * (w - self.mean_w);
     }
 
     /// Merges another accumulator (Chan's parallel update). Order
     /// matters for bit-identity: callers merge in chunk/round order.
-    pub fn merge(&mut self, other: &SnisAccum) {
+    pub fn merge(&mut self, other: &IsAccum) {
         if other.n == 0 {
             return;
         }
@@ -584,7 +577,6 @@ impl SnisAccum {
         let dw = other.mean_w - self.mean_w;
         self.m2_t += other.m2_t + dt * dt * n1 * n2 / n;
         self.m2_w += other.m2_w + dw * dw * n1 * n2 / n;
-        self.c_tw += other.c_tw + dt * dw * n1 * n2 / n;
         self.mean_t += dt * n2 / n;
         self.mean_w += dw * n2 / n;
         self.n += other.n;
@@ -634,31 +626,6 @@ impl SnisAccum {
             }
         };
         Estimate::new(mean, var)
-    }
-
-    /// The self-normalized estimate scaled by `mass`, the exact profile
-    /// mass of the proposal's support: mean `mass · t̄/w̄`, delta-method
-    /// variance `mass² · (s²_t − 2ρ·s_tw + ρ²·s²_w) / (n·w̄²)`. Returns
-    /// the exact `0 ± 0` before any weight has been observed. Kept for
-    /// diagnostics and for targets whose normalization is *not* known —
-    /// [`SnisAccum::unbiased`] dominates it here (module docs).
-    pub fn estimator(&self, mass: f64) -> Estimate {
-        if self.n == 0 || self.mean_w.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Estimate::ZERO;
-        }
-        let ratio = (self.mean_t / self.mean_w).clamp(0.0, 1.0);
-        let var = if self.n < 2 {
-            0.0
-        } else {
-            let nf = self.n as f64;
-            let s_t = self.m2_t / (nf - 1.0);
-            let s_w = self.m2_w / (nf - 1.0);
-            let s_tw = self.c_tw / (nf - 1.0);
-            let v =
-                (s_t - 2.0 * ratio * s_tw + ratio * ratio * s_w) / (nf * self.mean_w * self.mean_w);
-            v.max(0.0)
-        };
-        Estimate::new(mass * ratio, mass * mass * var)
     }
 }
 
@@ -715,7 +682,7 @@ pub struct RoundReport {
 /// Seed it from the paver's boundary boxes, then call
 /// [`IsEstimator::round`] once per adaptation round; every round draws
 /// from the mixture frozen at the round's start, folds the
-/// self-normalized contributions into the running [`SnisAccum`], and
+/// importance-weighted contributions into the running [`IsAccum`], and
 /// refits the mixture toward the hits. [`IsEstimator::estimate`] is a
 /// plain [`Estimate`], so the analyzer composes IS factors with
 /// stratified ones through the unchanged Eq. 7–8 algebra.
@@ -730,7 +697,7 @@ pub struct IsEstimator {
     /// The profile's compiled density over the sub-box (`π`).
     profile_density: BoxDensity,
     ndim: usize,
-    accum: SnisAccum,
+    accum: IsAccum,
     next_chunk: u64,
     mass: f64,
 }
@@ -755,7 +722,7 @@ impl IsEstimator {
             mixture,
             profile_density: profile.density_plan(domain),
             ndim: domain.ndim(),
-            accum: SnisAccum::EMPTY,
+            accum: IsAccum::EMPTY,
             next_chunk: 0,
             mass,
         })
@@ -787,7 +754,7 @@ impl IsEstimator {
             add,
             || vec![0.0; ndim],
             |point, rng, len| {
-                let mut acc = SnisAccum::EMPTY;
+                let mut acc = IsAccum::EMPTY;
                 let mut ce = CeStats::new(k, ndim);
                 for _ in 0..len {
                     let ki = mixture.pick(rng);
@@ -872,29 +839,29 @@ mod tests {
     }
 
     #[test]
-    fn snis_matches_plain_mean_on_constant_weights() {
-        // With w ≡ 1 the self-normalized ratio is the plain hit rate.
-        let mut acc = SnisAccum::EMPTY;
+    fn is_accum_matches_plain_mean_on_constant_weights() {
+        // With w ≡ 1 the IS estimate is the plain hit rate.
+        let mut acc = IsAccum::EMPTY;
         for i in 0..1000 {
             acc.push(1.0, i % 10 == 0);
         }
-        let est = acc.estimator(1.0);
+        let est = acc.unbiased(1.0);
         assert!((est.mean - 0.1).abs() < 1e-12);
         assert!(est.variance > 0.0);
     }
 
     #[test]
-    fn snis_merge_matches_serial_pushes_bitwise() {
+    fn is_accum_merge_matches_serial_pushes_bitwise() {
         let samples: Vec<(f64, bool)> = (0..500)
             .map(|i| (0.5 + (i % 7) as f64 * 0.1, i % 13 == 0))
             .collect();
-        let mut serial = SnisAccum::EMPTY;
+        let mut serial = IsAccum::EMPTY;
         for &(w, h) in &samples {
             serial.push(w, h);
         }
-        let mut merged = SnisAccum::EMPTY;
+        let mut merged = IsAccum::EMPTY;
         for chunk in samples.chunks(64) {
-            let mut part = SnisAccum::EMPTY;
+            let mut part = IsAccum::EMPTY;
             for &(w, h) in chunk {
                 part.push(w, h);
             }
@@ -904,7 +871,7 @@ mod tests {
         // general, but the *estimator* contract is: the engine always
         // merges the same chunk partition in the same order. Here we
         // check the merge math agrees to fp tolerance.
-        let (a, b) = (serial.estimator(1.0), merged.estimator(1.0));
+        let (a, b) = (serial.unbiased(1.0), merged.unbiased(1.0));
         assert!((a.mean - b.mean).abs() < 1e-12);
         assert!((a.variance - b.variance).abs() < 1e-15);
     }

@@ -44,9 +44,9 @@ pub mod is;
 pub mod profile;
 pub mod sampler;
 
-pub use discretize::{align_strata, discretize, mass_edges, MAX_BINS};
+pub use discretize::{align_strata, discretize, MAX_BINS};
 pub use estimate::{Estimate, Moments};
-pub use is::{IsEstimator, Mixture, RoundReport, SnisAccum, IS_THRESHOLD};
+pub use is::{IsAccum, IsEstimator, Mixture, RoundReport, IS_THRESHOLD};
 pub use profile::{
     parse_dist_spec, parse_profile_spec, std_normal_cdf, std_normal_quantile, BoxDensity, BoxDraw,
     DensityPlan, Dist, DrawPlan, UsageProfile,

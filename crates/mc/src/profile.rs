@@ -313,28 +313,18 @@ impl Dist {
         }
     }
 
-    /// Samples a value from the distribution *conditioned* on lying in
-    /// `iv` (which must intersect the domain). Returns `None` — without
-    /// drawing from `rng`, looping, or panicking — whenever the
-    /// conditional mass of `iv` is zero: an empty or zero-width clipped
+    /// Compiles the draw of a value from the distribution *conditioned*
+    /// on lying in `iv` (which must intersect the domain `dom`): every
+    /// check and CDF evaluation that depends only on `iv` and `dom`
+    /// happens here, once, so a draw from the plan costs one uniform
+    /// variate plus (for continuous variants) one quantile.
+    ///
+    /// The plan draws nothing when the conditional mass of `iv` is zero
+    /// (see [`DrawPlan::sample`]): an empty or zero-width clipped
     /// interval (inside a wider domain), a region outside a histogram's
     /// or truncation's support, or a tail so deep the CDF mass
-    /// underflows.
-    ///
-    /// Continuous variants sample by inverse CDF — exactly one uniform
-    /// draw per sample, never a rejection loop — so the consumed RNG
-    /// stream is a deterministic function of the request.
-    ///
-    /// This compiles a [`DrawPlan`] and draws once from it; callers that
-    /// draw many times from one interval compile the plan themselves.
-    pub fn sample_in(&self, iv: &Interval, dom: &Interval, rng: &mut impl Rng) -> Option<f64> {
-        self.draw_plan(iv, dom).sample(rng)
-    }
-
-    /// Compiles the conditional draw of [`Dist::sample_in`] for one
-    /// interval: every check and CDF evaluation that depends only on
-    /// `iv` and `dom` happens here, once, so a draw from the plan costs
-    /// one uniform variate plus (for continuous variants) one quantile.
+    /// underflows. A support whose whole mass underflows falls back to
+    /// uniform sampling, as [`Dist::mass`] does.
     pub fn draw_plan(&self, iv: &Interval, dom: &Interval) -> DrawPlan {
         DrawPlan(self.draw(iv, dom))
     }
@@ -425,18 +415,12 @@ impl Dist {
         }
     }
 
-    /// Probability *density* at `x`, conditioned on the domain (w.r.t.
-    /// Lebesgue measure; integrates to 1 over `dom`). Zero outside the
-    /// support. Degenerate supports fall back to the uniform density,
-    /// matching [`Dist::mass`].
-    ///
-    /// This compiles a [`DensityPlan`] and evaluates it once.
-    pub fn density(&self, x: f64, dom: &Interval) -> f64 {
-        self.density_plan(dom).density(x)
-    }
-
-    /// Compiles [`Dist::density`] over one domain: the support, the CDF
-    /// normalizer and the law's constant factors are computed once.
+    /// Compiles the probability *density* conditioned on the domain
+    /// `dom` (w.r.t. Lebesgue measure; integrates to 1 over `dom`): the
+    /// support, the CDF normalizer and the law's constant factors are
+    /// computed once. The density is zero outside the support, and a
+    /// degenerate support falls back to the uniform density, matching
+    /// [`Dist::mass`].
     pub fn density_plan(&self, dom: &Interval) -> DensityPlan {
         DensityPlan(self.density_kind(dom))
     }
@@ -507,8 +491,7 @@ impl Dist {
 }
 
 /// A compiled conditional draw of one marginal on one interval, built by
-/// [`Dist::draw_plan`]. Drawing from it consumes exactly the RNG values
-/// [`Dist::sample_in`] would and returns the same bits.
+/// [`Dist::draw_plan`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct DrawPlan(Draw);
 
@@ -567,8 +550,12 @@ impl Draw {
 }
 
 impl DrawPlan {
-    /// Draws one value, or `None` when the interval carries no
-    /// conditional mass (then the RNG is not touched).
+    /// Draws one value, or `None` — without drawing from `rng`, looping,
+    /// or panicking — when the interval carries no conditional mass.
+    ///
+    /// Continuous variants sample by inverse CDF — exactly one uniform
+    /// draw per sample, never a rejection loop — so the consumed RNG
+    /// stream is a deterministic function of the plan.
     #[inline]
     pub fn sample(&self, rng: &mut impl Rng) -> Option<f64> {
         match &self.0 {
@@ -601,8 +588,7 @@ impl DrawPlan {
 }
 
 /// A compiled marginal density over one domain, built by
-/// [`Dist::density_plan`]. Evaluating it returns the bits
-/// [`Dist::density`] would.
+/// [`Dist::density_plan`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct DensityPlan(Density);
 
@@ -876,24 +862,10 @@ impl UsageProfile {
         &self.dists[var]
     }
 
-    /// Re-validates every marginal (see [`Dist::validated`]), rebuilding
-    /// the profile through the checked constructors.
-    ///
-    /// # Errors
-    ///
-    /// Returns `(variable index, description)` of the first invalid
-    /// marginal.
-    pub fn validated(&self) -> Result<UsageProfile, (usize, String)> {
-        let mut out = UsageProfile::uniform(self.len());
-        for (i, d) in self.dists.iter().enumerate() {
-            out.dists[i] = d.validated().map_err(|e| (i, e))?;
-        }
-        Ok(out)
-    }
-
-    /// [`UsageProfile::validated`] plus the per-variable domain checks
-    /// of [`Dist::validated_in`] — the validation every consumer that
-    /// knows the input domain should use.
+    /// Re-validates every marginal against its variable's domain (see
+    /// [`Dist::validated_in`]), rebuilding the profile through the
+    /// checked constructors — the validation every consumer of an
+    /// untrusted profile should use.
     ///
     /// # Errors
     ///
@@ -945,21 +917,8 @@ impl UsageProfile {
             .product()
     }
 
-    /// Joint probability density at `point`, conditioned on `domain`
-    /// (product of the per-variable [`Dist::density`] values).
-    ///
-    /// This compiles a [`BoxDensity`] and evaluates it once.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn density(&self, point: &[f64], domain: &IntervalBox) -> f64 {
-        assert_eq!(point.len(), self.len(), "point/profile dimension mismatch");
-        self.density_plan(domain).density(point)
-    }
-
-    /// Compiles [`UsageProfile::density`] over `domain`, one
-    /// [`DensityPlan`] per variable.
+    /// Compiles the joint probability density conditioned on `domain`,
+    /// one [`DensityPlan`] per variable (see [`Dist::density_plan`]).
     ///
     /// # Panics
     ///
@@ -980,28 +939,9 @@ impl UsageProfile {
         }
     }
 
-    /// Draws one sample from the profile conditioned on `boxed`, writing
-    /// coordinates into `out`. Returns `false` if the conditional mass of
-    /// the box is zero.
-    ///
-    /// This compiles a [`BoxDraw`] and draws once from it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn sample_in(
-        &self,
-        boxed: &IntervalBox,
-        domain: &IntervalBox,
-        rng: &mut impl Rng,
-        out: &mut [f64],
-    ) -> bool {
-        assert_eq!(out.len(), self.len(), "output/profile dimension mismatch");
-        self.draw_plan(boxed, domain).sample(rng, out)
-    }
-
-    /// Compiles [`UsageProfile::sample_in`] for one box, one [`DrawPlan`]
-    /// per variable.
+    /// Compiles the profile's draw conditioned on `boxed` (within the
+    /// input box `domain`), one [`DrawPlan`] per variable (see
+    /// [`Dist::draw_plan`]).
     ///
     /// # Panics
     ///
@@ -1039,8 +979,7 @@ impl BoxDraw {
 
     /// Draws one point into `out`, variable by variable. Returns `false`
     /// if the box has zero conditional mass; the variables before the
-    /// first massless one have then been drawn, as in
-    /// [`UsageProfile::sample_in`].
+    /// first massless one have then been drawn.
     #[inline]
     pub fn sample(&self, rng: &mut impl Rng, out: &mut [f64]) -> bool {
         for (plan, x) in self.dims.iter().zip(out.iter_mut()) {
@@ -1305,7 +1244,7 @@ mod tests {
         // Symmetric around the mean.
         assert!((d.mass(&iv(0.2, 0.5), &dom) - 0.5).abs() < 1e-14);
         let mut rng = SmallRng::seed_from_u64(3);
-        assert!(d.sample_in(&iv(0.0, 0.2), &dom, &mut rng).is_none());
+        assert!(d.draw_plan(&iv(0.0, 0.2), &dom).sample(&mut rng).is_none());
     }
 
     #[test]
@@ -1319,11 +1258,12 @@ mod tests {
             let probe = iv(0.25, 0.75);
             let mid = iv(0.25, 0.5);
             let p_low = d.mass(&mid, &dom) / d.mass(&probe, &dom);
+            let plan = d.draw_plan(&probe, &dom);
             let mut rng = SmallRng::seed_from_u64(17);
             let n = 20_000;
             let mut below = 0;
             for _ in 0..n {
-                let v = d.sample_in(&probe, &dom, &mut rng).unwrap();
+                let v = plan.sample(&mut rng).unwrap();
                 assert!((0.25..=0.75).contains(&v), "{d:?} sampled {v}");
                 if v < 0.5 {
                     below += 1;
@@ -1336,12 +1276,10 @@ mod tests {
 
     #[test]
     fn uniform_sampling_stays_in_box() {
-        let d = Dist::Uniform;
+        let plan = Dist::Uniform.draw_plan(&iv(0.25, 0.5), &iv(0.0, 1.0));
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..100 {
-            let v = d
-                .sample_in(&iv(0.25, 0.5), &iv(0.0, 1.0), &mut rng)
-                .unwrap();
+            let v = plan.sample(&mut rng).unwrap();
             assert!((0.25..0.5).contains(&v));
         }
     }
@@ -1353,10 +1291,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         // Condition on [0.25, 0.75]: mass 0.375 below 0.5 vs 0.125 above
         // → 75% of samples should fall below 0.5.
+        let plan = d.draw_plan(&iv(0.25, 0.75), &dom);
         let n = 20_000;
         let mut below = 0;
         for _ in 0..n {
-            let v = d.sample_in(&iv(0.25, 0.75), &dom, &mut rng).unwrap();
+            let v = plan.sample(&mut rng).unwrap();
             assert!((0.25..0.75).contains(&v));
             if v < 0.5 {
                 below += 1;
@@ -1371,7 +1310,8 @@ mod tests {
         let d = Dist::piecewise(vec![0.0, 1.0], vec![1.0]);
         let mut rng = SmallRng::seed_from_u64(3);
         assert!(d
-            .sample_in(&iv(2.0, 3.0), &iv(0.0, 1.0), &mut rng)
+            .draw_plan(&iv(2.0, 3.0), &iv(0.0, 1.0))
+            .sample(&mut rng)
             .is_none());
     }
 
@@ -1392,7 +1332,7 @@ mod tests {
         for d in &dists {
             let mut rng = SmallRng::seed_from_u64(9);
             assert!(
-                d.sample_in(&point, &dom, &mut rng).is_none(),
+                d.draw_plan(&point, &dom).sample(&mut rng).is_none(),
                 "{d:?}: zero-width interval must sample None"
             );
             // The RNG must not have been consumed: the next draw equals a
@@ -1408,7 +1348,8 @@ mod tests {
         let d = Dist::normal(0.0, 1e-3);
         let mut rng = SmallRng::seed_from_u64(11);
         assert!(
-            d.sample_in(&iv(0.9, 1.0), &iv(-1.0, 1.0), &mut rng)
+            d.draw_plan(&iv(0.9, 1.0), &iv(-1.0, 1.0))
+                .sample(&mut rng)
                 .is_none(),
             "underflowed tail mass must sample None"
         );
@@ -1425,7 +1366,7 @@ mod tests {
         assert!((d.mass(&dom, &dom) - 1.0).abs() < 1e-15);
         assert!((d.mass(&iv(1.0, 1.5), &dom) - 0.5).abs() < 1e-12);
         let mut rng = SmallRng::seed_from_u64(5);
-        let v = d.sample_in(&iv(1.0, 1.5), &dom, &mut rng).unwrap();
+        let v = d.draw_plan(&iv(1.0, 1.5), &dom).sample(&mut rng).unwrap();
         assert!((1.0..1.5).contains(&v));
     }
 
@@ -1441,10 +1382,11 @@ mod tests {
             Dist::truncated_normal(0.5, 0.2, 0.1, 0.9),
         ] {
             let probe = iv(0.3, 0.7);
+            let plan = d.density_plan(&dom);
             let n = 20_000;
             let h = probe.width() / n as f64;
             let integral: f64 = (0..n)
-                .map(|i| d.density(probe.lo() + (i as f64 + 0.5) * h, &dom) * h)
+                .map(|i| plan.density(probe.lo() + (i as f64 + 0.5) * h) * h)
                 .sum();
             let mass = d.mass(&probe, &dom);
             assert!(
@@ -1572,7 +1514,7 @@ mod tests {
             .collect();
         let mut rng = SmallRng::seed_from_u64(11);
         let mut out = [0.0; 3];
-        assert!(p.sample_in(&dom, &dom, &mut rng, &mut out));
+        assert!(p.draw_plan(&dom, &dom).sample(&mut rng, &mut out));
         assert!(dom.contains_point(&out));
     }
 
@@ -1582,7 +1524,7 @@ mod tests {
         let dom: IntervalBox = [iv(2.0, 2.0)].into_iter().collect();
         let mut rng = SmallRng::seed_from_u64(5);
         let mut out = [0.0];
-        assert!(p.sample_in(&dom, &dom, &mut rng, &mut out));
+        assert!(p.draw_plan(&dom, &dom).sample(&mut rng, &mut out));
         assert_eq!(out[0], 2.0);
         assert_eq!(p.box_probability(&dom, &dom), 1.0);
     }
@@ -1595,7 +1537,7 @@ mod tests {
         let dom: IntervalBox = [iv(2.0, 2.0)].into_iter().collect();
         let mut rng = SmallRng::seed_from_u64(5);
         let mut out = [0.0];
-        assert!(p.sample_in(&dom, &dom, &mut rng, &mut out));
+        assert!(p.draw_plan(&dom, &dom).sample(&mut rng, &mut out));
         assert_eq!(out[0], 2.0);
         assert_eq!(p.box_probability(&dom, &dom), 1.0);
     }

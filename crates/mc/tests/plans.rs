@@ -1,12 +1,11 @@
 //! The compiled sampling plans are exact replacements for the per-call
 //! code they took over from:
 //!
-//! 1. a `DrawPlan` draws the same bits as the per-call body of
-//!    `Dist::sample_in` it replaced, and consumes the same RNG values;
-//!    an interval without mass returns `None` and leaves the RNG as it
-//!    was;
-//! 2. a `DensityPlan` returns the same bits as the per-call body of
-//!    `Dist::density`;
+//! 1. a `DrawPlan` draws the same bits as the per-call conditional draw
+//!    it replaced, and consumes the same RNG values; an interval without
+//!    mass returns `None` and leaves the RNG as it was;
+//! 2. a `DensityPlan` returns the same bits as the per-call density it
+//!    replaced;
 //! 3. on the 128-box pavings of the rare subjects, the importance
 //!    sampler's neighbor-list density equals the full scan of
 //!    [`Mixture::density`] bit for bit: at points drawn from every
@@ -249,9 +248,6 @@ fn draws_match(d: &Dist, iv: &Interval, dom: &Interval, seed: u64) {
             want.map(f64::to_bits),
             "{d:?} on {iv:?} in {dom:?}: {got:?} vs {want:?}"
         );
-        let got_once = d.sample_in(iv, dom, &mut SmallRng::seed_from_u64(seed));
-        let want_once = reference::sample_in(d, iv, dom, &mut SmallRng::seed_from_u64(seed));
-        assert_eq!(got_once.map(f64::to_bits), want_once.map(f64::to_bits));
     }
     assert_eq!(new.next_u64(), old.next_u64(), "{d:?} on {iv:?}: RNG use");
     if reference::sample_in(d, iv, dom, &mut SmallRng::seed_from_u64(seed)).is_none() {
@@ -282,7 +278,6 @@ fn densities_match(d: &Dist, dom: &Interval, probes: &[f64]) {
             want.to_bits(),
             "{d:?} at {x} in {dom:?}"
         );
-        assert_eq!(d.density(x, dom).to_bits(), want.to_bits(), "{d:?} at {x}");
     }
 }
 
@@ -420,7 +415,6 @@ fn compiled_profile_draws_and_densities_match() {
             .map(|i| reference::density(profile.dist(i), got[i], &domain[i]))
             .product();
         assert_eq!(density.density(&got).to_bits(), pi.to_bits());
-        assert_eq!(profile.density(&got, &domain).to_bits(), pi.to_bits());
     }
     assert_eq!(rng.next_u64(), old.next_u64());
 }

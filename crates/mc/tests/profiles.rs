@@ -5,7 +5,7 @@
 //!    sum to the whole domain's mass of exactly 1,
 //! 2. conditional sampling always lands inside the requested interval
 //!    (clipped to the support), and
-//! 3. `sample_in` returns `Some` exactly when the interval carries
+//! 3. a `DrawPlan` returns `Some` exactly when the interval carries
 //!    positive conditional mass (`None` is deterministic, never a hang).
 
 use proptest::prelude::*;
@@ -102,9 +102,10 @@ proptest! {
             dom.lo() + dom.width() * hi,
         );
         let mass = dist.mass(&iv, &dom);
+        let plan = dist.draw_plan(&iv, &dom);
         let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..32 {
-            match dist.sample_in(&iv, &dom, &mut rng) {
+            match plan.sample(&mut rng) {
                 Some(v) => {
                     prop_assert!(
                         iv.contains(v) && dom.contains(v),

@@ -83,7 +83,15 @@ use crate::store::RecoveryReport;
 /// missing-field error. Both keys only ever took one value, and a
 /// network-supplied pass limit could pin a worker far past its paver
 /// time budget.
-pub const PROTOCOL_VERSION: u32 = 8;
+///
+/// v9: two more retired knobs. `Options::chunk` left for the constant
+/// `qcoral_mc::SamplePlan::DEFAULT_CHUNK` (it reseeded the sample streams
+/// just as `seed` does), and `PaverConfig::time_budget` left with the
+/// paver's clock: a paving now depends only on the conjunction, the box
+/// and the two counts. v8 request frames that still carry either key
+/// decode with that key ignored, while v8 servers reject v9 request
+/// frames with a missing-field error.
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// One named marginal of a program request's usage profile: programs
 /// declare their inputs by name, so profiles address them by name too

@@ -65,10 +65,11 @@ pub struct ServiceConfig {
     /// Per-request symbolic-execution depth ceiling (same rationale).
     pub max_depth_cap: u64,
     /// Per-request path-condition ceiling: bounds how many factors (and
-    /// thus pavings, each up to the paver time budget) one frame can
-    /// demand. Also caps symbolic-execution path exploration. Operators
-    /// facing untrusted clients should lower this together with the
-    /// paver budget — worst-case request cost scales with their product.
+    /// thus pavings, each up to `options.paver.max_boxes` boxes) one
+    /// frame can demand. Also caps symbolic-execution path exploration.
+    /// Operators facing untrusted clients should lower this together
+    /// with the paver budget — worst-case request cost scales with their
+    /// product.
     pub max_pcs: usize,
     /// Concurrent-connection ceiling: beyond it new connections get an
     /// error line and are closed (each connection owns a reader thread).
@@ -640,9 +641,6 @@ fn validate(
                 shared.cfg.max_samples
             ));
         }
-    }
-    if options.paver.time_budget > Duration::from_secs(60) {
-        return reject("options.paver.time_budget exceeds the 60 s limit".to_string());
     }
     if options.paver.max_boxes > MAX_PAVER_BOXES {
         return reject(format!(

@@ -566,32 +566,30 @@ fn concurrent_saves_never_tear_the_snapshot() {
     let _ = std::fs::remove_file(qcoral_service::store::wal_path(&snapshot));
 }
 
-/// `PaverConfig::max_passes` is retired: a frame that still carries the
-/// key decodes with the key ignored. The two nearly parallel lines below
-/// shrink the box by a factor of about 1 + 1e-9 per contraction pass, so
-/// a network-supplied limit of 10⁹ passes would pin a worker far past
-/// the paver's 2 s time budget, which is checked only between boxes.
-#[test]
-fn retired_pass_limit_cannot_pin_a_worker() {
-    let (server, _client) = start(ServiceConfig::default());
+/// Encodes a `System` request for `source` under `options`, with `key`
+/// spliced into the front of its `paver` object.
+fn system_frame_with_paver_key(source: &str, options: Options, key: &str) -> String {
     let frame = qcoral_service::wire::encode_request(&qcoral_service::Request {
         id: 1,
         op: qcoral_service::Op::System {
-            source: "var x in [0, 1]; var y in [0, 1]; \
-                     pc x == 1.000000001 * y && y == 1.000000001 * x;"
-                .to_string(),
-            options: Options::default(),
+            source: source.to_string(),
+            options,
             profile: None,
         },
     });
-    let hostile = frame.replacen("\"paver\":{", "\"paver\":{\"max_passes\":1000000000,", 1);
-    assert_ne!(hostile, frame, "the frame carries a paver object");
+    let spliced = frame.replacen("\"paver\":{", &format!("\"paver\":{{{key},"), 1);
+    assert_ne!(spliced, frame, "the frame carries a paver object");
+    spliced
+}
+
+/// Sends `frame` on a raw connection and requires a `Report` within 20 s.
+fn answers_within_20_s(server: &Server, frame: &str) {
     let stream = TcpStream::connect(server.addr()).expect("connect raw");
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
         .unwrap();
     let mut writer = stream.try_clone().unwrap();
-    writer.write_all(hostile.as_bytes()).unwrap();
+    writer.write_all(frame.as_bytes()).unwrap();
     let mut line = String::new();
     BufReader::new(stream)
         .read_line(&mut line)
@@ -603,6 +601,43 @@ fn retired_pass_limit_cannot_pin_a_worker() {
         "expected a report, got {:?}",
         r.outcome
     );
+}
+
+/// `PaverConfig::max_passes` is retired: a frame that still carries the
+/// key decodes with the key ignored. The two nearly parallel lines below
+/// shrink the box by a factor of about 1 + 1e-9 per contraction pass, so
+/// a network-supplied limit of 10⁹ passes would pin a worker for minutes
+/// inside a single contraction.
+#[test]
+fn retired_pass_limit_cannot_pin_a_worker() {
+    let (server, _client) = start(ServiceConfig::default());
+    let frame = system_frame_with_paver_key(
+        "var x in [0, 1]; var y in [0, 1]; \
+         pc x == 1.000000001 * y && y == 1.000000001 * x;",
+        Options::default(),
+        "\"max_passes\":1000000000",
+    );
+    answers_within_20_s(&server, &frame);
+    server.shutdown();
+}
+
+/// `PaverConfig::time_budget` is retired: a frame that still carries the
+/// key decodes with the key ignored, and the paver reads no clock. At 17
+/// digits the one-ulp box around 1/3 below bisects into itself and a
+/// refuted point box; the paver keeps it as one boundary box instead of
+/// bisecting it until a network-supplied 60 s budget runs out.
+#[test]
+fn retired_time_budget_cannot_pin_a_worker() {
+    let (server, _client) = start(ServiceConfig::default());
+    let mut options = Options::default();
+    options.paver.precision_digits = 17;
+    let frame = system_frame_with_paver_key(
+        "var x in [0, 1]; pc x * 3 == 1 && x < 0.33333333333333337;",
+        options,
+        "\"time_budget\":{\"secs\":60,\"nanos\":0}",
+    );
+    assert!(frame.contains("\"precision_digits\":17"), "{frame}");
+    answers_within_20_s(&server, &frame);
     server.shutdown();
 }
 

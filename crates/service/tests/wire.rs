@@ -35,10 +35,10 @@ fn arb_options() -> impl Strategy<Value = Options> {
         any::<bool>(),
         any::<bool>(),
         0u64..u64::MAX,
-        (1usize..64, 0u32..9, 0u64..10_000),
+        (1usize..64, 0u32..9),
     )
         .prop_map(
-            |(samples, stratified, partition, parallel, seed, (boxes, digits, millis))| {
+            |(samples, stratified, partition, parallel, seed, (boxes, digits))| {
                 let mut o = Options::default().with_samples(samples).with_seed(seed);
                 o.stratified = stratified;
                 o.partition = partition;
@@ -52,7 +52,6 @@ fn arb_options() -> impl Strategy<Value = Options> {
                 o.paver = PaverConfig {
                     max_boxes: boxes,
                     precision_digits: digits,
-                    time_budget: Duration::from_millis(millis),
                 };
                 o
             },

@@ -169,7 +169,8 @@ mod tests {
             assert!(!cs.is_empty(), "{}: no target paths", subj.name);
             assert!(!profile.is_uniform(), "{}: profile is uniform", subj.name);
             // Every profile re-validates through the checked constructors.
-            assert!(profile.validated().is_ok(), "{}", subj.name);
+            let dbox = qcoral_icp::domain_box(&domain);
+            assert!(profile.validated_in(&dbox).is_ok(), "{}", subj.name);
         }
     }
 

@@ -182,7 +182,8 @@ mod tests {
             let (cs, domain, profile) = subj.system();
             assert!(!cs.is_empty(), "{}: no path conditions", subj.name);
             assert_eq!(profile.len(), domain.len(), "{}: arity", subj.name);
-            assert!(profile.validated().is_ok(), "{}", subj.name);
+            let dbox = qcoral_icp::domain_box(&domain);
+            assert!(profile.validated_in(&dbox).is_ok(), "{}", subj.name);
             let t = subj.truth();
             assert!(
                 t > 1e-10 && t < 1e-6,

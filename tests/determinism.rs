@@ -549,26 +549,6 @@ fn concurrent_analyses_report_exact_tape_counters() {
     assert_eq!(run_both(), [(2, 0), (3, 0)], "repeat: one hit per factor");
 }
 
-/// Chunk size changes the stream (like a reseed) but never the
-/// serial/parallel agreement.
-#[test]
-fn chunk_size_preserves_schedule_independence() {
-    let subjects = table3_subjects();
-    let subj = subjects.iter().find(|s| s.name == "CORONARY").unwrap();
-    let (domain, cs) = subj.system_for(0, &SymConfig::default());
-    let profile = UsageProfile::uniform(domain.len());
-    for chunk in [64, 1_000, 100_000] {
-        let mut opts = Options::strat_partcache().with_samples(10_000).with_seed(3);
-        opts.chunk = chunk;
-        let serial = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
-        let parallel = Analyzer::new(opts.with_parallel(true)).analyze(&cs, &domain, &profile);
-        assert_eq!(
-            serial.estimate, parallel.estimate,
-            "chunk {chunk}: schedules disagree"
-        );
-    }
-}
-
 /// Crash-recovery bit-identity: a process that dies after depositing
 /// factor estimates — write-ahead log appended, but no snapshot ever
 /// completed (only a torn `.tmp` from a save that never reached its

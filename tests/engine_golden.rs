@@ -22,12 +22,10 @@
 //!
 //! Every run attaches a fresh `FactorStore`; runs with `Options::cache`
 //! on are repeated warm through it (`phase` `cold`, then `warm`). The
-//! paver's clock budget is 60 s, so only its box budget ends a paving.
-//! The whole matrix runs serially and again with `parallel = true`;
-//! both must reproduce the golden file line for line.
+//! whole matrix runs serially and again with `parallel = true`; both
+//! must reproduce the golden file line for line.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use qcoral::{Analyzer, FactorStore, Options, Report};
 use qcoral_constraints::{ConstraintSet, Domain};
@@ -187,7 +185,6 @@ fn run_row(
     schedule: Schedule,
     parallel: bool,
 ) {
-    opts.paver.time_budget = Duration::from_secs(60);
     opts.parallel = parallel;
     let store = Arc::new(FactorStore::new(1 << 16));
     let analyzer = || Analyzer::new(opts.clone()).with_factor_store(Arc::clone(&store));
