@@ -14,7 +14,7 @@
 
 use std::collections::BinaryHeap;
 
-use qcoral_constraints::{ConstraintSet, PathCondition};
+use qcoral_constraints::{ConstraintSet, EvalTape, PathCondition};
 use qcoral_interval::IntervalBox;
 
 /// Configuration for the adaptive integrator.
@@ -114,9 +114,10 @@ fn sample_points(boxed: &IntervalBox) -> Vec<Vec<f64>> {
     pts
 }
 
-fn classify(pc: &PathCondition, boxed: &IntervalBox) -> f64 {
+/// The share of a region's probe points where `holds` is true.
+fn classify(holds: &impl Fn(&[f64]) -> bool, boxed: &IntervalBox) -> f64 {
     let pts = sample_points(boxed);
-    let hits = pts.iter().filter(|p| pc.holds(p)).count();
+    let hits = pts.iter().filter(|p| holds(p)).count();
     hits as f64 / pts.len() as f64
 }
 
@@ -131,10 +132,20 @@ fn region_error(weight: f64, frac: f64) -> f64 {
 }
 
 /// Integrates the indicator of one path condition over the box (relative
-/// measure, uniform weight).
+/// measure, uniform weight), probing it on its compiled tape.
 fn integrate_pc(pc: &PathCondition, domain: &IntervalBox, cfg: &AdaptiveConfig) -> AdaptiveResult {
+    let tape = EvalTape::compile(pc);
+    integrate(&|p: &[f64]| tape.holds(p), domain, cfg)
+}
+
+/// Integrates the indicator `holds` over the box.
+fn integrate(
+    holds: &impl Fn(&[f64]) -> bool,
+    domain: &IntervalBox,
+    cfg: &AdaptiveConfig,
+) -> AdaptiveResult {
     let mut heap = BinaryHeap::new();
-    let frac = classify(pc, domain);
+    let frac = classify(holds, domain);
     heap.push(Region {
         boxed: domain.clone(),
         weight: 1.0,
@@ -162,7 +173,7 @@ fn integrate_pc(pc: &PathCondition, domain: &IntervalBox, cfg: &AdaptiveConfig) 
         let (l, r) = region.boxed.bisect();
         for half in [l, r] {
             let w = region.weight / 2.0;
-            let f = classify(pc, &half);
+            let f = classify(holds, &half);
             heap.push(Region {
                 boxed: half,
                 weight: w,
@@ -221,6 +232,8 @@ mod tests {
     use super::*;
     use qcoral_constraints::parse::parse_system;
     use qcoral_icp::domain_box;
+    use qcoral_subjects::table3_subjects;
+    use qcoral_symexec::SymConfig;
 
     fn setup(src: &str) -> (ConstraintSet, IntervalBox) {
         let sys = parse_system(src).unwrap();
@@ -294,6 +307,33 @@ mod tests {
         let r = adaptive_probability(&cs, &dom, &AdaptiveConfig::default());
         assert_eq!(r.value, 0.0);
         assert!(r.converged);
+    }
+
+    /// The compiled tape answers every probe point as the tree walk
+    /// does, so each path condition integrates bit-identically to a
+    /// tree-walk reference.
+    #[test]
+    fn tape_probes_match_the_tree_walk() {
+        let subjects = table3_subjects();
+        let cfg = AdaptiveConfig {
+            accuracy_goal: 1e-4,
+            max_regions: 2_000,
+        };
+        for (name, label) in [
+            ("CART", "count >= 3"),
+            ("CORONARY", "tmp <= -5"),
+            ("PACK", "count >= 8"),
+        ] {
+            let s = subjects.iter().find(|s| s.name == name).unwrap();
+            let idx = s.assertions.iter().position(|&(l, _)| l == label).unwrap();
+            let (domain, cs) = s.system_for(idx, &SymConfig::default());
+            let dom = domain_box(&domain);
+            assert!(!cs.is_empty(), "{name} {label}");
+            for pc in cs.pcs() {
+                let tree_walk = integrate(&|p: &[f64]| pc.holds(p), &dom, &cfg);
+                assert_eq!(integrate_pc(pc, &dom, &cfg), tree_walk, "{name} {label}");
+            }
+        }
     }
 
     #[test]

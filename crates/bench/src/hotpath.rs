@@ -302,8 +302,8 @@ fn measure_subject(
         .with_samples(samples)
         .with_seed(1);
 
-    // Fresh analyzers per rep so the paving cache never carries over and
-    // serial/parallel measure the same work.
+    // Fresh analyzers per rep so no paving carries over (tapes never do)
+    // and serial/parallel measure the same work.
     let (serial, est_serial) = best_of(reps, || {
         Analyzer::new(opts.clone())
             .analyze(cs, domain, &profile)

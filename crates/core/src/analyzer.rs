@@ -24,14 +24,14 @@
 //! canonical factor key or the `(pc, factor)` index pair, plus the
 //! stratum and chunk counters — never from execution order. Combined
 //! with fixed reduction orders, a parallel run returns the bit-identical
-//! [`Report`] of the serial run, counters included. (The tape-cache
-//! counters count the run's own lookups exactly; whether a lookup hits
-//! depends on what the process compiled before.)
+//! [`Report`] of the serial run, counters included. No counter depends
+//! on what other analyzers in the process ran: each run compiles its own
+//! tapes, and the analyzer's paving cache is counted per lookup.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
-use qcoral_obs::{Counter, Histogram, Registry, Trace, TraceData};
+use qcoral_obs::{Trace, TraceData};
 use serde::{Deserialize, Serialize};
 
 use qcoral_constraints::{ConstraintSet, Domain};
@@ -360,14 +360,13 @@ pub struct Stats {
     pub paving_cache_hits: u64,
     /// Paving-cache misses during this analysis (same accounting).
     pub paving_cache_misses: u64,
-    /// Compile-cache hits during this analysis: factors whose compiled
-    /// conjunction was already in the process-wide compile cache (or
-    /// being compiled by another caller). Each prepared factor makes one
-    /// lookup, and the analysis counts its own lookups, so the number is
-    /// exact even when other analyses share the cache concurrently.
+    /// Prepared factors whose conjunction an earlier factor of this
+    /// analysis had already compiled (or was compiling). An analysis
+    /// compiles each distinct conjunction at most once and keeps no tape
+    /// past its end, so the count depends on the analysis alone.
     pub tape_cache_hits: u64,
-    /// Compile-cache misses during this analysis: factors whose
-    /// conjunction it compiled (same accounting).
+    /// Conjunctions this analysis compiled: one per distinct conjunction
+    /// among its prepared factors.
     pub tape_cache_misses: u64,
     /// Cross-run factor-store hits: factors answered from a
     /// [`FactorStore`] without paving or sampling anything.
@@ -722,126 +721,6 @@ impl Analyzer {
     ) -> Report {
         engine::run(self, cs, domain, profile, Schedule::Iterative)
     }
-}
-
-/// Process-wide totals of the per-analysis counters, minted once in the
-/// global [`Registry`] and fed by [`publish_report`] after every
-/// completed analysis. Per-analysis exactness lives in [`Stats`]; these
-/// are the lifetime aggregates the `metrics` exposition serves.
-struct GlobalAnalysisMetrics {
-    analyses: Arc<Counter>,
-    samples_drawn: Arc<Counter>,
-    pavings: Arc<Counter>,
-    paving_hits: Arc<Counter>,
-    paving_misses: Arc<Counter>,
-    tape_hits: Arc<Counter>,
-    tape_misses: Arc<Counter>,
-    partition_hits: Arc<Counter>,
-    partition_misses: Arc<Counter>,
-    inner_boxes: Arc<Counter>,
-    boundary_boxes: Arc<Counter>,
-    rounds: Arc<Counter>,
-    refine_samples: Arc<Counter>,
-    is_factors: Arc<Counter>,
-    is_fallbacks: Arc<Counter>,
-    duration_us: Arc<Histogram>,
-}
-
-fn global_metrics() -> &'static GlobalAnalysisMetrics {
-    static METRICS: OnceLock<GlobalAnalysisMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = Registry::global();
-        GlobalAnalysisMetrics {
-            analyses: r.counter(
-                "qcoral_analyses_total",
-                "Completed analyses (one-shot and iterative).",
-            ),
-            samples_drawn: r.counter(
-                "qcoral_samples_drawn_total",
-                "Monte Carlo sampling budget charged across all analyses.",
-            ),
-            pavings: r.counter(
-                "qcoral_pavings_total",
-                "ICP paving requests (paving-cache hits included).",
-            ),
-            paving_hits: r.counter(
-                "qcoral_paving_cache_hits_total",
-                "Paving requests answered from the paving cache.",
-            ),
-            paving_misses: r.counter(
-                "qcoral_paving_cache_misses_total",
-                "Paving requests that ran branch-and-prune.",
-            ),
-            tape_hits: r.counter(
-                "qcoral_tape_cache_hits_total",
-                "Compiled-tape lookups answered from the process-wide compile cache.",
-            ),
-            tape_misses: r.counter(
-                "qcoral_tape_cache_misses_total",
-                "Compiled-tape lookups that compiled the conjunction.",
-            ),
-            partition_hits: r.counter(
-                "qcoral_partition_cache_hits_total",
-                "Factor estimates answered from the in-run partition cache.",
-            ),
-            partition_misses: r.counter(
-                "qcoral_partition_cache_misses_total",
-                "Factor estimates the in-run partition cache could not answer.",
-            ),
-            inner_boxes: r.counter(
-                "qcoral_inner_boxes_total",
-                "ICP inner boxes across all pavings.",
-            ),
-            boundary_boxes: r.counter(
-                "qcoral_boundary_boxes_total",
-                "ICP boundary boxes across all pavings.",
-            ),
-            rounds: r.counter(
-                "qcoral_rounds_total",
-                "Sampling rounds executed by iterative analyses.",
-            ),
-            refine_samples: r.counter(
-                "qcoral_refine_samples_total",
-                "Samples drawn by refinement rounds after the first.",
-            ),
-            is_factors: r.counter(
-                "qcoral_is_factors_total",
-                "Factors quantified by the adaptive importance-sampling engine.",
-            ),
-            is_fallbacks: r.counter(
-                "qcoral_is_fallbacks_total",
-                "IS factors that fell back to stratified after a zero-hit proposal round.",
-            ),
-            duration_us: r.histogram(
-                "qcoral_analysis_duration_us",
-                "Wall-clock time per analysis, microseconds.",
-            ),
-        }
-    })
-}
-
-/// Folds a finished report's counters into the process-wide registry —
-/// the single write path from per-analysis [`Stats`] to the lifetime
-/// metric families.
-pub(crate) fn publish_report(report: &Report) {
-    let m = global_metrics();
-    let s = &report.stats;
-    m.analyses.inc();
-    m.samples_drawn.add(s.samples_drawn);
-    m.pavings.add(s.pavings);
-    m.paving_hits.add(s.paving_cache_hits);
-    m.paving_misses.add(s.paving_cache_misses);
-    m.tape_hits.add(s.tape_cache_hits);
-    m.tape_misses.add(s.tape_cache_misses);
-    m.partition_hits.add(s.cache_hits);
-    m.partition_misses.add(s.cache_misses);
-    m.inner_boxes.add(s.inner_boxes);
-    m.boundary_boxes.add(s.boundary_boxes);
-    m.rounds.add(s.rounds);
-    m.refine_samples.add(s.refine_samples);
-    m.is_factors.add(s.is_factors);
-    m.is_fallbacks.add(s.is_fallbacks);
-    m.duration_us.record(report.wall.as_micros() as u64);
 }
 
 /// Canonical cache identity of one independent factor: structural
@@ -1205,11 +1084,9 @@ mod tests {
 
     #[test]
     fn tape_cache_counters_are_observable() {
-        // Unique constants make the factor's conjunction fresh, so the
-        // first analysis must compile it (one miss) and a repeat on a
-        // fresh analyzer must reuse it (one hit). The counts come from
-        // the run's own lookups, so they are exact even while other
-        // tests use the process-wide cache.
+        // Each analysis compiles its own tapes, so the first analysis
+        // compiles the factor's conjunction (one miss) and a repeat on a
+        // fresh analyzer compiles it again, whatever else ran before.
         let sys = parse_system(
             "var x in [0, 1]; pc sin(x * 0.123456789) > 0.987654321 && x < 0.3141592;",
         )
@@ -1224,12 +1101,7 @@ mod tests {
             r1.stats
         );
         let r2 = Analyzer::new(opts).analyze(&sys.constraint_set, &sys.domain, &prof);
-        assert_eq!(
-            (r2.stats.tape_cache_hits, r2.stats.tape_cache_misses),
-            (1, 0),
-            "recompile hits the cache: {:?}",
-            r2.stats
-        );
+        assert_eq!(r2.stats, r1.stats, "a repeat compiles again");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The analyzer's compiled conjunction, [`CompiledPred`], behind the
-//! process-wide compile cache.
+//! The analyzer's compiled conjunction, [`CompiledPred`].
 //!
 //! Every factor the quantifier paves and samples is one conjunction,
 //! compiled once into one artifact: its scalar [`EvalTape`], whose node
@@ -10,32 +9,14 @@
 //! [`CompiledPred`] implements [`BulkPred`] by counting each block on
 //! the bulk tape.
 //!
-//! `compile_cached` memoizes compilation process-wide by the
-//! conjunction's structural fingerprint: recurring factors — the
-//! workload's defining redundancy, and the steady state of
-//! `qcoral-service` — compile once per process instead of once per
-//! request.
+//! The engine compiles each distinct conjunction of a run at most once
+//! and shares the artifact among the run's factors; nothing outlives the
+//! run.
 
 use std::sync::{Arc, OnceLock};
 
 use qcoral_constraints::{BulkTape, EvalTape, PathCondition};
-use qcoral_icp::LruCache;
 use qcoral_mc::BulkPred;
-
-/// Cap on cached conjunctions; past it the least-recently-used are
-/// evicted in batches.
-const TAPE_CACHE_CAP: usize = 4096;
-
-/// Returns the compiled conjunction `pc` from the process-wide compile
-/// cache, compiling it on a miss, and whether it was cached or in flight
-/// (`true` = hit). `fingerprint` must be `pc.fingerprint()`, which the
-/// engine computes once per factor for every key.
-pub(crate) fn compile_cached(fingerprint: u128, pc: &PathCondition) -> (Arc<CompiledPred>, bool) {
-    static CACHE: OnceLock<LruCache<u128, CompiledPred>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| LruCache::new(TAPE_CACHE_CAP))
-        .get_or_insert_with(fingerprint, || CompiledPred::compile(pc))
-}
 
 /// Name of the predicate-evaluation backend tape-compiled predicates
 /// use: always `"bulk"`, the columnar interpreter. Surfaced as
@@ -125,16 +106,5 @@ mod tests {
             let bulk = refine_plan(&pred, &boxed, &profile, n, plan, StratumAccum::EMPTY);
             assert_eq!(scalar, bulk, "n = {n}");
         }
-    }
-
-    #[test]
-    fn cache_shares_structurally_equal_predicates() {
-        // Unique constants keep this test's keys disjoint from others.
-        let a = pc_of("var x in [0, 1]; pc sin(x * 0.5417261) > 0.1234987;");
-        let b = pc_of("var x in [0, 1]; pc sin(x * 0.5417261) > 0.1234987;");
-        let (pa, hit_a) = compile_cached(a.fingerprint(), &a);
-        let (pb, hit_b) = compile_cached(b.fingerprint(), &b);
-        assert!(Arc::ptr_eq(&pa, &pb), "separate parses share one tape");
-        assert_eq!((hit_a, hit_b), (false, true));
     }
 }

@@ -10,10 +10,12 @@
 //!    `(pc, factor)` occurrence (seeded from the index pair). Two path
 //!    conditions therefore never race on one factor.
 //!    Discovery fingerprints each occurrence's conjunction once; the
-//!    fingerprint keys the factor, the compiled tape and the paving.
+//!    fingerprint keys the factor and the paving, and numbers the run's
+//!    distinct conjunctions.
 //! 2. **Prep**, once per slot, in order: factor-store lookup, deadline
-//!    check, one compile-cache lookup for the conjunction, paving over
-//!    that tape (Algorithm 3), profile-aligned [`Strata`], and — only
+//!    check, the conjunction's tape (compiled by the first of its slots
+//!    to get there, reused by the rest), paving over that tape
+//!    (Algorithm 3), profile-aligned [`Strata`], and — only
 //!    for factors with strata left to sample — the columnar tape. An
 //!    unstratified factor is [`Strata::whole`]: one stratum of weight
 //!    exactly 1 covering its sub-box, sampled on the factor's own
@@ -44,7 +46,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use qcoral_obs::trace::{arg, SpanArg};
@@ -59,8 +61,8 @@ use qcoral_mc::{
     Deadline, Estimate, IsEstimator, SamplePlan, Strata, Stratum, UsageProfile, IS_THRESHOLD,
 };
 
-use crate::analyzer::{factor_key, hash_key, publish_report, Analyzer, Options, Report, Stats};
-use crate::bulkpred::{compile_cached, CompiledPred};
+use crate::analyzer::{factor_key, hash_key, Analyzer, Options, Report, Stats};
+use crate::bulkpred::CompiledPred;
 use crate::depend::dependency_partition;
 use crate::factor_store::{FactorKey, FactorStore};
 
@@ -115,6 +117,8 @@ struct Slot {
     local_pc: PathCondition,
     /// `local_pc.fingerprint()`.
     fingerprint: u128,
+    /// Index of the conjunction among the run's distinct fingerprints.
+    tape: usize,
     /// The factor's projected domain box.
     sub_box: IntervalBox,
     /// Global indices of the factor's variables.
@@ -217,6 +221,9 @@ struct Run<'a> {
     fp: u64,
     deadline: Option<Deadline>,
     trace: Option<&'a Trace>,
+    /// One compiled tape per distinct conjunction, set by the first slot
+    /// that needs it.
+    tapes: Vec<OnceLock<Arc<CompiledPred>>>,
 }
 
 /// Runs both entry points: discovery, the schedule, composition and the
@@ -241,7 +248,8 @@ pub(crate) fn run(
     let trace = analyzer.run_trace();
     let trace_t0 = qcoral_obs::trace::span_start(&trace);
     let opts = &analyzer.opts;
-    let (slots, pc_slots, occurrences) = discover(opts, cs, &domain_box(domain), profile);
+    let (slots, pc_slots, occurrences, conjunctions) =
+        discover(opts, cs, &domain_box(domain), profile);
     let run = Run {
         opts,
         profile,
@@ -253,6 +261,7 @@ pub(crate) fn run(
         },
         deadline: analyzer.effective_deadline(),
         trace: trace.as_deref(),
+        tapes: (0..conjunctions).map(|_| OnceLock::new()).collect(),
     };
     let mut stats = Stats::default();
     let estimates = match schedule {
@@ -282,15 +291,13 @@ pub(crate) fn run(
             ],
         );
     }
-    let report = Report {
+    Report {
         estimate,
         per_pc,
         stats,
         wall: start.elapsed(),
         trace: trace.map(|t| t.take()),
-    };
-    publish_report(&report);
-    report
+    }
 }
 
 /// The variable partition Algorithm 2 factors each conjunction along:
@@ -317,17 +324,19 @@ fn normalized_partition(opts: &Options, cs: &ConstraintSet, nvars: usize) -> Vec
 }
 
 /// Discovery: the run's slots, each PC's slot list in partition order,
-/// and the number of factor occurrences. A class no constraint of a PC
-/// touches contributes exactly 1 and is skipped.
+/// the number of factor occurrences and the number of distinct
+/// conjunctions. A class no constraint of a PC touches contributes
+/// exactly 1 and is skipped.
 fn discover(
     opts: &Options,
     cs: &ConstraintSet,
     dbox: &IntervalBox,
     profile: &UsageProfile,
-) -> (Vec<Slot>, Vec<Vec<usize>>, u64) {
+) -> (Vec<Slot>, Vec<Vec<usize>>, u64, usize) {
     let partition = normalized_partition(opts, cs, dbox.ndim());
     let mut slots: Vec<Slot> = Vec::new();
     let mut slot_of: HashMap<FactorKey, usize> = HashMap::new();
+    let mut tape_of: HashMap<u128, usize> = HashMap::new();
     let mut occurrences = 0u64;
     let mut pc_slots = Vec::with_capacity(cs.len());
     for (pc_idx, pc) in cs.pcs().iter().enumerate() {
@@ -348,6 +357,8 @@ fn discover(
                 .collect();
             let local_pc = part.remap_vars(&|v: VarId| VarId(local_of[&v.0]));
             let fingerprint = local_pc.fingerprint();
+            let next = tape_of.len();
+            let tape = *tape_of.entry(fingerprint).or_insert(next);
             let sub_box = dbox.project(&indices);
             if !opts.cache {
                 mine.push(slots.len());
@@ -355,6 +366,7 @@ fn discover(
                     key: None,
                     local_pc,
                     fingerprint,
+                    tape,
                     sub_box,
                     indices,
                     seed: mix_seed(opts.seed, (pc_idx as u64) << 32 | factor_idx as u64),
@@ -376,6 +388,7 @@ fn discover(
                         key: Some(e.key().clone()),
                         local_pc,
                         fingerprint,
+                        tape,
                         sub_box,
                         indices,
                         seed: mix_seed(opts.seed, hash_key(e.key())),
@@ -387,7 +400,7 @@ fn discover(
         }
         pc_slots.push(mine);
     }
-    (slots, pc_slots, occurrences)
+    (slots, pc_slots, occurrences, tape_of.len())
 }
 
 /// Eq. 7–8 within each PC, then Theorem 1 across PCs, in fixed order.
@@ -472,7 +485,7 @@ impl Run<'_> {
     }
 
     /// Prep of one slot, counting into `tally`: store lookup, deadline
-    /// check, compile-cache lookup, paving, strata, then the columnar
+    /// check, the conjunction's tape, paving, strata, then the columnar
     /// tape for factors that sample.
     fn prepare(&self, slot: &Slot, tally: &mut Stats) -> Prepared {
         if let (Some(store), Some(key)) = (self.store, &slot.key) {
@@ -496,11 +509,15 @@ impl Run<'_> {
             parallel: opts.parallel,
             deadline: self.deadline,
         };
-        // Both caches are counted per call: they are shared process- or
-        // service-wide, and deltas of their global counters would charge
-        // concurrent requests' work to each other.
+        // The first slot of a conjunction compiles it; under `parallel`,
+        // slots that arrive meanwhile wait for that compile and count as
+        // hits, so the split does not depend on the thread schedule.
         let t0 = self.now();
-        let (pred, hit) = compile_cached(slot.fingerprint, &slot.local_pc);
+        let mut hit = true;
+        let pred = Arc::clone(self.tapes[slot.tape].get_or_init(|| {
+            hit = false;
+            Arc::new(CompiledPred::compile(&slot.local_pc))
+        }));
         self.record("compile", "tape", t0, || {
             vec![
                 arg("vars", slot.sub_box.dims().len()),
@@ -510,6 +527,9 @@ impl Run<'_> {
         tally.tape_cache_hits = hit as u64;
         tally.tape_cache_misses = !hit as u64;
         let strata = if opts.stratified {
+            // The paving cache is shared by analyzers and requests, so
+            // each lookup is counted per call, never as a delta of its
+            // totals.
             let t0 = self.now();
             let (paving, hit) = self.paving_cache.pave_cached(
                 slot.fingerprint,

@@ -63,8 +63,7 @@ pub struct FactorStore {
     cap: usize,
     inner: Mutex<Inner>,
     // Per-instance `qcoral-obs` counters (tests assert per-instance
-    // exactness, so these are never minted from the global registry);
-    // a server attaches them for exposition via
+    // exactness); a server attaches them for exposition via
     // [`FactorStore::register_metrics`].
     hits: Arc<Counter>,
     misses: Arc<Counter>,

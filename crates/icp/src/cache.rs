@@ -1,12 +1,11 @@
-//! The workspace's bounded memo map: [`crate::PavingCache`] and the
-//! analyzer's compiled-tape cache in `qcoral` are both an [`LruCache`].
+//! The workspace's bounded memo map, behind [`crate::PavingCache`].
 //!
 //! * **Single-flight.** A miss computes its value outside the map lock,
 //!   and callers racing on that key wait for the one computation instead
 //!   of repeating it. Every caller shares one `Arc`, and how many callers
 //!   hit does not depend on the thread schedule.
 //! * **Batch-LRU.** Past the cap, the least-recently-used entries are
-//!   evicted in batches ([`batch_lru_cutoff`]), so a process-lifetime
+//!   evicted in batches ([`batch_lru_cutoff`]), so a server-lifetime
 //!   cache keeps tracking the current working set instead of freezing
 //!   on the first keys it ever saw.
 

@@ -52,9 +52,12 @@ impl Default for PaverConfig {
 }
 
 impl PaverConfig {
-    /// Side-length threshold below which boxes are not bisected.
+    /// Side-length threshold below which boxes are not bisected: 0 once
+    /// `10^-precision_digits` underflows.
     pub fn min_width(&self) -> f64 {
-        10f64.powi(-(self.precision_digits as i32))
+        // Saturated so that every `u32` is a valid exponent; `10^-d` is
+        // already 0 long before 400 digits, so no width changes.
+        10f64.powi(-(self.precision_digits.min(400) as i32))
     }
 }
 
@@ -561,6 +564,23 @@ mod tests {
                 b[0].lo() >= 1.7 && b[0].hi() <= 2.45,
                 "box {b} strays outside the solution band"
             );
+        }
+    }
+
+    #[test]
+    fn min_width_is_defined_for_every_digit_count() {
+        let width = |precision_digits| {
+            PaverConfig {
+                max_boxes: 10,
+                precision_digits,
+            }
+            .min_width()
+        };
+        assert_eq!(width(0), 1.0);
+        assert_eq!(width(3), 1e-3);
+        assert_eq!(width(17), 1e-17);
+        for digits in [400, 1 << 31, u32::MAX] {
+            assert_eq!(width(digits), 0.0, "{digits} digits");
         }
     }
 

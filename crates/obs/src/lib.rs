@@ -4,12 +4,11 @@
 //! discipline as `qcoral-failpoints` (std only, plus the vendored
 //! `serde` shim for the wire types):
 //!
-//! * [`metrics`] — process- or instance-scoped registries of counters,
-//!   gauges and mergeable log-bucket [`Histogram`]s (p50/p90/p99
-//!   derivable), rendered as Prometheus-style text exposition. The
-//!   analyzer, caches, scheduler and store all count through these
-//!   primitives instead of bespoke atomics, so every number the service
-//!   reports has exactly one source of truth.
+//! * [`metrics`] — per-instance registries of counters, gauges and
+//!   log-bucket [`Histogram`]s, rendered as Prometheus-style text
+//!   exposition. A server's scheduler, store and analysis totals all
+//!   count through these primitives instead of bespoke atomics, so every
+//!   number the service reports has exactly one source of truth.
 //! * [`trace`] — cheap, thread-aware span timers collected into a
 //!   per-request [`Trace`], returned in analysis reports when
 //!   `Options.trace` is set and exportable as Chrome trace-event JSON

@@ -1,5 +1,5 @@
-//! Counters, gauges and mergeable log-bucket histograms behind a named
-//! registry with Prometheus-style text exposition.
+//! Counters, gauges and log-bucket histograms behind a named registry
+//! with Prometheus-style text exposition.
 //!
 //! Handles are `Arc`-shared atomics: a subsystem either asks a
 //! [`Registry`] to mint one by name ([`Registry::counter`]) or keeps its
@@ -11,15 +11,13 @@
 //!
 //! Histograms use a fixed power-of-two bucket layout over `u64` samples
 //! (bucket *i* ≥ 1 holds values in `[2^(i-1), 2^i)`, bucket 0 holds the
-//! value 0), so merging two histograms is exact integer addition of
-//! bucket counts — associative and commutative by construction — and
-//! any quantile is derivable from the cumulative counts with at most a
-//! 2× overestimate (the reported bound is the bucket's inclusive upper
-//! edge).
+//! value 0). The exposition renders the cumulative counts, from which a
+//! scraper derives any quantile with at most a 2× overestimate (each
+//! bucket is labelled with its inclusive upper edge).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A monotone event counter.
 #[derive(Debug, Default)]
@@ -68,14 +66,8 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds to the level (may go negative transiently under races; reads
-    /// clamp at callers' discretion).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Subtracts from the level.
+    /// Subtracts from the level (may go negative transiently under races;
+    /// reads clamp at callers' discretion).
     #[inline]
     pub fn sub(&self, d: i64) {
         self.0.fetch_sub(d, Ordering::Relaxed);
@@ -92,14 +84,14 @@ impl Gauge {
 /// leading-bit position of a `u64` sample.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// A mergeable log-bucket histogram of `u64` samples.
+/// A log-bucket histogram of `u64` samples.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     sum: AtomicU64,
 }
 
-/// A plain-value copy of a [`Histogram`], for merging and assertions.
+/// A plain-value copy of a [`Histogram`], for exposition and assertions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts (see the module docs for the layout).
@@ -157,28 +149,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// An upper bound on the `q`-quantile (`q` in `[0, 1]`): the
-    /// inclusive upper edge of the bucket holding the rank-`⌈q·n⌉`
-    /// sample. At most 2× the true quantile for non-zero values; exact
-    /// for 0. Returns 0 on an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let snap = self.snapshot();
-        snap.quantile(q)
-    }
-
-    /// Folds another histogram into this one (exact integer addition of
-    /// bucket counts — associative and commutative).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Plain-value copy of the current counts.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -193,47 +163,9 @@ impl Histogram {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (the merge identity).
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-            sum: 0,
-        }
-    }
-
-    /// Exact integer merge of two snapshots.
-    pub fn merged(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .zip(other.buckets.iter())
-                .map(|(a, b)| a + b)
-                .collect(),
-            sum: self.sum + other.sum,
-        }
-    }
-
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    /// Same quantile bound as [`Histogram::quantile`].
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return bucket_upper(i);
-            }
-        }
-        bucket_upper(HISTOGRAM_BUCKETS - 1)
     }
 }
 
@@ -250,11 +182,10 @@ struct Registered {
 
 /// A named collection of metrics with Prometheus-style exposition.
 ///
-/// The process-global registry ([`Registry::global`]) holds everything
-/// process-scoped (compile caches, analyzer totals); instance-scoped
-/// subsystems (a server's scheduler and store) register their own
-/// handles into a per-instance registry so concurrent instances in one
-/// process — the test suites — never share counts.
+/// There is no process-wide registry: each owner makes its own. A
+/// server's registry holds its scheduler's and store's handles and the
+/// request and analysis families it mints, so concurrent instances in
+/// one process — the test suites — never share counts.
 #[derive(Default)]
 pub struct Registry {
     items: Mutex<BTreeMap<String, Registered>>,
@@ -266,50 +197,18 @@ impl Registry {
         Registry::default()
     }
 
-    /// The process-wide registry.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
-    }
-
-    /// Returns the counter named `name`, minting it on first use.
-    /// Panics if the name is already registered as a different kind.
+    /// Registers a fresh counter under `name` and returns it.
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let mut items = self.items.lock().expect("metrics registry");
-        let entry = items.entry(name.to_string()).or_insert_with(|| Registered {
-            help: help.to_string(),
-            metric: Metric::Counter(Counter::new()),
-        });
-        match &entry.metric {
-            Metric::Counter(c) => Arc::clone(c),
-            _ => panic!("metric `{name}` is not a counter"),
-        }
+        let c = Counter::new();
+        self.register_counter(name, help, Arc::clone(&c));
+        c
     }
 
-    /// Returns the gauge named `name`, minting it on first use.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let mut items = self.items.lock().expect("metrics registry");
-        let entry = items.entry(name.to_string()).or_insert_with(|| Registered {
-            help: help.to_string(),
-            metric: Metric::Gauge(Gauge::new()),
-        });
-        match &entry.metric {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric `{name}` is not a gauge"),
-        }
-    }
-
-    /// Returns the histogram named `name`, minting it on first use.
+    /// Registers a fresh histogram under `name` and returns it.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        let mut items = self.items.lock().expect("metrics registry");
-        let entry = items.entry(name.to_string()).or_insert_with(|| Registered {
-            help: help.to_string(),
-            metric: Metric::Histogram(Histogram::new()),
-        });
-        match &entry.metric {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric `{name}` is not a histogram"),
-        }
+        let h = Histogram::new();
+        self.register_histogram(name, help, Arc::clone(&h));
+        h
     }
 
     /// Attaches an existing counter handle under `name` (replacing any
@@ -406,53 +305,29 @@ mod tests {
         assert_eq!(c.get(), 5);
         let g = Gauge::new();
         g.set(3);
-        g.add(2);
         g.sub(4);
-        assert_eq!(g.get(), 1);
+        assert_eq!(g.get(), -1);
     }
 
     #[test]
     fn histogram_buckets_and_quantiles() {
         let h = Histogram::default();
-        assert_eq!(h.quantile(0.5), 0, "empty histogram");
+        assert_eq!(h.count(), 0, "empty histogram");
         for v in [0u64, 1, 2, 3, 100, 1000, 1_000_000] {
             h.record(v);
         }
         assert_eq!(h.count(), 7);
         assert_eq!(h.sum(), 1_001_106);
-        // Every quantile bound is >= the true quantile and < 2x it.
-        for (q, truth) in [(0.0, 0u64), (0.5, 3), (0.8, 1000), (1.0, 1_000_000)] {
-            let bound = h.quantile(q);
-            assert!(bound >= truth, "q={q}: {bound} < {truth}");
-            assert!(
-                bound <= truth.saturating_mul(2).max(1),
-                "q={q}: {bound} way over {truth}"
-            );
-        }
-    }
-
-    #[test]
-    fn histogram_merge_is_exact() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        let all = Histogram::default();
-        for v in [1u64, 5, 9] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [2u64, 5, 1 << 40] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), all.snapshot());
+        assert_eq!(h.snapshot().count(), 7);
     }
 
     #[test]
     fn registry_renders_prometheus_text() {
         let r = Registry::new();
         r.counter("qcoral_test_events_total", "Events seen.").add(7);
-        r.gauge("qcoral_test_depth", "Live depth.").set(-2);
+        let g = Gauge::new();
+        g.set(-2);
+        r.register_gauge("qcoral_test_depth", "Live depth.", g);
         r.histogram("qcoral_test_wait_us", "Wait (µs).").record(100);
         let text = r.render();
         assert!(text.contains("# TYPE qcoral_test_events_total counter"));
@@ -466,12 +341,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_minting_is_idempotent_and_registration_attaches() {
+    fn registration_attaches_a_live_handle() {
         let r = Registry::new();
-        let c1 = r.counter("qcoral_test_same", "x");
-        let c2 = r.counter("qcoral_test_same", "x");
-        c1.inc();
-        assert_eq!(c2.get(), 1, "same name, same handle");
         let mine = Counter::new();
         mine.add(41);
         r.register_counter("qcoral_test_mine", "mine", Arc::clone(&mine));

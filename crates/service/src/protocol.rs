@@ -241,8 +241,9 @@ pub struct ServerStatus {
     pub factor_store_recovered: bool,
     /// Full startup-recovery breakdown.
     pub recovery: RecoveryReport,
-    /// WAL append attempts that failed since startup (in-memory state
-    /// stays correct; crash durability until the next snapshot suffers).
+    /// WAL append attempts of this server's store that failed since
+    /// startup (in-memory state stays correct; crash durability until the
+    /// next snapshot suffers).
     pub wal_append_failures: u64,
     /// Active fault-injection sites (empty unless the server was built
     /// with the `failpoints` feature and points were configured).
@@ -257,9 +258,9 @@ pub struct ServerStatus {
 pub struct MetricsReport {
     /// Schema version of this protocol.
     pub protocol_version: u32,
-    /// The rendered exposition: the server's per-instance registry
-    /// (scheduler, factor store, request timings) followed by the
-    /// process-wide registry (analyzer, compile caches).
+    /// The rendered exposition of the server's own registry: scheduler,
+    /// factor store, request timings and the totals of the analyses this
+    /// server answered. Nothing in it counts another server's work.
     pub text: String,
 }
 

@@ -16,6 +16,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -25,7 +26,7 @@ use qcoral_constraints::parse::parse_system;
 use qcoral_failpoints::failpoint;
 use qcoral_icp::{domain_box, PavingCache};
 use qcoral_mc::UsageProfile;
-use qcoral_obs::{log, Histogram, Registry};
+use qcoral_obs::{log, Counter, Histogram, Registry};
 use qcoral_repro::pipeline::{analyze_program_with_profile, PipelineError};
 use qcoral_symexec::SymConfig;
 
@@ -118,12 +119,136 @@ struct ServerShared {
     cfg: ServiceConfig,
     connections: std::sync::atomic::AtomicUsize,
     /// Per-instance metric registry: the scheduler's and factor store's
-    /// own counters are registered here (never global, so per-instance
-    /// tests and multi-server processes stay exact), plus request
-    /// timings. `Op::Metrics` renders this followed by the process-wide
-    /// [`Registry::global`] (analyzer totals, compile caches).
+    /// own counters are registered here, next to the server's request and
+    /// analysis families, so multi-server processes stay exact.
+    /// `Op::Metrics` renders it.
     registry: Registry,
-    request_duration_us: Arc<Histogram>,
+    requests: RequestMetrics,
+}
+
+/// Reads one count off an analysis's [`Stats`].
+type Count = fn(&Stats) -> u64;
+
+/// The analysis families: each sums one count over the reports a server
+/// answered.
+const ANALYSIS_TOTALS: [(&str, &str, Count); 15] = [
+    (
+        "qcoral_analyses_total",
+        "Completed analyses (one-shot and iterative).",
+        |_| 1,
+    ),
+    (
+        "qcoral_samples_drawn_total",
+        "Monte Carlo sampling budget charged across all analyses.",
+        |s| s.samples_drawn,
+    ),
+    (
+        "qcoral_pavings_total",
+        "ICP paving requests (paving-cache hits included).",
+        |s| s.pavings,
+    ),
+    (
+        "qcoral_paving_cache_hits_total",
+        "Paving requests answered from the paving cache.",
+        |s| s.paving_cache_hits,
+    ),
+    (
+        "qcoral_paving_cache_misses_total",
+        "Paving requests that ran branch-and-prune.",
+        |s| s.paving_cache_misses,
+    ),
+    (
+        "qcoral_tape_cache_hits_total",
+        "Factors that reused a conjunction compiled earlier in the same analysis.",
+        |s| s.tape_cache_hits,
+    ),
+    (
+        "qcoral_tape_cache_misses_total",
+        "Conjunctions compiled, at most once per analysis.",
+        |s| s.tape_cache_misses,
+    ),
+    (
+        "qcoral_partition_cache_hits_total",
+        "Factor estimates answered from the in-run partition cache.",
+        |s| s.cache_hits,
+    ),
+    (
+        "qcoral_partition_cache_misses_total",
+        "Factor estimates the in-run partition cache could not answer.",
+        |s| s.cache_misses,
+    ),
+    (
+        "qcoral_inner_boxes_total",
+        "ICP inner boxes across all pavings.",
+        |s| s.inner_boxes,
+    ),
+    (
+        "qcoral_boundary_boxes_total",
+        "ICP boundary boxes across all pavings.",
+        |s| s.boundary_boxes,
+    ),
+    (
+        "qcoral_rounds_total",
+        "Sampling rounds executed by iterative analyses.",
+        |s| s.rounds,
+    ),
+    (
+        "qcoral_refine_samples_total",
+        "Samples drawn by refinement rounds after the first.",
+        |s| s.refine_samples,
+    ),
+    (
+        "qcoral_is_factors_total",
+        "Factors quantified by the adaptive importance-sampling engine.",
+        |s| s.is_factors,
+    ),
+    (
+        "qcoral_is_fallbacks_total",
+        "IS factors that fell back to stratified after a zero-hit proposal round.",
+        |s| s.is_fallbacks,
+    ),
+];
+
+/// A server's request timings and the totals of the analyses it
+/// answered, recorded by the worker that ran each request.
+struct RequestMetrics {
+    duration_us: Arc<Histogram>,
+    totals: Vec<(Arc<Counter>, Count)>,
+    analysis_duration_us: Arc<Histogram>,
+}
+
+impl RequestMetrics {
+    /// Mints the families in `registry`.
+    fn new(registry: &Registry) -> RequestMetrics {
+        RequestMetrics {
+            duration_us: registry.histogram(
+                "qcoral_request_duration_us",
+                "End-to-end request execution time on a worker (microseconds).",
+            ),
+            totals: ANALYSIS_TOTALS
+                .iter()
+                .map(|&(name, help, count)| (registry.counter(name, help), count))
+                .collect(),
+            analysis_duration_us: registry.histogram(
+                "qcoral_analysis_duration_us",
+                "Wall-clock time per analysis, microseconds.",
+            ),
+        }
+    }
+
+    /// Records one executed request, and its analysis if it answered
+    /// with a report.
+    fn record(&self, elapsed: Duration, outcome: &Outcome) {
+        self.duration_us.record(elapsed.as_micros() as u64);
+        if let Outcome::Report(answer) = outcome {
+            let report = &answer.report;
+            for (counter, count) in &self.totals {
+                counter.add(count(&report.stats));
+            }
+            self.analysis_duration_us
+                .record(report.wall.as_micros() as u64);
+        }
+    }
 }
 
 /// Decrements the live-connection count when a reader thread exits,
@@ -144,6 +269,8 @@ pub struct Server {
     shared: Arc<ServerShared>,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
+    /// Dropping it wakes the persist timer, which then exits.
+    persist_stop: Option<mpsc::Sender<()>>,
     persist_thread: Option<JoinHandle<()>>,
 }
 
@@ -158,13 +285,10 @@ impl Server {
         let scheduler = Scheduler::start(cfg.workers, cfg.queue_cap, cfg.max_batch);
 
         // Per-instance registry: the scheduler and factor store own their
-        // counters; the server registers those handles here so `Op::Metrics`
-        // can render them without minting process-global state.
+        // counters; the server registers those handles here, next to the
+        // request and analysis families it mints.
         let registry = Registry::new();
-        let request_duration_us = registry.histogram(
-            "qcoral_request_duration_us",
-            "End-to-end request execution time on a worker (microseconds).",
-        );
+        let requests = RequestMetrics::new(&registry);
         scheduler.register_metrics(&registry);
         store.factor_store().register_metrics(&registry);
         store.register_metrics(&registry);
@@ -176,7 +300,7 @@ impl Server {
             cfg,
             connections: std::sync::atomic::AtomicUsize::new(0),
             registry,
-            request_duration_us,
+            requests,
         });
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -184,22 +308,17 @@ impl Server {
         // is already durable in the write-ahead log, so the snapshot only
         // bounds the log (and the replay work of the next start). The
         // timer saves a dirty store every `SNAPSHOT_INTERVAL`; graceful
-        // shutdown saves the final state.
+        // shutdown saves the final state. Dropping the sender (shutdown,
+        // or the server itself) ends the wait at once.
+        let (persist_stop, stopped) = mpsc::channel::<()>();
         let persist_thread = shared.cfg.snapshot.is_some().then(|| {
             let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("qcoral-persist".to_string())
                 .spawn(move || {
-                    let mut last = Instant::now();
-                    while !stop.load(Ordering::Acquire) {
-                        // Short ticks keep shutdown from waiting out a
-                        // whole interval.
-                        std::thread::sleep(Duration::from_millis(250));
-                        if last.elapsed() < SNAPSHOT_INTERVAL {
-                            continue;
-                        }
-                        last = Instant::now();
+                    while let Err(RecvTimeoutError::Timeout) =
+                        stopped.recv_timeout(SNAPSHOT_INTERVAL)
+                    {
                         if let Err(e) = shared.store.save_if_dirty() {
                             log::warn("periodic_snapshot_save_failed", &[("error", e.to_string())]);
                         }
@@ -273,6 +392,7 @@ impl Server {
             shared,
             stop,
             accept_thread: Some(accept_thread),
+            persist_stop: Some(persist_stop),
             persist_thread,
         })
     }
@@ -294,12 +414,11 @@ impl Server {
     }
 
     /// The server's metric families as Prometheus-style text exposition:
-    /// the per-instance registry (scheduler, factor store, request
-    /// timings) followed by the process-wide registry (analyzer totals,
-    /// compile caches). Same bytes [`Op::Metrics`] answers with; the
-    /// daemon logs a digest of this periodically.
+    /// scheduler, factor store, request timings and the totals of the
+    /// analyses this server answered. Same bytes [`Op::Metrics`] answers
+    /// with; the daemon logs a digest of this periodically.
     pub fn metrics_text(&self) -> String {
-        metrics_text(&self.shared)
+        self.shared.registry.render()
     }
 
     /// Blocks this thread for the lifetime of the process (the server
@@ -322,6 +441,7 @@ impl Server {
         // Take the scheduler down (drains admitted jobs), then write the
         // final snapshot.
         self.shared.scheduler.shutdown();
+        drop(self.persist_stop.take());
         if let Some(t) = self.persist_thread.take() {
             let _ = t.join();
         }
@@ -450,9 +570,7 @@ fn serve_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
                 }
                 let started = Instant::now();
                 let outcome = execute(&job_shared, request.op, deadline, trace);
-                job_shared
-                    .request_duration_us
-                    .record(started.elapsed().as_micros() as u64);
+                job_shared.requests.record(started.elapsed(), &outcome);
                 write_response(&job_writer, &Response { id, outcome });
             }),
             deadline,
@@ -534,20 +652,10 @@ fn status(shared: &ServerShared) -> ServerStatus {
     }
 }
 
-/// Renders both registries: per-instance first (scheduler, factor
-/// store, request timings), then process-wide (analyzer totals, compile
-/// caches). Family names are disjoint by construction, so plain
-/// concatenation is a valid exposition.
-fn metrics_text(shared: &ServerShared) -> String {
-    let mut text = shared.registry.render();
-    text.push_str(&Registry::global().render());
-    text
-}
-
 fn metrics_report(shared: &ServerShared) -> MetricsReport {
     MetricsReport {
         protocol_version: PROTOCOL_VERSION,
-        text: metrics_text(shared),
+        text: shared.registry.render(),
     }
 }
 

@@ -50,7 +50,6 @@
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -58,7 +57,7 @@ use serde::{Deserialize, Serialize};
 
 use qcoral::{FactorStore, FactorStoreEntry};
 use qcoral_failpoints::failpoint;
-use qcoral_obs::{log, Histogram, Registry};
+use qcoral_obs::{log, Counter, Histogram, Registry};
 
 /// Version of the snapshot format. Bumped on any change to the record
 /// or checksum schema; a snapshot of another version is discarded (cold
@@ -237,13 +236,12 @@ pub struct PersistentStore {
     /// truncation), microseconds. Per-instance; the server registers it
     /// via [`PersistentStore::register_metrics`].
     save_duration_us: Arc<Histogram>,
+    /// WAL appends of this store that failed with an I/O error (injected
+    /// ones included), counted by the insert hook. The entry is still
+    /// safe in memory and reaches disk with the next snapshot; the count
+    /// surfaces the reduced crash-durability window through `Status`.
+    wal_append_failures: Arc<Counter>,
 }
-
-/// Cumulative count of WAL append attempts that failed with an I/O
-/// error (including injected ones). The entry is still safe in memory
-/// and reaches disk with the next snapshot; the counter surfaces the
-/// reduced crash-durability window through `Status`.
-static WAL_APPEND_FAILURES: AtomicU64 = AtomicU64::new(0);
 
 fn append_wal_line(path: &Path, line: &str) -> io::Result<()> {
     if failpoint!("store.wal.append") {
@@ -272,18 +270,20 @@ impl PersistentStore {
             replay_wal(&store, &wal_path(p), &mut recovery);
         }
         let wal = Arc::new(Mutex::new(path.as_deref().map(wal_path)));
+        let wal_append_failures = Counter::new();
         if path.is_some() {
             // From here on, every fresh analyzer insert is logged before
             // the next snapshot can capture it. `absorb` (used by
             // recovery above) bypasses the hook, so replayed entries are
             // not re-appended.
             let wal_hook = Arc::clone(&wal);
+            let failures = Arc::clone(&wal_append_failures);
             store.set_insert_hook(Some(Box::new(move |entry: &FactorStoreEntry| {
                 let line = encode_wal_line(entry);
                 let wal = wal_hook.lock().expect("wal state");
                 if let Some(p) = &*wal {
                     if append_wal_line(p, &line).is_err() {
-                        WAL_APPEND_FAILURES.fetch_add(1, Ordering::Relaxed);
+                        failures.inc();
                     }
                 }
             })));
@@ -301,6 +301,7 @@ impl PersistentStore {
             wal,
             recovery,
             save_duration_us: Histogram::new(),
+            wal_append_failures,
         }
     }
 
@@ -325,11 +326,11 @@ impl PersistentStore {
         &self.recovery
     }
 
-    /// Cumulative WAL append failures in this process (in-memory state
-    /// stays correct; crash durability until the next snapshot is what
-    /// suffers).
+    /// WAL appends of this store that failed since it was opened
+    /// (in-memory state stays correct; crash durability until the next
+    /// snapshot is what suffers).
     pub fn wal_append_failures(&self) -> u64 {
-        WAL_APPEND_FAILURES.load(Ordering::Relaxed)
+        self.wal_append_failures.get()
     }
 
     /// Saves a snapshot if the store changed since the last save.
@@ -488,6 +489,8 @@ fn replay_wal(store: &FactorStore, wal: &Path, report: &mut RecoveryReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcoral::{Analyzer, Options, UsageProfile};
+    use qcoral_constraints::parse::parse_system;
 
     fn entry(i: u64) -> FactorStoreEntry {
         FactorStoreEntry {
@@ -621,6 +624,29 @@ mod tests {
         assert_eq!(std::fs::read(wal_path(&path)).unwrap(), b"");
         let reopened = PersistentStore::open(Some(path.clone()), 64);
         assert_eq!(reopened.recovery_report().snapshot_entries, 1);
+        remove(&path);
+    }
+
+    #[test]
+    fn wal_append_failures_are_counted_per_store() {
+        // A WAL in a missing directory fails every append; a store next
+        // to it in the same process counts none of those failures.
+        let missing = std::env::temp_dir()
+            .join(format!("qcoral-no-such-dir-{}", std::process::id()))
+            .join("store.json");
+        let failing = PersistentStore::open(Some(missing), 64);
+        let path = temp_path("wal-healthy");
+        let healthy = PersistentStore::open(Some(path.clone()), 64);
+        let sys = parse_system("var x in [0, 1]; pc x < 0.5 && x * x > 0.1;").unwrap();
+        let profile = UsageProfile::uniform(1);
+        for store in [&failing, &healthy] {
+            Analyzer::new(Options::default().with_samples(100))
+                .with_factor_store(Arc::clone(store.factor_store()))
+                .analyze(&sys.constraint_set, &sys.domain, &profile);
+            assert_eq!(store.factor_store().len(), 1, "one fresh insert each");
+        }
+        assert_eq!(failing.wal_append_failures(), 1);
+        assert_eq!(healthy.wal_append_failures(), 0);
         remove(&path);
     }
 }

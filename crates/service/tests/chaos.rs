@@ -25,9 +25,8 @@ use qcoral_service::scheduler::Scheduler;
 use qcoral_service::store::wal_path;
 use qcoral_service::{Client, PersistentStore, RetryPolicy, Server, ServiceConfig};
 
-/// Serializes tests (the failpoint registry and the WAL failure counter
-/// are process-global) and guarantees each starts with no planted
-/// faults. The guard resets again on drop so a panicking test cannot
+/// Serializes tests (the failpoint registry is process-global) and
+/// guarantees each starts with no planted faults. The guard resets again on drop so a panicking test cannot
 /// leak armed failpoints into the next one.
 fn lock() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
@@ -148,6 +147,7 @@ fn wal_append_failures_degrade_to_snapshot_only_durability() {
     reset();
     let (server2, mut client2) = start(cfg);
     let health = client2.status().expect("status");
+    assert_eq!(health.wal_append_failures, 0, "counted per server");
     assert!(health.factor_store_recovered);
     assert!(health.recovery.snapshot_entries > 0, "snapshot recovered");
     assert!(!health.recovery.lossy(), "nothing was silently dropped");

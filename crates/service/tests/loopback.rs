@@ -13,7 +13,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use qcoral::{Allocation, Analyzer, Options};
 use qcoral_mc::{Dist, UsageProfile};
@@ -641,6 +641,53 @@ fn retired_time_budget_cannot_pin_a_worker() {
     server.shutdown();
 }
 
+/// `precision_digits` is any `u32` on the wire. 2³¹ and `u32::MAX` pave
+/// at the finest width, 0, instead of panicking on the exponent or
+/// paving at a width of 10.
+#[test]
+fn extreme_precision_digits_get_a_report() {
+    let (server, _client) = start(ServiceConfig::default());
+    for digits in [1u32 << 31, u32::MAX] {
+        let mut options = Options::default();
+        options.paver.precision_digits = digits;
+        let frame = qcoral_service::wire::encode_request(&qcoral_service::Request {
+            id: 1,
+            op: qcoral_service::Op::System {
+                source: "var x in [0, 1]; var y in [0, 1]; pc x * x + y * y < 0.5;".to_string(),
+                options,
+                profile: None,
+            },
+        });
+        assert!(frame.contains(&format!("\"precision_digits\":{digits}")));
+        answers_within_20_s(&server, &frame);
+    }
+    server.shutdown();
+}
+
+/// Shutdown wakes the persist timer instead of waiting for its next
+/// tick, whatever the server's uptime.
+#[test]
+fn shutdown_does_not_wait_for_the_persist_timer() {
+    for uptime_ms in [10, 60, 260] {
+        let snapshot = temp_snapshot(&format!("shutdown-{uptime_ms}"));
+        let server = Server::start(ServiceConfig {
+            snapshot: Some(snapshot.clone()),
+            ..ServiceConfig::default()
+        })
+        .expect("bind loopback");
+        std::thread::sleep(Duration::from_millis(uptime_ms));
+        let t0 = Instant::now();
+        server.shutdown();
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(125),
+            "uptime {uptime_ms} ms: shutdown took {took:?}"
+        );
+        let _ = std::fs::remove_file(&snapshot);
+        let _ = std::fs::remove_file(qcoral_service::store::wal_path(&snapshot));
+    }
+}
+
 #[test]
 fn malformed_frames_get_error_responses_and_the_connection_survives() {
     let (server, _client) = start(ServiceConfig::default());
@@ -874,7 +921,7 @@ fn metrics_op_exposes_required_families() {
         "qcoral_factor_store_misses_total",
         "qcoral_request_duration_us",
         "qcoral_store_save_duration_us",
-        // …and process-wide families (global registry).
+        // …and the totals of the analyses this server answered.
         "qcoral_analyses_total",
         "qcoral_samples_drawn_total",
         "qcoral_pavings_total",
@@ -908,6 +955,33 @@ fn metrics_op_exposes_required_families() {
         .metrics_text()
         .contains("qcoral_scheduler_served_total"));
     server.shutdown();
+}
+
+/// Analysis totals are per server: with two servers in one process, a
+/// request answered by A leaves B's totals at zero.
+#[test]
+fn analysis_totals_are_counted_per_server() {
+    let (a, mut client_a) = start(ServiceConfig::default());
+    let (b, mut client_b) = start(ServiceConfig::default());
+    client_a
+        .analyze_system(
+            "var x in [0, 1]; pc x < 0.5;",
+            Options::default().with_samples(500),
+            None,
+        )
+        .expect("request serves");
+    let analyses = |client: &mut Client| -> String {
+        let m = client.metrics().expect("metrics scrape");
+        m.text
+            .lines()
+            .find_map(|l| l.strip_prefix("qcoral_analyses_total "))
+            .expect("analyses counter has a value line")
+            .to_string()
+    };
+    assert_eq!(analyses(&mut client_a), "1");
+    assert_eq!(analyses(&mut client_b), "0");
+    a.shutdown();
+    b.shutdown();
 }
 
 /// `status` must surface the *live* queue-depth and batch-occupancy

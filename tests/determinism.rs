@@ -44,6 +44,8 @@ fn check_subject(name: &str, samples: u64, seed: u64) {
             a.estimate, b.estimate,
             "{name}[{idx}]: serial runs disagree"
         );
+        // Nothing carries over between runs, the tape split included.
+        assert_eq!(a.stats, b.stats, "{name}[{idx}]: serial counters disagree");
         let c = Analyzer::new(opts.with_parallel(true)).analyze(&cs, &domain, &profile);
         assert_eq!(
             a.estimate, c.estimate,
@@ -52,6 +54,10 @@ fn check_subject(name: &str, samples: u64, seed: u64) {
         assert_eq!(
             a.per_pc, c.per_pc,
             "{name}[{idx}]: per-PC breakdown differs"
+        );
+        assert_eq!(
+            a.stats, c.stats,
+            "{name}[{idx}]: parallel vs serial counters"
         );
     }
 }
@@ -359,15 +365,6 @@ fn reported_backend_matches_process_backend() {
     assert_eq!(report.stats.backend, "bulk");
 }
 
-/// `Stats` with the tape-cache hit/miss split folded into one count of
-/// lookups: the split depends on which test compiled a conjunction first
-/// in this process, the count only on the run.
-fn tape_lookups(mut s: qcoral::Stats) -> qcoral::Stats {
-    s.tape_cache_hits += s.tape_cache_misses;
-    s.tape_cache_misses = 0;
-    s
-}
-
 /// Tracing must be a pure observer: with `Options::trace` on, every
 /// estimate (total and per-PC) is bit-identical to the untraced run —
 /// span clocks are monotonic timers that never touch an RNG stream, and
@@ -401,8 +398,7 @@ fn tracing_never_perturbs_estimates() {
                 subj.name
             );
             assert_eq!(
-                tape_lookups(off.stats.clone()),
-                tape_lookups(on.stats.clone()),
+                off.stats, on.stats,
                 "{} parallel={parallel}: tracing changed the counters",
                 subj.name
             );
@@ -424,8 +420,7 @@ fn tracing_never_perturbs_estimates() {
             );
             assert_eq!(i_off.per_pc, i_on.per_pc, "{}", subj.name);
             assert_eq!(
-                tape_lookups(i_off.stats.clone()),
-                tape_lookups(i_on.stats.clone()),
+                i_off.stats, i_on.stats,
                 "{} parallel={parallel}: tracing changed the round trajectory",
                 subj.name
             );
@@ -478,8 +473,7 @@ fn shared_factors_are_computed_once_under_parallel() {
                 assert_eq!(par.estimate, serial.estimate, "{name}[{idx}] rep {rep}");
                 assert_eq!(par.per_pc, serial.per_pc, "{name}[{idx}] rep {rep}");
                 assert_eq!(
-                    tape_lookups(par.stats),
-                    tape_lookups(serial.stats.clone()),
+                    par.stats, serial.stats,
                     "{name}[{idx}] rep {rep}: counters depend on the schedule"
                 );
             }
@@ -489,10 +483,10 @@ fn shared_factors_are_computed_once_under_parallel() {
 }
 
 /// Two factors over different boxes share one conjunction, so one
-/// compile: under `parallel = true` both slots look the tape up at once,
-/// and the single-flight compile cache charges exactly one miss and one
-/// hit whichever thread gets there first (the CI matrix reruns this at
-/// RAYON_NUM_THREADS=1 and 4).
+/// compile: under `parallel = true` both slots reach the tape at once,
+/// and the run's single-flight tape slot charges exactly one miss and
+/// one hit whichever thread gets there first (the CI matrix reruns this
+/// at RAYON_NUM_THREADS=1 and 4).
 #[test]
 fn factors_sharing_a_conjunction_compile_it_once() {
     let sys = parse_system(
@@ -513,9 +507,9 @@ fn factors_sharing_a_conjunction_compile_it_once() {
     );
 }
 
-/// Tape-cache counters are per request: two analyses of disjoint fresh
-/// systems running at once each report exactly their own compiles, and
-/// a concurrent repeat reports the same counts as hits.
+/// Tape counters are per run: two analyses of disjoint systems running
+/// at once each report exactly their own compiles, and a concurrent
+/// repeat compiles them again, since no tape outlives its run.
 #[test]
 fn concurrent_analyses_report_exact_tape_counters() {
     let systems = [
@@ -546,7 +540,7 @@ fn concurrent_analyses_report_exact_tape_counters() {
         })
     };
     assert_eq!(run_both(), [(0, 2), (0, 3)], "cold: one miss per factor");
-    assert_eq!(run_both(), [(2, 0), (3, 0)], "repeat: one hit per factor");
+    assert_eq!(run_both(), [(0, 2), (0, 3)], "repeat: compiled again");
 }
 
 /// Crash-recovery bit-identity: a process that dies after depositing
