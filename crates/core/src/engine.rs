@@ -221,8 +221,7 @@ struct Run<'a> {
     fp: u64,
     deadline: Option<Deadline>,
     trace: Option<&'a Trace>,
-    /// One compiled tape per distinct conjunction, set by the first slot
-    /// that needs it.
+    /// One compiled tape per distinct conjunction, set by its first slot.
     tapes: Vec<OnceLock<Arc<CompiledPred>>>,
 }
 

@@ -169,6 +169,7 @@ impl HistogramSnapshot {
     }
 }
 
+#[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -197,52 +198,55 @@ impl Registry {
         Registry::default()
     }
 
-    /// Registers a fresh counter under `name` and returns it.
+    /// Returns the counter named `name`, minting it on first use.
+    /// Panics if the name is already registered as a different kind.
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let c = Counter::new();
-        self.register_counter(name, help, Arc::clone(&c));
-        c
+        match self.mint(name, help, || Metric::Counter(Counter::new())) {
+            Metric::Counter(c) => c,
+            _ => panic!("metric `{name}` is not a counter"),
+        }
     }
 
-    /// Registers a fresh histogram under `name` and returns it.
+    /// Returns the histogram named `name`, minting it on first use.
+    /// Panics if the name is already registered as a different kind.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        let h = Histogram::new();
-        self.register_histogram(name, help, Arc::clone(&h));
-        h
+        match self.mint(name, help, || Metric::Histogram(Histogram::new())) {
+            Metric::Histogram(h) => h,
+            _ => panic!("metric `{name}` is not a histogram"),
+        }
+    }
+
+    /// The metric registered under `name`, minted by `make` on first use.
+    fn mint(&self, name: &str, help: &str, make: impl FnOnce() -> Metric) -> Metric {
+        let mut items = self.items.lock().expect("metrics registry");
+        let entry = items.entry(name.to_string()).or_insert_with(|| Registered {
+            help: help.to_string(),
+            metric: make(),
+        });
+        entry.metric.clone()
     }
 
     /// Attaches an existing counter handle under `name` (replacing any
     /// previous registration of that name).
     pub fn register_counter(&self, name: &str, help: &str, c: Arc<Counter>) {
-        self.items.lock().expect("metrics registry").insert(
-            name.to_string(),
-            Registered {
-                help: help.to_string(),
-                metric: Metric::Counter(c),
-            },
-        );
+        self.attach(name, help, Metric::Counter(c));
     }
 
     /// Attaches an existing gauge handle under `name`.
     pub fn register_gauge(&self, name: &str, help: &str, g: Arc<Gauge>) {
-        self.items.lock().expect("metrics registry").insert(
-            name.to_string(),
-            Registered {
-                help: help.to_string(),
-                metric: Metric::Gauge(g),
-            },
-        );
+        self.attach(name, help, Metric::Gauge(g));
     }
 
     /// Attaches an existing histogram handle under `name`.
     pub fn register_histogram(&self, name: &str, help: &str, h: Arc<Histogram>) {
-        self.items.lock().expect("metrics registry").insert(
-            name.to_string(),
-            Registered {
-                help: help.to_string(),
-                metric: Metric::Histogram(h),
-            },
-        );
+        self.attach(name, help, Metric::Histogram(h));
+    }
+
+    /// Registers `metric` under `name`, replacing any earlier one.
+    fn attach(&self, name: &str, help: &str, metric: Metric) {
+        let help = help.to_string();
+        let mut items = self.items.lock().expect("metrics registry");
+        items.insert(name.to_string(), Registered { help, metric });
     }
 
     /// Prometheus-style text exposition of every registered metric, in
@@ -341,8 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn registration_attaches_a_live_handle() {
+    fn registry_minting_is_idempotent_and_registration_attaches() {
         let r = Registry::new();
+        let c1 = r.counter("qcoral_test_same", "x");
+        let c2 = r.counter("qcoral_test_same", "x");
+        c1.inc();
+        assert_eq!(c2.get(), 1, "same name, same handle");
         let mine = Counter::new();
         mine.add(41);
         r.register_counter("qcoral_test_mine", "mine", Arc::clone(&mine));

@@ -240,8 +240,7 @@ impl RequestMetrics {
     /// with a report.
     fn record(&self, elapsed: Duration, outcome: &Outcome) {
         self.duration_us.record(elapsed.as_micros() as u64);
-        if let Outcome::Report(answer) = outcome {
-            let report = &answer.report;
+        if let Outcome::Report(AnalysisResponse { report, .. }) = outcome {
             for (counter, count) in &self.totals {
                 counter.add(count(&report.stats));
             }

@@ -236,10 +236,8 @@ pub struct PersistentStore {
     /// truncation), microseconds. Per-instance; the server registers it
     /// via [`PersistentStore::register_metrics`].
     save_duration_us: Arc<Histogram>,
-    /// WAL appends of this store that failed with an I/O error (injected
-    /// ones included), counted by the insert hook. The entry is still
-    /// safe in memory and reaches disk with the next snapshot; the count
-    /// surfaces the reduced crash-durability window through `Status`.
+    /// WAL appends that failed with an I/O error (injected ones
+    /// included), counted by the insert hook.
     wal_append_failures: Arc<Counter>,
 }
 

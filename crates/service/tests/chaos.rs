@@ -26,8 +26,9 @@ use qcoral_service::store::wal_path;
 use qcoral_service::{Client, PersistentStore, RetryPolicy, Server, ServiceConfig};
 
 /// Serializes tests (the failpoint registry is process-global) and
-/// guarantees each starts with no planted faults. The guard resets again on drop so a panicking test cannot
-/// leak armed failpoints into the next one.
+/// guarantees each starts with no planted faults. The guard resets
+/// again on drop so a panicking test cannot leak armed failpoints into
+/// the next one.
 fn lock() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
     let guard = match GATE.get_or_init(|| Mutex::new(())).lock() {

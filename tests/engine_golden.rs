@@ -5,8 +5,6 @@
 //! configurations. One line per (subject, config, schedule, phase) holds
 //! the bits of the estimate and of every per-PC estimate, plus every
 //! `Stats` counter except `backend` and the two `tape_cache_*` fields.
-//! The tape split depends on the run alone (each run compiles its own
-//! tapes), but the file predates that and does not pin it yet.
 //!
 //! The matrix:
 //!
