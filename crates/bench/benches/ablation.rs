@@ -2,14 +2,12 @@
 //!
 //! * paver box budget (the paper fixes 10 boxes per query),
 //! * stratum sample allocation (equal — the paper's choice — vs
-//!   proportional),
-//! * sequential vs parallel PC analysis (Theorem 1 permits parallelism).
+//!   proportional).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcoral::{Allocation, Analyzer, Options, PaverConfig};
 use qcoral_mc::UsageProfile;
-use qcoral_subjects::{aerospace_subjects_with, all_solids};
-use qcoral_symexec::SymConfig;
+use qcoral_subjects::all_solids;
 
 fn bench_box_budget(c: &mut Criterion) {
     let solids = all_solids();
@@ -52,23 +50,5 @@ fn bench_allocation(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel(c: &mut Criterion) {
-    let subj = &aerospace_subjects_with(4)[0]; // Apollo, smaller
-    let (domain, cs) = subj.constraint_set(&SymConfig::default());
-    let profile = UsageProfile::uniform(domain.len());
-    let mut g = c.benchmark_group("ablation_parallel");
-    g.sample_size(10);
-    for (label, parallel) in [("sequential", false), ("parallel", true)] {
-        g.bench_function(label, |b| {
-            let opts = Options::strat_partcache()
-                .with_samples(1_000)
-                .with_parallel(parallel);
-            let analyzer = Analyzer::new(opts);
-            b.iter(|| analyzer.analyze(&cs, &domain, &profile));
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_box_budget, bench_allocation, bench_parallel);
+criterion_group!(benches, bench_box_budget, bench_allocation);
 criterion_main!(benches);

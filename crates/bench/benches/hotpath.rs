@@ -1,13 +1,10 @@
-//! Criterion bench for the quantification hot path: serial vs parallel
-//! analyzer and tree-walk vs compiled-tape predicate evaluation on the
+//! Criterion bench for the quantification hot path: the analyzer on the
 //! biggest multi-PC Table 3 subject, plus the `BENCH_hotpath.json`
-//! emitter that records the full per-subject trajectory.
+//! emitter that records the full per-subject trajectory (analyzer,
+//! predicate evaluation, sampling and paving).
 //!
 //! Run with `cargo bench -p qcoral-bench --bench hotpath`. The JSON lands
-//! at the workspace root (override with `BENCH_HOTPATH_OUT`). On a
-//! single-core container `parallel_speedup` is necessarily ≈ 1; the
-//! fan-out is validated for correctness by `tests/determinism.rs` and for
-//! speed by `pred_tape_speedup` plus multi-core runs.
+//! at the workspace root (override with `BENCH_HOTPATH_OUT`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qcoral::{Analyzer, Options};
@@ -40,20 +37,6 @@ fn bench_hotpath(c: &mut Criterion) {
                 .estimate
         })
     });
-    g.bench_function("parallel", |b| {
-        b.iter(|| {
-            Analyzer::new(opts.clone().with_parallel(true))
-                .analyze(&cs, &domain, &profile)
-                .estimate
-        })
-    });
-    // Warm paving cache (the steady-state server scenario: the same
-    // analyzer answers many queries).
-    g.bench_function("parallel_warm_cache", |b| {
-        let analyzer = Analyzer::new(opts.clone().with_parallel(true));
-        analyzer.analyze(&cs, &domain, &profile);
-        b.iter(|| analyzer.analyze(&cs, &domain, &profile).estimate)
-    });
     g.finish();
 }
 
@@ -63,21 +46,17 @@ fn emit_json(_c: &mut Criterion) {
         .unwrap_or_else(|_| format!("{}/../../BENCH_hotpath.json", env!("CARGO_MANIFEST_DIR")));
     hotpath::write_json(&summary, &path).expect("write BENCH_hotpath.json");
     println!(
-        "hotpath summary: threads={} parallel_speedup(geomean)={:.2} pred_tape_speedup(geomean)={:.2} bulk_eval_speedup(geomean)={:.2} mc_bulk_speedup(geomean)={:.2} -> {path}",
-        summary.threads,
-        summary.parallel_speedup_geomean,
+        "hotpath summary: pred_tape_speedup(geomean)={:.2} bulk_eval_speedup(geomean)={:.2} mc_bulk_speedup(geomean)={:.2} -> {path}",
         summary.pred_tape_speedup_geomean,
         summary.bulk_eval_speedup_geomean,
         summary.mc_bulk_speedup_geomean
     );
     for r in &summary.rows {
         println!(
-            "  {:28} pcs={:4} serial={:.3}s parallel={:.3}s (x{:.2}) pred tree={:.4}s tape={:.4}s (x{:.1}) bulk {:.2e}→{:.2e} samples/s (x{:.2}) mc x{:.2} identical={}",
+            "  {:28} pcs={:4} serial={:.3}s pred tree={:.4}s tape={:.4}s (x{:.1}) bulk {:.2e}→{:.2e} samples/s (x{:.2}) mc x{:.2} identical={}",
             r.subject,
             r.paths,
             r.serial_secs,
-            r.parallel_secs,
-            r.parallel_speedup,
             r.pred_tree_secs,
             r.pred_tape_secs,
             r.pred_tape_speedup,
@@ -85,7 +64,7 @@ fn emit_json(_c: &mut Criterion) {
             r.bulk_samples_per_sec,
             r.bulk_eval_speedup,
             r.mc_bulk_speedup,
-            r.estimates_identical
+            r.bulk_estimates_identical
         );
     }
     assert!(

@@ -45,12 +45,12 @@ fn emit_json(_c: &mut Criterion) {
         .unwrap_or_else(|_| format!("{}/../../BENCH_rare.json", env!("CARGO_MANIFEST_DIR")));
     rare::write_json(&summary, &path).expect("write BENCH_rare.json");
     println!(
-        "rare summary: min samples ratio = {:.0}x, all_is_identical = {}, all_escalated = {} -> {path}",
-        summary.min_samples_ratio, summary.all_is_identical, summary.all_escalated
+        "rare summary: min samples ratio = {:.0}x, all_escalated = {} -> {path}",
+        summary.min_samples_ratio, summary.all_escalated
     );
     for r in &summary.rows {
         println!(
-            "  {:14} truth={:9.3e} est={:9.3e} (rel err {:6.1}%) is={:8} strat={:14} ratio={:10.0}x identical={}",
+            "  {:14} truth={:9.3e} est={:9.3e} (rel err {:6.1}%) is={:8} strat={:14} ratio={:10.0}x escalated={}",
             r.subject,
             r.truth,
             r.is_estimate,
@@ -58,7 +58,7 @@ fn emit_json(_c: &mut Criterion) {
             r.is_samples_to_target,
             r.stratified_samples_to_target,
             r.samples_ratio,
-            r.is_estimates_identical
+            r.escalated
         );
     }
 }

@@ -1,4 +1,4 @@
-//! Hot-path performance trajectory: serial vs parallel analyzer,
+//! Hot-path performance trajectory: the analyzer end to end,
 //! tree-walk vs compiled-tape vs columnar-bulk predicate evaluation,
 //! and scalar vs bulk Monte Carlo sampling on the Table 3 multi-PC
 //! workload, emitted as `BENCH_hotpath.json` so successive changes can
@@ -32,27 +32,18 @@ pub struct Row {
     pub paths: usize,
     /// Sample budget per factor.
     pub samples: u64,
-    /// Serial analyzer wall time (s), best of `reps`.
+    /// Analyzer wall time (s), best of `reps`.
     pub serial_secs: f64,
-    /// Parallel analyzer wall time (s), best of `reps`.
-    pub parallel_secs: f64,
-    /// `serial_secs / parallel_secs` — bounded by the thread count.
-    pub parallel_speedup: f64,
-    /// Whether every cross-checked estimate was bit-identical: serial vs
-    /// parallel analyzer, *and* scalar-tape vs columnar-bulk Monte Carlo
-    /// per path condition.
-    pub estimates_identical: bool,
     /// Whether the scalar-tape and columnar-bulk Monte Carlo estimates
     /// (full draw + evaluate pipeline, per path condition) agreed bit
-    /// for bit — the bulk rows' correctness bit, also folded into
-    /// `estimates_identical`.
+    /// for bit — the bulk rows' correctness bit.
     pub bulk_estimates_identical: bool,
     /// Tree-walk predicate evaluation time for the probe batch (s).
     pub pred_tree_secs: f64,
     /// Compiled-tape predicate evaluation time for the same batch (s).
     pub pred_tape_secs: f64,
     /// `pred_tree_secs / pred_tape_secs` — the DAG-dedup win, independent
-    /// of the machine's core count.
+    /// of the machine's speed.
     pub pred_tape_speedup: f64,
     /// Scalar-tape predicate evaluation time over the columnar probe
     /// batch (`samples` points × every PC), row by row (s).
@@ -64,7 +55,7 @@ pub struct Row {
     /// Bulk predicate throughput over the same batch (samples/sec).
     pub bulk_samples_per_sec: f64,
     /// `scalar_eval_secs / bulk_eval_secs` — the columnar win of the
-    /// register-allocated slice tapes, independent of core count.
+    /// register-allocated slice tapes, independent of the machine's speed.
     pub bulk_eval_speedup: f64,
     /// Scalar-tape Monte Carlo wall time: draw + evaluate `samples`
     /// samples per path condition through `refine_plan` (s).
@@ -118,14 +109,10 @@ pub struct ObsOverhead {
 /// The whole emitted document.
 #[derive(Clone, Debug, Serialize)]
 pub struct Summary {
-    /// Threads the parallel runs could use (1 ⇒ fan-out cannot win).
-    pub threads: usize,
     /// Sample budget per factor.
     pub samples: u64,
     /// Per-subject rows.
     pub rows: Vec<Row>,
-    /// Geometric mean of the parallel speedups.
-    pub parallel_speedup_geomean: f64,
     /// Geometric mean of the predicate-tape speedups.
     pub pred_tape_speedup_geomean: f64,
     /// Geometric mean of the columnar-bulk predicate-throughput speedups
@@ -303,14 +290,9 @@ fn measure_subject(
         .with_seed(1);
 
     // Fresh analyzers per rep so no paving carries over (tapes never do)
-    // and serial/parallel measure the same work.
-    let (serial, est_serial) = best_of(reps, || {
+    // and every rep measures the same work.
+    let (serial, _) = best_of(reps, || {
         Analyzer::new(opts.clone())
-            .analyze(cs, domain, &profile)
-            .estimate
-    });
-    let (parallel, est_parallel) = best_of(reps, || {
-        Analyzer::new(opts.clone().with_parallel(true))
             .analyze(cs, domain, &profile)
             .estimate
     });
@@ -472,9 +454,6 @@ fn measure_subject(
         paths: cs.len(),
         samples,
         serial_secs: serial.as_secs_f64(),
-        parallel_secs: parallel.as_secs_f64(),
-        parallel_speedup: serial.as_secs_f64() / parallel.as_secs_f64().max(1e-12),
-        estimates_identical: est_serial == est_parallel && bulk_estimates_identical,
         bulk_estimates_identical,
         pred_tree_secs: pred_tree.as_secs_f64(),
         pred_tape_secs: pred_tape.as_secs_f64(),
@@ -538,11 +517,7 @@ pub fn run(samples: u64, reps: u32) -> Summary {
         rows.push(measure_subject(subj.name, &domain, &cs, samples, reps));
     }
     Summary {
-        // The shim's budget (honors RAYON_NUM_THREADS), not the raw core
-        // count — parallel_speedup is bounded by *this* number.
-        threads: rayon::current_num_threads(),
         samples,
-        parallel_speedup_geomean: geomean(rows.iter().map(|r| r.parallel_speedup)),
         pred_tape_speedup_geomean: geomean(rows.iter().map(|r| r.pred_tape_speedup)),
         bulk_eval_speedup_geomean: geomean(rows.iter().map(|r| r.bulk_eval_speedup)),
         mc_bulk_speedup_geomean: geomean(rows.iter().map(|r| r.mc_bulk_speedup)),
@@ -569,7 +544,6 @@ mod tests {
         let s = run(500, 1);
         assert!(!s.rows.is_empty());
         for r in &s.rows {
-            assert!(r.estimates_identical, "{}: parallel diverged", r.subject);
             assert!(
                 r.bulk_estimates_identical,
                 "{}: bulk sampling diverged from the scalar tape",

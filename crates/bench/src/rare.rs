@@ -16,9 +16,7 @@
 //!    reference. A run only qualifies if it escalated (`is_factors >
 //!    0`) and reported *nonzero* variance — a zero-variance claim on a
 //!    sampled rare factor means the budget sits below the engine's
-//!    resolution, not that the answer is exact. The winning budget is
-//!    re-run in parallel to flag serial/parallel bit-identity
-//!    (`is_estimates_identical`).
+//!    resolution, not that the answer is exact.
 //! 3. **Stratified**: the baseline is the engine's *shipped default*
 //!    configuration — `Options::strat()` with the paper's 10-box
 //!    paver — exactly what a user ran before `ImportanceAdaptive`
@@ -43,7 +41,7 @@
 //! on identical pavings.
 //!
 //! The emitted summary asserts nothing; `min_samples_ratio ≥ 100` and
-//! `all_is_identical` are gated by CI and the acceptance check.
+//! `all_escalated` are gated by CI and the acceptance check.
 
 use std::sync::Arc;
 
@@ -64,7 +62,7 @@ pub struct Row {
     pub truth: f64,
     /// Target standard error both engines chase.
     pub target_stderr: f64,
-    /// IS estimate at the winning budget (serial run).
+    /// IS estimate at the winning budget.
     pub is_estimate: f64,
     /// Standard error the winning IS budget reported.
     pub is_stderr: f64,
@@ -77,8 +75,6 @@ pub struct Row {
     pub stratified_samples_to_target: u64,
     /// `stratified_samples_to_target / is_samples_to_target`.
     pub samples_ratio: f64,
-    /// Serial and parallel runs at the winning budget are bit-identical.
-    pub is_estimates_identical: bool,
     /// The winning run escalated to IS (no silent stratified fallback).
     pub escalated: bool,
     /// Boundary profile mass of the default 10-box paving (the pooled
@@ -99,8 +95,6 @@ pub struct Summary {
     pub rows: Vec<Row>,
     /// Smallest `samples_ratio` over the rows.
     pub min_samples_ratio: f64,
-    /// Every row's serial and parallel estimates are bit-identical.
-    pub all_is_identical: bool,
     /// Every row's winning run actually escalated to IS.
     pub all_escalated: bool,
 }
@@ -121,9 +115,8 @@ fn is_run(
     profile: &UsageProfile,
     samples: u64,
     boxes: usize,
-    parallel: bool,
 ) -> Report {
-    Analyzer::new(is_opts(samples, boxes).with_parallel(parallel))
+    Analyzer::new(is_opts(samples, boxes))
         .with_paving_cache(Arc::clone(cache))
         .analyze(cs, domain, profile)
 }
@@ -183,7 +176,7 @@ pub fn run(reference_budget: u64, boxes: usize) -> Summary {
         // estimate, then its stderr is the target.
         let mut ref_budget = reference_budget;
         let reference = loop {
-            let r = is_run(&cache, &cs, &domain, &profile, ref_budget, boxes, false);
+            let r = is_run(&cache, &cs, &domain, &profile, ref_budget, boxes);
             if sound(&r) || ref_budget >= 1 << 22 {
                 break r;
             }
@@ -196,16 +189,12 @@ pub fn run(reference_budget: u64, boxes: usize) -> Summary {
         // doubling grid is the honest resolution.
         let mut budget = (ref_budget / 8).max(1_024);
         let best = loop {
-            let r = is_run(&cache, &cs, &domain, &profile, budget, boxes, false);
+            let r = is_run(&cache, &cs, &domain, &profile, budget, boxes);
             if (sound(&r) && r.estimate.std_dev() <= target) || budget >= ref_budget {
                 break r;
             }
             budget *= 2;
         };
-        let par = is_run(&cache, &cs, &domain, &profile, budget, boxes, true);
-        let identical = best.estimate.mean.to_bits() == par.estimate.mean.to_bits()
-            && best.estimate.variance.to_bits() == par.estimate.variance.to_bits();
-
         let (exact, boundary_mass) = default_paving_masses(&cs, &domain, &profile);
         let sampled_truth = (truth - exact).max(0.0);
         let stratified_samples =
@@ -221,7 +210,6 @@ pub fn run(reference_budget: u64, boxes: usize) -> Summary {
             is_samples_to_target: best.stats.samples_drawn,
             stratified_samples_to_target: stratified_samples,
             samples_ratio: stratified_samples as f64 / best.stats.samples_drawn.max(1) as f64,
-            is_estimates_identical: identical,
             escalated: best.stats.is_factors > 0,
             default_boundary_mass: boundary_mass,
         });
@@ -234,7 +222,6 @@ pub fn run(reference_budget: u64, boxes: usize) -> Summary {
             .iter()
             .map(|r| r.samples_ratio)
             .fold(f64::INFINITY, f64::min),
-        all_is_identical: rows.iter().all(|r| r.is_estimates_identical),
         all_escalated: rows.iter().all(|r| r.escalated),
         rows,
     }
@@ -260,7 +247,6 @@ mod tests {
         assert_eq!(s.rows.len(), 4, "all reachable subjects measured");
         for r in &s.rows {
             assert!(r.escalated, "{}: must escalate", r.subject);
-            assert!(r.is_estimates_identical, "{}: schedules", r.subject);
             assert!(r.is_stderr > 0.0, "{}: honest stderr", r.subject);
             assert!(
                 r.samples_ratio >= 100.0,

@@ -8,25 +8,26 @@
 //! Eq. 3). [`Analyzer::analyze_iterative`] runs the same pipeline with a
 //! variance-driven sampling schedule.
 //!
-//! # Parallelism and determinism
+//! # Threads and determinism
 //!
 //! Both entry points find every factor occurrence of every path
-//! condition and deduplicate them before any fan-out. The pipeline is
-//! then embarrassingly parallel at three levels, and
-//! [`Options::parallel`] fans all three out:
-//!
-//! 1. **distinct factors** (independent estimators: Eq. 7–8 multiplies
-//!    them within a path condition, Theorem 1 adds the path conditions),
-//! 2. **strata** of each factor's paving, and
-//! 3. **sample chunks** inside each stratum.
+//! condition and deduplicate them before any sampling, then quantify
+//! the distinct factors (independent estimators: Eq. 7–8 multiplies
+//! them within a path condition, Theorem 1 adds the path conditions),
+//! their strata and their sample chunks in index order, on the thread
+//! that calls them. Concurrency lives one level up: a server runs
+//! independent analyses on its worker threads, which may share one
+//! [`PavingCache`] and one [`FactorStore`].
 //!
 //! Every random stream is derived from *what* is being sampled — the
 //! canonical factor key or the `(pc, factor)` index pair, plus the
-//! stratum and chunk counters — never from execution order. Combined
-//! with fixed reduction orders, a parallel run returns the bit-identical
-//! [`Report`] of the serial run, counters included. No counter depends
-//! on what other analyzers in the process ran: each run compiles its own
-//! tapes, and the analyzer's paving cache is counted per lookup.
+//! stratum and chunk counters — never from when it runs. Combined with
+//! fixed reduction orders, a repeat of an analysis on a fresh analyzer
+//! returns the bit-identical [`Report`], counters included, and a shared
+//! cache or store can change which counters say "hit" but never an
+//! estimate. No counter depends on what other analyzers in the process
+//! ran: each run compiles its own tapes, and the analyzer's paving cache
+//! is counted per lookup.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,10 +85,6 @@ pub struct Options {
     pub allocation: Allocation,
     /// ICP paver budget (paper defaults: 10 boxes, 3 digits).
     pub paver: PaverConfig,
-    /// Fan out distinct factors, strata and sample chunks across threads
-    /// (Theorem 1 explicitly allows it). Results are deterministic
-    /// regardless of scheduling.
-    pub parallel: bool,
     /// RNG seed; same seed ⇒ same report.
     pub seed: u64,
     /// Target standard error for [`Analyzer::analyze_iterative`]: the
@@ -133,9 +130,9 @@ pub struct Options {
     /// (see [`qcoral_obs::TraceData::to_chrome_json`]). Spans read
     /// monotonic clocks only and never touch an RNG, so tracing cannot
     /// perturb estimates: trace-on and trace-off runs are bit-identical.
-    /// Excluded from both sampling fingerprints (like `parallel` and
-    /// `deadline_ms`) — tracing never changes which streams are drawn,
-    /// so warm factor stores stay warm.
+    /// Excluded from both sampling fingerprints (like `deadline_ms`) —
+    /// tracing never changes which streams are drawn, so warm factor
+    /// stores stay warm.
     pub trace: bool,
 }
 
@@ -149,7 +146,6 @@ impl Options {
             cache: false,
             allocation: Allocation::EqualPerStratum,
             paver: PaverConfig::default(),
-            parallel: false,
             seed: 0xC05A1u64,
             target_stderr: None,
             max_rounds: 8,
@@ -199,9 +195,10 @@ impl Options {
         self
     }
 
-    /// Enables or disables parallel fan-out (see [`Options::parallel`]).
-    pub fn with_parallel(mut self, parallel: bool) -> Options {
-        self.parallel = parallel;
+    /// Has no effect: an analysis runs on the thread that calls it, and
+    /// concurrency comes from running analyses side by side.
+    #[deprecated(note = "analyses always run on the calling thread; remove the call")]
+    pub fn with_parallel(self, _parallel: bool) -> Options {
         self
     }
 
@@ -253,9 +250,7 @@ impl Options {
 
     /// Fingerprint of every option that shapes a factor's *estimate*:
     /// sample budget, seed, stratification, allocation and the paver
-    /// limits. `parallel` is excluded — fan-out never changes
-    /// results — so serial and parallel runs share cross-run cache
-    /// entries. Keys the [`FactorStore`].
+    /// limits. Keys the [`FactorStore`].
     ///
     /// The hash is an explicitly pinned FNV-1a fold (not
     /// `DefaultHasher`, whose algorithm may change between Rust
@@ -361,7 +356,7 @@ pub struct Stats {
     /// Paving-cache misses during this analysis (same accounting).
     pub paving_cache_misses: u64,
     /// Prepared factors whose conjunction an earlier factor of this
-    /// analysis had already compiled (or was compiling). An analysis
+    /// analysis had already compiled. An analysis
     /// compiles each distinct conjunction at most once and keeps no tape
     /// past its end, so the count depends on the analysis alone.
     pub tape_cache_hits: u64,
@@ -927,14 +922,14 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_runs_and_parallelism() {
+    fn deterministic_across_runs() {
         let (cs, dom, prof) = paper_system();
         let opts = Options::strat_partcache().with_samples(5_000).with_seed(7);
         let a = Analyzer::new(opts.clone()).analyze(&cs, &dom, &prof);
-        let b = Analyzer::new(opts.clone()).analyze(&cs, &dom, &prof);
+        let b = Analyzer::new(opts).analyze(&cs, &dom, &prof);
         assert_eq!(a.estimate, b.estimate);
-        let c = Analyzer::new(opts.with_parallel(true)).analyze(&cs, &dom, &prof);
-        assert_eq!(a.estimate, c.estimate, "parallel must match sequential");
+        assert_eq!(a.per_pc, b.per_pc);
+        assert_eq!(a.stats, b.stats);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! 1. **Discovery.** Each path condition is split along the variable
 //!    partition (Algorithm 2); every non-empty projection is a factor
 //!    occurrence. Occurrences are deduplicated into *slots* before any
-//!    fan-out: with [`Options::cache`] on, by canonical factor key (the
+//!    work: with [`Options::cache`] on, by canonical factor key (the
 //!    slot's streams are seeded from the key); with it off, one slot per
 //!    `(pc, factor)` occurrence (seeded from the index pair). Two path
-//!    conditions therefore never race on one factor.
+//!    conditions therefore never quantify one factor twice.
 //!    Discovery fingerprints each occurrence's conjunction once; the
 //!    fingerprint keys the factor and the paving, and numbers the run's
 //!    distinct conjunctions.
@@ -25,8 +25,8 @@
 //!    [`Factor::escalate`]:
 //!    * one-shot spends [`Options::samples`] per factor by its
 //!      [`Allocation`] (see [`Run::sample_once`]). Each slot is prepared,
-//!      sampled and deposited in one fan-out step, so only the strata of
-//!      the slots in flight are alive at a time;
+//!      sampled and deposited before the next, so only one slot's strata
+//!      are alive at a time;
 //!    * iterative prepares every slot, samples round 1, escalates rare
 //!      factors to importance sampling, then refines round by round
 //!      (see [`Run::iterative`]).
@@ -40,18 +40,19 @@
 //!    [`Stats::samples_drawn`] with the counts they hand to
 //!    [`Factor::refine`] and [`Factor::escalate`].
 //!
-//! Every stream derives from the slot seed plus stratum and chunk
-//! counters, and every decision from deterministic estimates, so a
-//! parallel run matches the serial one bit for bit, counters included.
+//! An analysis runs on the thread that calls it, slots and factors in
+//! index order. Every stream derives from the slot seed plus stratum and
+//! chunk counters, and every decision from deterministic estimates, so
+//! two runs of one analysis match bit for bit, counters included.
 
+use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use qcoral_obs::trace::{arg, SpanArg};
 use qcoral_obs::Trace;
-use rayon::prelude::*;
 
 use qcoral_constraints::{ConstraintSet, Domain, PathCondition, VarId, VarSet};
 use qcoral_icp::{domain_box, PavingCache};
@@ -185,8 +186,10 @@ impl Factor {
 
 /// What prep made of a slot.
 enum Prepared {
-    /// Nothing to sample: a store hit, a slot skipped past the deadline,
-    /// an unsat paving, or strata that are all exact.
+    /// A factor-store hit: nothing to sample or deposit.
+    Stored(Estimate),
+    /// Nothing to sample: a slot skipped past the deadline, an unsat
+    /// paving, or strata that are all exact.
     Done(Estimate),
     /// Strata left to sample.
     Live(Box<Factor>),
@@ -195,17 +198,17 @@ enum Prepared {
 impl Prepared {
     fn estimate(&self) -> Estimate {
         match self {
-            Prepared::Done(estimate) => *estimate,
+            Prepared::Stored(estimate) | Prepared::Done(estimate) => *estimate,
             Prepared::Live(f) => f.estimate(),
         }
     }
 
     /// The `outcome` argument of the slot's `factor` span.
-    fn outcome(&self, tally: &Stats) -> &'static str {
+    fn outcome(&self) -> &'static str {
         match self {
-            Prepared::Live(_) => "sampled",
-            Prepared::Done(_) if tally.factor_store_hits > 0 => "factor_store",
+            Prepared::Stored(_) => "factor_store",
             Prepared::Done(_) => "exact",
+            Prepared::Live(_) => "sampled",
         }
     }
 }
@@ -222,7 +225,7 @@ struct Run<'a> {
     deadline: Option<Deadline>,
     trace: Option<&'a Trace>,
     /// One compiled tape per distinct conjunction, set by its first slot.
-    tapes: Vec<OnceLock<Arc<CompiledPred>>>,
+    tapes: Vec<OnceCell<Arc<CompiledPred>>>,
 }
 
 /// Runs both entry points: discovery, the schedule, composition and the
@@ -260,7 +263,7 @@ pub(crate) fn run(
         },
         deadline: analyzer.effective_deadline(),
         trace: trace.as_deref(),
-        tapes: (0..conjunctions).map(|_| OnceLock::new()).collect(),
+        tapes: (0..conjunctions).map(|_| OnceCell::new()).collect(),
     };
     let mut stats = Stats::default();
     let estimates = match schedule {
@@ -415,53 +418,22 @@ fn compose(pc_slots: &[Vec<usize>], estimates: &[Estimate]) -> (Vec<Estimate>, E
     (per_pc, total)
 }
 
-/// Maps `items` through `f` in order, fanned out across threads under
-/// `parallel`.
-fn fan_out<T: Send, R: Send>(items: Vec<T>, parallel: bool, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    if parallel && items.len() > 1 {
-        items.into_par_iter().map(f).collect()
-    } else {
-        items.into_iter().map(f).collect()
-    }
-}
-
-/// Refines each live factor `counts_of` assigns counts to, fanned out
-/// under `parallel`. Returns the samples spent and the factors refined.
+/// Refines each live factor `counts_of` assigns counts to, in slot
+/// order. Returns the samples spent and the factors refined.
 fn refine_live(
     states: &mut [Prepared],
-    parallel: bool,
     counts_of: impl Fn(usize, &Factor) -> Option<Vec<u64>>,
 ) -> (u64, usize) {
-    let jobs: Vec<(&mut Factor, Vec<u64>)> = states
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(j, state)| match state {
-            Prepared::Live(f) => {
-                let counts = counts_of(j, f)?;
-                Some((&mut **f, counts))
+    let (mut spent, mut factors) = (0, 0);
+    for (j, state) in states.iter_mut().enumerate() {
+        if let Prepared::Live(f) = state {
+            if let Some(counts) = counts_of(j, f) {
+                spent += f.refine(&counts);
+                factors += 1;
             }
-            Prepared::Done(_) => None,
-        })
-        .collect();
-    let factors = jobs.len();
-    let spent = fan_out(jobs, parallel, |(f, counts)| f.refine(&counts));
-    (spent.iter().sum(), factors)
-}
-
-/// Adds one slot's counts to the run's.
-fn add(stats: &mut Stats, slot: &Stats) {
-    stats.factor_store_hits += slot.factor_store_hits;
-    stats.factor_store_misses += slot.factor_store_misses;
-    stats.pavings += slot.pavings;
-    stats.paving_cache_hits += slot.paving_cache_hits;
-    stats.paving_cache_misses += slot.paving_cache_misses;
-    stats.inner_boxes += slot.inner_boxes;
-    stats.boundary_boxes += slot.boundary_boxes;
-    stats.samples_drawn += slot.samples_drawn;
-    stats.is_factors += slot.is_factors;
-    stats.is_fallbacks += slot.is_fallbacks;
-    stats.tape_cache_hits += slot.tape_cache_hits;
-    stats.tape_cache_misses += slot.tape_cache_misses;
+        }
+    }
+    (spent, factors)
 }
 
 impl Run<'_> {
@@ -483,16 +455,16 @@ impl Run<'_> {
         }
     }
 
-    /// Prep of one slot, counting into `tally`: store lookup, deadline
+    /// Prep of one slot, counting into `stats`: store lookup, deadline
     /// check, the conjunction's tape, paving, strata, then the columnar
     /// tape for factors that sample.
-    fn prepare(&self, slot: &Slot, tally: &mut Stats) -> Prepared {
+    fn prepare(&self, slot: &Slot, stats: &mut Stats) -> Prepared {
         if let (Some(store), Some(key)) = (self.store, &slot.key) {
             if let Some(e) = store.get(self.fp, key) {
-                tally.factor_store_hits = 1;
-                return Prepared::Done(e);
+                stats.factor_store_hits += 1;
+                return Prepared::Stored(e);
             }
-            tally.factor_store_misses = 1;
+            stats.factor_store_misses += 1;
         }
         // Past the deadline, skip the paving (a whole box budget of work)
         // and answer `0 ± 0`: a sound lower bound for the flagged partial
@@ -502,15 +474,9 @@ impl Run<'_> {
         }
         let opts = self.opts;
         let profile = self.profile.project(&slot.indices);
-        let plan = SamplePlan {
-            seed: slot.seed,
-            chunk: SamplePlan::DEFAULT_CHUNK,
-            parallel: opts.parallel,
-            deadline: self.deadline,
-        };
-        // The first slot of a conjunction compiles it; under `parallel`,
-        // slots that arrive meanwhile wait for that compile and count as
-        // hits, so the split does not depend on the thread schedule.
+        let plan = SamplePlan::serial(slot.seed).with_deadline(self.deadline);
+        // The first slot of a conjunction compiles it (a miss); every
+        // later slot of it reuses that tape (a hit).
         let t0 = self.now();
         let mut hit = true;
         let pred = Arc::clone(self.tapes[slot.tape].get_or_init(|| {
@@ -523,8 +489,8 @@ impl Run<'_> {
                 arg("cache_hit", hit),
             ]
         });
-        tally.tape_cache_hits = hit as u64;
-        tally.tape_cache_misses = !hit as u64;
+        stats.tape_cache_hits += hit as u64;
+        stats.tape_cache_misses += !hit as u64;
         let strata = if opts.stratified {
             // The paving cache is shared by analyzers and requests, so
             // each lookup is counted per call, never as a delta of its
@@ -543,11 +509,11 @@ impl Run<'_> {
                     arg("cache_hit", hit),
                 ]
             });
-            tally.pavings = 1;
-            tally.paving_cache_hits = hit as u64;
-            tally.paving_cache_misses = !hit as u64;
-            tally.inner_boxes = paving.inner.len() as u64;
-            tally.boundary_boxes = paving.boundary.len() as u64;
+            stats.pavings += 1;
+            stats.paving_cache_hits += hit as u64;
+            stats.paving_cache_misses += !hit as u64;
+            stats.inner_boxes += paving.inner.len() as u64;
+            stats.boundary_boxes += paving.boundary.len() as u64;
             if paving.is_unsat() {
                 return Prepared::Done(Estimate::ZERO);
             }
@@ -607,39 +573,36 @@ impl Run<'_> {
     }
 
     /// The one-shot schedule: each slot is prepared, sampled and
-    /// deposited in one fan-out step.
+    /// deposited in turn.
     fn one_shot(&self, slots: &[Slot], stats: &mut Stats) -> Vec<Estimate> {
-        let step = |(j, slot): (usize, &Slot)| -> (Estimate, Stats) {
+        let mut estimates = Vec::with_capacity(slots.len());
+        for (j, slot) in slots.iter().enumerate() {
             let t0 = self.now();
-            let mut tally = Stats::default();
-            let prepared = self.prepare(slot, &mut tally);
-            let outcome = prepared.outcome(&tally);
+            let prepared = self.prepare(slot, stats);
+            let outcome = prepared.outcome();
             let estimate = match prepared {
-                Prepared::Done(estimate) => estimate,
+                Prepared::Stored(estimate) => estimate,
+                Prepared::Done(estimate) => {
+                    self.deposit(slot, estimate);
+                    estimate
+                }
                 Prepared::Live(mut f) => {
                     let t = self.now();
-                    self.sample_once(&mut f, &mut tally);
+                    self.sample_once(&mut f, stats);
                     self.record("sample", "sampling", t, || {
                         vec![
                             arg("strata", f.strata.len()),
                             arg("budget", self.opts.samples),
                         ]
                     });
-                    f.estimate()
+                    let estimate = f.estimate();
+                    self.deposit(slot, estimate);
+                    estimate
                 }
             };
-            if tally.factor_store_hits == 0 {
-                self.deposit(slot, estimate);
-            }
             self.record("factor", "core", t0, || {
                 vec![arg("slot", j), arg("outcome", outcome)]
             });
-            (estimate, tally)
-        };
-        let done = fan_out(slots.iter().enumerate().collect(), self.opts.parallel, step);
-        let mut estimates = Vec::with_capacity(done.len());
-        for (estimate, tally) in done {
-            add(stats, &tally);
             estimates.push(estimate);
         }
         estimates
@@ -659,7 +622,7 @@ impl Run<'_> {
     ///   round finds no hits — the rest follows Neyman.
     ///
     /// Unstratified factors spend the budget in one pass.
-    fn sample_once(&self, f: &mut Factor, tally: &mut Stats) {
+    fn sample_once(&self, f: &mut Factor, stats: &mut Stats) {
         let total = self.opts.samples;
         let weights = f.strata.weights();
         let allocation = match self.opts.stratified {
@@ -670,14 +633,14 @@ impl Run<'_> {
             allocation,
             Allocation::EqualPerStratum | Allocation::Proportional
         ) {
-            tally.samples_drawn += f.refine(&initial_allocation(allocation, total, &weights));
+            stats.samples_drawn += f.refine(&initial_allocation(allocation, total, &weights));
             return;
         }
         let pilot = match allocation {
             Allocation::ImportanceAdaptive => initial_allocation(allocation, total / 2, &weights),
             _ => initial_allocation(allocation, total, &weights),
         };
-        tally.samples_drawn += f.refine(&pilot);
+        stats.samples_drawn += f.refine(&pilot);
         let mut remaining = total.saturating_sub(pilot.iter().sum());
         if allocation == Allocation::ImportanceAdaptive {
             // The rarity signal is the pilot estimate, not the raw
@@ -696,22 +659,22 @@ impl Run<'_> {
                 let per = half / (IS_ROUNDS - 1);
                 let opening = remaining - half - (IS_ROUNDS - 2) * per;
                 let (spent, installed) = f.escalate(opening);
-                tally.samples_drawn += spent;
+                stats.samples_drawn += spent;
                 if installed {
                     for _ in 2..IS_ROUNDS {
-                        tally.samples_drawn += f.refine(&[per]);
+                        stats.samples_drawn += f.refine(&[per]);
                     }
-                    tally.samples_drawn += f.refine(&[half]);
-                    tally.is_factors = 1;
+                    stats.samples_drawn += f.refine(&[half]);
+                    stats.is_factors += 1;
                     return;
                 }
                 remaining -= spent;
-                tally.is_fallbacks = 1;
+                stats.is_fallbacks += 1;
             }
         }
         if remaining > 0 && !self.expired() {
             let follow = neyman_allocation(remaining, &weights, &f.strata.std_devs());
-            tally.samples_drawn += f.refine(&follow);
+            stats.samples_drawn += f.refine(&follow);
         }
     }
 
@@ -739,18 +702,13 @@ impl Run<'_> {
         stats: &mut Stats,
     ) -> Vec<Estimate> {
         let opts = self.opts;
-        let prep = |(j, slot): (usize, &Slot)| -> (Prepared, Stats) {
-            let t0 = self.now();
-            let mut tally = Stats::default();
-            let prepared = self.prepare(slot, &mut tally);
-            self.record("factor", "core", t0, || {
-                vec![arg("slot", j), arg("outcome", prepared.outcome(&tally))]
-            });
-            (prepared, tally)
-        };
         let mut states = Vec::with_capacity(slots.len());
-        for (prepared, tally) in fan_out(slots.iter().enumerate().collect(), opts.parallel, prep) {
-            add(stats, &tally);
+        for (j, slot) in slots.iter().enumerate() {
+            let t0 = self.now();
+            let prepared = self.prepare(slot, stats);
+            self.record("factor", "core", t0, || {
+                vec![arg("slot", j), arg("outcome", prepared.outcome())]
+            });
             states.push(prepared);
         }
 
@@ -761,7 +719,7 @@ impl Run<'_> {
             a => a,
         };
         let t0 = self.now();
-        let (spent, factors) = refine_live(&mut states, opts.parallel, |_, f| {
+        let (spent, factors) = refine_live(&mut states, |_, f| {
             Some(initial_allocation(
                 round1,
                 opts.samples,
@@ -780,19 +738,13 @@ impl Run<'_> {
 
         if opts.allocation == Allocation::ImportanceAdaptive && !self.expired() {
             let t0 = self.now();
-            let rare: Vec<&mut Factor> = states
-                .iter_mut()
-                .filter_map(|state| match state {
-                    Prepared::Live(f)
-                        if f.strata.drawn() > 0 && f.estimate().mean < IS_THRESHOLD =>
-                    {
-                        Some(&mut **f)
-                    }
-                    _ => None,
-                })
-                .collect();
             let (mut escalated, mut pilot) = (0u64, 0u64);
-            for (spent, installed) in fan_out(rare, opts.parallel, |f| f.escalate(opts.samples)) {
+            for state in &mut states {
+                let Prepared::Live(f) = state else { continue };
+                if f.strata.drawn() == 0 || f.estimate().mean >= IS_THRESHOLD {
+                    continue;
+                }
+                let (spent, installed) = f.escalate(opts.samples);
                 pilot += spent;
                 if installed {
                     escalated += 1;
@@ -861,7 +813,7 @@ impl Run<'_> {
                 }
             }
             let t0 = self.now();
-            let (spent, factors) = refine_live(&mut states, opts.parallel, |j, f| {
+            let (spent, factors) = refine_live(&mut states, |j, f| {
                 let b = budget_for[j];
                 let counts = match f.is {
                     Some(_) => vec![b],
@@ -995,23 +947,6 @@ mod tests {
         assert!(r.stats.target_met);
         assert_eq!(r.stats.rounds, 1);
         assert_eq!(r.stats.refine_samples, 0);
-    }
-
-    #[test]
-    fn parallel_is_bit_identical() {
-        let (cs, dom, prof) = paper_system();
-        let opts = Options::strat_partcache()
-            .with_samples(1_500)
-            .with_seed(11)
-            .with_target_stderr(5e-4)
-            .with_round_budget(1_500)
-            .with_max_rounds(12);
-        let serial = Analyzer::new(opts.clone()).analyze_iterative(&cs, &dom, &prof);
-        let parallel = Analyzer::new(opts.with_parallel(true)).analyze_iterative(&cs, &dom, &prof);
-        assert_eq!(serial.estimate, parallel.estimate);
-        assert_eq!(serial.per_pc, parallel.per_pc);
-        assert_eq!(serial.stats.rounds, parallel.stats.rounds);
-        assert_eq!(serial.stats.samples_drawn, parallel.stats.samples_drawn);
     }
 
     #[test]

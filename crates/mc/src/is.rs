@@ -96,9 +96,9 @@
 //! [`crate::sampler::refine_plan`]: chunk `c` of the estimator's
 //! stream always seeds its RNG with `mix_seed(plan.seed, c)`, chunk
 //! results are reduced in chunk order, and the cross-entropy refit is a
-//! pure function of chunk-ordered sufficient statistics — so serial and
-//! parallel runs, and any re-partitioning of the same per-round budget
-//! sequence, produce bit-identical estimates.
+//! pure function of chunk-ordered sufficient statistics — so any
+//! re-partitioning of the same per-round budget sequence produces
+//! bit-identical estimates.
 
 use crate::estimate::Estimate;
 use crate::profile::{BoxDensity, BoxDraw, DensityPlan, Dist, DrawPlan, UsageProfile};
@@ -734,9 +734,8 @@ impl IsEstimator {
     /// on the sampler's chunk executor (chunk `c` seeds
     /// `mix_seed(plan.seed, c)`; the deadline stops further chunks),
     /// chunk accumulators merge in chunk order, and the refit consumes
-    /// chunk-ordered statistics — so the outcome is bit-identical serial
-    /// vs parallel and depends only on the sequence of per-round
-    /// budgets.
+    /// chunk-ordered statistics — so the outcome depends only on the
+    /// sequence of per-round budgets.
     pub fn round<P>(&mut self, pred: &P, add: u64, plan: SamplePlan) -> RoundReport
     where
         P: BulkPred + ?Sized,
@@ -748,36 +747,31 @@ impl IsEstimator {
         let k = self.mixture.components.len();
         let mixture = &self.mixture;
         let profile_density = &self.profile_density;
-        let (chunks, nchunks) = run_chunks(
-            &plan,
-            self.next_chunk,
-            add,
-            || vec![0.0; ndim],
-            |point, rng, len| {
-                let mut acc = IsAccum::EMPTY;
-                let mut ce = CeStats::new(k, ndim);
-                for _ in 0..len {
-                    let ki = mixture.pick(rng);
-                    if !mixture.components[ki].sample(rng, point) {
-                        acc.push(0.0, false);
-                        continue;
-                    }
-                    let pi = profile_density.density(point);
-                    let q = mixture.density_near(ki, point, pi);
-                    let w = if q > 0.0 && pi.is_finite() {
-                        pi / q
-                    } else {
-                        0.0
-                    };
-                    let hit = w > 0.0 && pred.holds(point);
-                    acc.push(w, hit);
-                    if hit {
-                        ce.add(ki, w, point);
-                    }
+        let mut point = vec![0.0; ndim];
+        let (chunks, nchunks) = run_chunks(&plan, self.next_chunk, add, |rng, len| {
+            let mut acc = IsAccum::EMPTY;
+            let mut ce = CeStats::new(k, ndim);
+            for _ in 0..len {
+                let ki = mixture.pick(rng);
+                if !mixture.components[ki].sample(rng, &mut point) {
+                    acc.push(0.0, false);
+                    continue;
                 }
-                (acc, ce)
-            },
-        );
+                let pi = profile_density.density(&point);
+                let q = mixture.density_near(ki, &point, pi);
+                let w = if q > 0.0 && pi.is_finite() {
+                    pi / q
+                } else {
+                    0.0
+                };
+                let hit = w > 0.0 && pred.holds(&point);
+                acc.push(w, hit);
+                if hit {
+                    ce.add(ki, w, &point);
+                }
+            }
+            (acc, ce)
+        });
         // Fixed reduction order: each chunk folds straight into the
         // lifetime accumulator in chunk-index order, exactly like the
         // stratified engine's integer sums. Folding chunks directly
@@ -898,31 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_rounds_are_bit_identical() {
-        let (domain, boundary, _) = tiny_corner();
-        let profile = UsageProfile::uniform(2);
-        let pred = ScalarPred(|p: &[f64]| p[0] < 1e-4 && p[1] < 1e-4);
-        let run = |parallel: bool| {
-            let mut is = IsEstimator::seeded(&boundary, &profile, &domain).unwrap();
-            let plan = SamplePlan {
-                chunk: 512,
-                ..if parallel {
-                    SamplePlan::parallel(7)
-                } else {
-                    SamplePlan::serial(7)
-                }
-            };
-            for _ in 0..3 {
-                is.round(&pred, 3000, plan);
-            }
-            is.estimate()
-        };
-        let (s, p) = (run(false), run(true));
-        assert_eq!(s.mean.to_bits(), p.mean.to_bits());
-        assert_eq!(s.variance.to_bits(), p.variance.to_bits());
-    }
-
-    #[test]
     fn round_split_does_not_change_the_stream() {
         // 2 rounds of 1024 vs 1 round of 2048: the chunk streams visited
         // are identical, and with refits disabled by zero hits the
@@ -980,30 +949,30 @@ mod tests {
     }
 
     /// The chunk executor's deadline polling, seen from IS: a deadline
-    /// that has not passed changes nothing, bit for bit, serial or
-    /// parallel.
+    /// that has not passed changes nothing, bit for bit.
     #[test]
     fn unexpired_deadline_is_bit_invisible() {
         let (domain, boundary, _) = tiny_corner();
         let profile = UsageProfile::uniform(2);
         let pred = ScalarPred(|p: &[f64]| p[0] < 1e-4 && p[1] < 1e-4);
         let far = Deadline::after(Duration::from_secs(3600));
-        for plan in [SamplePlan::serial(7), SamplePlan::parallel(7)] {
-            let plan = SamplePlan { chunk: 512, ..plan };
-            let run = |plan: SamplePlan| {
-                let mut is = IsEstimator::seeded(&boundary, &profile, &domain).unwrap();
-                for _ in 0..3 {
-                    is.round(&pred, 3000, plan);
-                }
-                is
-            };
-            let (bare, with) = (run(plan), run(plan.with_deadline(Some(far))));
-            assert_eq!(
-                bare.accum, with.accum,
-                "a live deadline must not perturb IS"
-            );
-            assert_eq!(bare.mixture.weights, with.mixture.weights);
-        }
+        let plan = SamplePlan {
+            chunk: 512,
+            ..SamplePlan::serial(7)
+        };
+        let run = |plan: SamplePlan| {
+            let mut is = IsEstimator::seeded(&boundary, &profile, &domain).unwrap();
+            for _ in 0..3 {
+                is.round(&pred, 3000, plan);
+            }
+            is
+        };
+        let (bare, with) = (run(plan), run(plan.with_deadline(Some(far))));
+        assert_eq!(
+            bare.accum, with.accum,
+            "a live deadline must not perturb IS"
+        );
+        assert_eq!(bare.mixture.weights, with.mixture.weights);
     }
 
     /// An expired deadline stops drawing: the round reports nothing
@@ -1015,20 +984,21 @@ mod tests {
         let profile = UsageProfile::uniform(2);
         let pred = ScalarPred(|p: &[f64]| p[0] < 1e-4 && p[1] < 1e-4);
         let past = Deadline::at(Instant::now() - Duration::from_secs(1));
-        for plan in [SamplePlan::serial(7), SamplePlan::parallel(7)] {
-            let plan = SamplePlan { chunk: 512, ..plan };
-            let mut is = IsEstimator::seeded(&boundary, &profile, &domain).unwrap();
-            let report = is.round(&pred, 3000, plan.with_deadline(Some(past)));
-            assert_eq!(report, RoundReport::default(), "expired deadline drew");
-            assert_eq!(is.samples(), 0);
-            assert_eq!(is.estimate(), Estimate::ZERO);
-            // A round before expiry survives untouched.
-            is.round(&pred, 3000, plan);
-            let (drawn, accum) = (is.samples(), is.accum);
-            assert_eq!(drawn, 3000);
-            let late = is.round(&pred, 3000, plan.with_deadline(Some(past)));
-            assert_eq!(late.drawn, 0);
-            assert_eq!((is.samples(), is.accum), (drawn, accum));
-        }
+        let plan = SamplePlan {
+            chunk: 512,
+            ..SamplePlan::serial(7)
+        };
+        let mut is = IsEstimator::seeded(&boundary, &profile, &domain).unwrap();
+        let report = is.round(&pred, 3000, plan.with_deadline(Some(past)));
+        assert_eq!(report, RoundReport::default(), "expired deadline drew");
+        assert_eq!(is.samples(), 0);
+        assert_eq!(is.estimate(), Estimate::ZERO);
+        // A round before expiry survives untouched.
+        is.round(&pred, 3000, plan);
+        let (drawn, accum) = (is.samples(), is.accum);
+        assert_eq!(drawn, 3000);
+        let late = is.round(&pred, 3000, plan.with_deadline(Some(past)));
+        assert_eq!(late.drawn, 0);
+        assert_eq!((is.samples(), is.accum), (drawn, accum));
     }
 }

@@ -9,8 +9,7 @@
 //! ([`mix_seed`]) instead of a shared RNG stream, by the one chunk
 //! executor that [`crate::IsEstimator`] shares. Chunk hit-counts are
 //! integers and strata are reduced in index order, so every
-//! [`Estimate`] is bit-identical whether the chunks run on one thread or
-//! many.
+//! [`Estimate`] depends only on the seed and the per-round budgets.
 //!
 //! # Columnar evaluation
 //!
@@ -27,7 +26,6 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use qcoral_interval::IntervalBox;
@@ -76,19 +74,18 @@ pub fn mix_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How a sampling run draws its randomness and where it executes.
+/// How a sampling run draws its randomness and when it stops.
 ///
 /// The plan fixes the seed derivation: chunk `c` of any run always uses
-/// `mix_seed(seed, c)`, so execution order cannot influence the result.
+/// `mix_seed(seed, c)`, so how a budget splits into rounds cannot
+/// influence the result.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SamplePlan {
     /// Base RNG seed for this run.
     pub seed: u64,
-    /// Samples per chunk (the parallel work granule).
+    /// Samples per chunk: the seeding granule, and how often the
+    /// deadline is polled.
     pub chunk: u64,
-    /// Fan chunks/strata out across threads. Purely an execution choice:
-    /// estimates are identical either way.
-    pub parallel: bool,
     /// Optional cooperative cutoff, polled between chunks: once expired
     /// no further chunks are drawn and the accumulated counts stand as
     /// a best-effort partial result. `None` reproduces the unbounded
@@ -97,25 +94,18 @@ pub struct SamplePlan {
 }
 
 impl SamplePlan {
-    /// Default chunk size: big enough to amortize thread dispatch, small
-    /// enough to load-balance a 100k-sample run over many cores.
+    /// Default chunk size: big enough to amortize reseeding and deadline
+    /// polls, small enough that an expired deadline stops a run within a
+    /// few thousand samples.
     pub const DEFAULT_CHUNK: u64 = 4_096;
 
-    /// A serial plan.
+    /// A plan of [`SamplePlan::DEFAULT_CHUNK`]-sample chunks and no
+    /// deadline.
     pub fn serial(seed: u64) -> SamplePlan {
         SamplePlan {
             seed,
             chunk: Self::DEFAULT_CHUNK,
-            parallel: false,
             deadline: None,
-        }
-    }
-
-    /// A parallel plan (same results as [`SamplePlan::serial`]).
-    pub fn parallel(seed: u64) -> SamplePlan {
-        SamplePlan {
-            parallel: true,
-            ..SamplePlan::serial(seed)
         }
     }
 
@@ -140,7 +130,7 @@ impl SamplePlan {
 /// columns `cols` holding `n` samples, [`BulkPred::count_hits`] must
 /// return exactly the number of rows `i` on which [`BulkPred::holds`]
 /// returns `true` for the gathered point `[cols[0][i], cols[1][i], …]`.
-pub trait BulkPred: Sync {
+pub trait BulkPred {
     /// Evaluation of one sample point.
     fn holds(&self, point: &[f64]) -> bool;
 
@@ -170,7 +160,7 @@ pub trait BulkPred: Sync {
 #[derive(Clone, Copy, Debug)]
 pub struct ScalarPred<F>(pub F);
 
-impl<F: Fn(&[f64]) -> bool + Sync> BulkPred for ScalarPred<F> {
+impl<F: Fn(&[f64]) -> bool> BulkPred for ScalarPred<F> {
     fn holds(&self, point: &[f64]) -> bool {
         (self.0)(point)
     }
@@ -179,48 +169,36 @@ impl<F: Fn(&[f64]) -> bool + Sync> BulkPred for ScalarPred<F> {
 /// Samples drawn per column block: matches the bulk tapes' lane width
 /// (`qcoral_constraints::bulk::LANES`) so each block evaluates as one
 /// full slab, while keeping column-buffer memory at
-/// `COLUMN_BLOCK × ndim` f64s per task regardless of the chunk size.
+/// `COLUMN_BLOCK × ndim` f64s regardless of the chunk size.
 /// Purely an execution granule — [`BulkPred::count_hits`] is exact for
 /// any block size, and the RNG draw order never depends on it.
 pub const COLUMN_BLOCK: usize = 128;
 
 /// The chunk executor of [`refine_plan`] and
 /// [`crate::IsEstimator::round`]: spends `add` samples as the chunks
-/// `first, first + 1, …` of `plan`'s stream. Chunk `c` runs
-/// `body(scratch, rng, len)` on its `len` samples with an RNG seeded from
-/// `mix_seed(plan.seed, c)`; under `plan.parallel` chunks fan out with one
-/// `scratch()` per worker (`map_init`). Once the plan's deadline has
-/// expired no further chunk starts. Returns each completed chunk's
-/// `(len, result)` in chunk order, and the number of chunks `add` spans.
-pub(crate) fn run_chunks<S, R: Send>(
+/// `first, first + 1, …` of `plan`'s stream, in order. Chunk `c` runs
+/// `body(rng, len)` on its `len` samples with an RNG seeded from
+/// `mix_seed(plan.seed, c)`. Once the plan's deadline has expired no
+/// further chunk starts. Returns each completed chunk's `(len, result)`
+/// in chunk order, and the number of chunks `add` spans.
+pub(crate) fn run_chunks<R>(
     plan: &SamplePlan,
     first: u64,
     add: u64,
-    scratch: impl Fn() -> S + Sync + Send,
-    body: impl Fn(&mut S, &mut SmallRng, u64) -> R + Sync + Send,
+    mut body: impl FnMut(&mut SmallRng, u64) -> R,
 ) -> (Vec<(u64, R)>, u64) {
     let chunk = plan.chunk.max(1);
     let nchunks = add.div_ceil(chunk);
-    let run = |s: &mut S, j: u64| -> Option<(u64, R)> {
-        if plan.deadline.is_some_and(Deadline::expired) {
-            return None;
-        }
-        let len = chunk.min(add - j * chunk);
-        let mut rng = SmallRng::seed_from_u64(mix_seed(plan.seed, first + j));
-        Some((len, body(s, &mut rng, len)))
-    };
-    let done = if plan.parallel && nchunks > 1 {
-        (0..nchunks)
-            .into_par_iter()
-            .map_init(scratch, run)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        let mut s = scratch();
-        (0..nchunks).map_while(|j| run(&mut s, j)).collect()
-    };
+    let done = (0..nchunks)
+        .map_while(|j| {
+            if plan.deadline.is_some_and(Deadline::expired) {
+                return None;
+            }
+            let len = chunk.min(add - j * chunk);
+            let mut rng = SmallRng::seed_from_u64(mix_seed(plan.seed, first + j));
+            Some((len, body(&mut rng, len)))
+        })
+        .collect();
     (done, nchunks)
 }
 
@@ -234,7 +212,8 @@ fn chunk_hits<P: BulkPred + ?Sized>(
     draw: &BoxDraw,
     n: u64,
     rng: &mut SmallRng,
-    (point, cols): &mut (Vec<f64>, Vec<Vec<f64>>),
+    point: &mut [f64],
+    cols: &mut [Vec<f64>],
 ) -> u64 {
     let mut hits = 0u64;
     let mut remaining = n as usize;
@@ -262,8 +241,8 @@ fn chunk_hits<P: BulkPred + ?Sized>(
 /// [`refine_plan`] draws more counter-seeded chunks, starting at
 /// [`StratumAccum::next_chunk`], and folds the integer hit counts in.
 /// The accumulated estimate therefore depends only on the stratum's
-/// sub-stream and the *sequence of per-round budgets* — never on thread
-/// schedule or on which round drew which chunk — which is what keeps
+/// sub-stream and the *sequence of per-round budgets* — never on which
+/// round drew which chunk — which is what keeps
 /// variance-driven reallocation bit-reproducible.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct StratumAccum {
@@ -318,9 +297,9 @@ impl StratumAccum {
 ///
 /// Drawing `a` then `b` samples visits the same chunk sub-streams as any
 /// other split of `a + b` into rounds would visit fresh chunks for — and
-/// chunk hit counts are integers reduced by summation — so the result is
-/// identical across thread schedules and depends only on the budget
-/// sequence. `add == 0` (and refining a dead stratum) is a no-op.
+/// chunk hit counts are integers reduced by summation — so the result
+/// depends only on the budget sequence. `add == 0` (and refining a dead
+/// stratum) is a no-op.
 ///
 /// The stratum's draw is compiled once per call
 /// ([`UsageProfile::draw_plan`]) and shared by every chunk. A box with
@@ -345,16 +324,13 @@ where
         return StratumAccum { dead: true, ..acc };
     }
     let ndim = boxed.ndim();
-    let (chunks, nchunks) = run_chunks(
-        &plan,
-        acc.next_chunk,
-        add,
-        || {
-            let cols = (0..ndim).map(|_| Vec::with_capacity(COLUMN_BLOCK));
-            (vec![0.0; ndim], cols.collect())
-        },
-        |scratch, rng, len| chunk_hits(pred, &draw, len, rng, scratch),
-    );
+    let mut point = vec![0.0; ndim];
+    let mut cols: Vec<Vec<f64>> = (0..ndim)
+        .map(|_| Vec::with_capacity(COLUMN_BLOCK))
+        .collect();
+    let (chunks, nchunks) = run_chunks(&plan, acc.next_chunk, add, |rng, len| {
+        chunk_hits(pred, &draw, len, rng, &mut point, &mut cols)
+    });
     // Chunks the deadline skipped are absent, so `hits/n` counts only
     // samples actually drawn and a partial accumulator stays sound.
     StratumAccum {
@@ -373,12 +349,11 @@ where
 /// zero-weight strata are dropped; every other stratum samples its own
 /// sub-stream `plan.substream(i)`. [`Strata::estimate`] adds
 /// `E[X̂] = Σ wᵢE[X̂ᵢ]` and `Var[X̂] = Σ wᵢ²Var[X̂ᵢ]` onto the exact mass
-/// in stratum order, so it is bit-identical across thread schedules.
+/// in stratum order.
 #[derive(Clone, Debug)]
 pub struct Strata {
     exact: Estimate,
     sampled: Vec<Sampled>,
-    parallel: bool,
 }
 
 /// A sampled stratum: not certain, with positive profile mass.
@@ -414,11 +389,7 @@ impl Strata {
                 });
             }
         }
-        Strata {
-            exact,
-            sampled,
-            parallel: plan.parallel,
-        }
+        Strata { exact, sampled }
     }
 
     /// Hit-or-miss Monte Carlo (Eq. 2) as strata: `boxed` is one sampled
@@ -432,7 +403,6 @@ impl Strata {
                 plan,
                 accum: StratumAccum::EMPTY,
             }],
-            parallel: plan.parallel,
         }
     }
 
@@ -494,24 +464,13 @@ impl Strata {
     }
 
     /// Draws `counts[j]` more samples for sampled stratum `j` with
-    /// [`refine_plan`], continuing its chunk stream; the strata fan out
-    /// across threads under the plan's `parallel`.
+    /// [`refine_plan`], continuing its chunk stream, in stratum order.
     pub fn refine<P>(&mut self, pred: &P, profile: &UsageProfile, counts: &[u64])
     where
         P: BulkPred + ?Sized,
     {
-        let jobs: Vec<(&mut Sampled, u64)> = self
-            .sampled
-            .iter_mut()
-            .zip(counts.iter().copied())
-            .collect();
-        let refine = |(s, n): (&mut Sampled, u64)| {
+        for (s, &n) in self.sampled.iter_mut().zip(counts) {
             s.accum = refine_plan(pred, &s.boxed, profile, n, s.plan, s.accum);
-        };
-        if self.parallel && jobs.len() > 1 {
-            jobs.into_par_iter().map(refine).collect::<Vec<()>>();
-        } else {
-            jobs.into_iter().for_each(refine);
         }
     }
 }
@@ -790,11 +749,10 @@ mod tests {
         let p = UsageProfile::uniform(2);
         let pred = ScalarPred(|x: &[f64]| x[0] > 0.0);
         let far = Deadline::after(Duration::from_secs(3600));
-        for plan in [SamplePlan::serial(7), SamplePlan::parallel(7)] {
-            let bare = hit_or_miss(&pred, &b, &p, 20_000, plan);
-            let with = hit_or_miss(&pred, &b, &p, 20_000, plan.with_deadline(Some(far)));
-            assert_eq!(bare, with, "a live deadline must not perturb estimates");
-        }
+        let plan = SamplePlan::serial(7);
+        let bare = hit_or_miss(&pred, &b, &p, 20_000, plan);
+        let with = hit_or_miss(&pred, &b, &p, 20_000, plan.with_deadline(Some(far)));
+        assert_eq!(bare, with, "a live deadline must not perturb estimates");
     }
 
     #[test]
@@ -803,19 +761,23 @@ mod tests {
         let p = UsageProfile::uniform(2);
         let pred = ScalarPred(|x: &[f64]| x[0] > 0.0);
         let past = Deadline::at(Instant::now() - Duration::from_secs(1));
-        for plan in [SamplePlan::serial(7), SamplePlan::parallel(7)] {
-            let plan = plan.with_deadline(Some(past));
-            // Nothing drawn: the zero-sample accumulator reports 0 ± 0
-            // (flagging happens at the analyzer layer, not here).
-            let acc = refine_plan(&pred, &b, &p, 50_000, plan, StratumAccum::EMPTY);
-            assert_eq!(acc.n, 0, "expired deadline drew {} samples", acc.n);
-            assert_eq!(acc.hits, 0);
-            assert!(!acc.dead);
-            assert_eq!(acc.estimate(), Estimate::ZERO);
-        }
+        let plan = SamplePlan::serial(7);
+        // Nothing drawn: the zero-sample accumulator reports 0 ± 0
+        // (flagging happens at the analyzer layer, not here).
+        let acc = refine_plan(
+            &pred,
+            &b,
+            &p,
+            50_000,
+            plan.with_deadline(Some(past)),
+            StratumAccum::EMPTY,
+        );
+        assert_eq!(acc.n, 0, "expired deadline drew {} samples", acc.n);
+        assert_eq!(acc.hits, 0);
+        assert!(!acc.dead);
+        assert_eq!(acc.estimate(), Estimate::ZERO);
         // A pre-expiry accumulator survives untouched: the partial
         // estimate is exactly the work done so far.
-        let plan = SamplePlan::serial(7);
         let pre = refine_plan(&pred, &b, &p, 8_192, plan, StratumAccum::EMPTY);
         let post = refine_plan(&pred, &b, &p, 8_192, plan.with_deadline(Some(past)), pre);
         assert_eq!((post.hits, post.n), (pre.hits, pre.n));
@@ -1042,25 +1004,22 @@ mod tests {
         whole.refine(&pred, &p, &[5_000]);
         assert_eq!(one_shot.estimate(), whole.estimate());
 
-        // Same budget sequence twice ⇒ bit-identical accumulators,
-        // serial or parallel.
-        let serial = [1_000u64, 3_000, 777]
-            .iter()
-            .fold(StratumAccum::EMPTY, |acc, &add| {
-                refine_plan(&pred, &b, &p, add, plan, acc)
-            });
-        let parallel = [1_000u64, 3_000, 777]
-            .iter()
-            .fold(StratumAccum::EMPTY, |acc, &add| {
-                refine_plan(&pred, &b, &p, add, SamplePlan::parallel(99), acc)
-            });
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.n, 4_777);
-        assert!((serial.estimate().mean - 0.5).abs() < 0.05);
+        // Same budget sequence twice ⇒ bit-identical accumulators.
+        let rounds = || {
+            [1_000u64, 3_000, 777]
+                .iter()
+                .fold(StratumAccum::EMPTY, |acc, &add| {
+                    refine_plan(&pred, &b, &p, add, plan, acc)
+                })
+        };
+        let first = rounds();
+        assert_eq!(first, rounds());
+        assert_eq!(first.n, 4_777);
+        assert!((first.estimate().mean - 0.5).abs() < 0.05);
         // Each round starts a fresh chunk.
         let chunk = plan.chunk;
         assert_eq!(
-            serial.next_chunk,
+            first.next_chunk,
             1_000u64.div_ceil(chunk) + 3_000u64.div_ceil(chunk) + 777u64.div_ceil(chunk)
         );
     }
@@ -1091,17 +1050,6 @@ mod tests {
             adaptive.variance,
             plain.variance
         );
-        // Parallel execution is bit-identical.
-        let par = stratified(
-            &pc,
-            &strata,
-            &domain,
-            &profile,
-            10_000,
-            Allocation::VarianceAdaptive,
-            SamplePlan::parallel(1234),
-        );
-        assert_eq!(adaptive, par);
     }
 
     #[test]
@@ -1147,21 +1095,20 @@ mod tests {
             next_chunk: 2,
             dead: false,
         };
-        for plan in [SamplePlan::serial(3), SamplePlan::parallel(3)] {
-            let dead = refine_plan(&pred, &boxed, &profile, 10_000, plan, before);
-            assert_eq!(
-                dead,
-                StratumAccum {
-                    dead: true,
-                    ..before
-                }
-            );
-            assert_eq!(dead.estimate(), Estimate::ZERO);
-            assert_eq!(
-                refine_plan(&pred, &boxed, &profile, 5_000, plan, dead),
-                dead
-            );
-        }
+        let plan = SamplePlan::serial(3);
+        let dead = refine_plan(&pred, &boxed, &profile, 10_000, plan, before);
+        assert_eq!(
+            dead,
+            StratumAccum {
+                dead: true,
+                ..before
+            }
+        );
+        assert_eq!(dead.estimate(), Estimate::ZERO);
+        assert_eq!(
+            refine_plan(&pred, &boxed, &profile, 5_000, plan, dead),
+            dead
+        );
         assert_eq!(calls.into_inner(), 0, "a dead stratum draws nothing");
     }
 }

@@ -1,13 +1,12 @@
 //! Counters, gauges and log-bucket histograms behind a named registry
 //! with Prometheus-style text exposition.
 //!
-//! Handles are `Arc`-shared atomics: a subsystem either asks a
-//! [`Registry`] to mint one by name ([`Registry::counter`]) or keeps its
-//! own per-instance handle and *registers* it for exposition
-//! ([`Registry::register_counter`]) — the latter is how per-instance
-//! exactness survives (the scheduler and factor-store tests assert
-//! per-instance counts, so those subsystems own their handles and the
-//! server attaches them to its registry at startup).
+//! Handles are `Arc`-shared atomics. A subsystem makes its own handles
+//! ([`Counter::new`]) and *registers* them for exposition
+//! ([`Registry::register_counter`]), once per name: per-instance counts
+//! stay exact (the scheduler and factor-store tests assert them), and
+//! the server attaches every subsystem's handles to its registry at
+//! startup.
 //!
 //! Histograms use a fixed power-of-two bucket layout over `u64` samples
 //! (bucket *i* ≥ 1 holds values in `[2^(i-1), 2^i)`, bucket 0 holds the
@@ -169,7 +168,6 @@ impl HistogramSnapshot {
     }
 }
 
-#[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -198,55 +196,36 @@ impl Registry {
         Registry::default()
     }
 
-    /// Returns the counter named `name`, minting it on first use.
-    /// Panics if the name is already registered as a different kind.
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        match self.mint(name, help, || Metric::Counter(Counter::new())) {
-            Metric::Counter(c) => c,
-            _ => panic!("metric `{name}` is not a counter"),
-        }
-    }
-
-    /// Returns the histogram named `name`, minting it on first use.
-    /// Panics if the name is already registered as a different kind.
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        match self.mint(name, help, || Metric::Histogram(Histogram::new())) {
-            Metric::Histogram(h) => h,
-            _ => panic!("metric `{name}` is not a histogram"),
-        }
-    }
-
-    /// The metric registered under `name`, minted by `make` on first use.
-    fn mint(&self, name: &str, help: &str, make: impl FnOnce() -> Metric) -> Metric {
-        let mut items = self.items.lock().expect("metrics registry");
-        let entry = items.entry(name.to_string()).or_insert_with(|| Registered {
-            help: help.to_string(),
-            metric: make(),
-        });
-        entry.metric.clone()
-    }
-
-    /// Attaches an existing counter handle under `name` (replacing any
-    /// previous registration of that name).
+    /// Attaches a counter handle under `name`. Panics if `name` is
+    /// already registered.
     pub fn register_counter(&self, name: &str, help: &str, c: Arc<Counter>) {
         self.attach(name, help, Metric::Counter(c));
     }
 
-    /// Attaches an existing gauge handle under `name`.
+    /// Attaches a gauge handle under `name`. Panics if `name` is already
+    /// registered.
     pub fn register_gauge(&self, name: &str, help: &str, g: Arc<Gauge>) {
         self.attach(name, help, Metric::Gauge(g));
     }
 
-    /// Attaches an existing histogram handle under `name`.
+    /// Attaches a histogram handle under `name`. Panics if `name` is
+    /// already registered.
     pub fn register_histogram(&self, name: &str, help: &str, h: Arc<Histogram>) {
         self.attach(name, help, Metric::Histogram(h));
     }
 
-    /// Registers `metric` under `name`, replacing any earlier one.
+    /// Registers `metric` under `name`. A second registration of a name
+    /// panics (after releasing the lock): replacing the first handle
+    /// would drop its counts from the exposition without a trace.
     fn attach(&self, name: &str, help: &str, metric: Metric) {
-        let help = help.to_string();
         let mut items = self.items.lock().expect("metrics registry");
-        items.insert(name.to_string(), Registered { help, metric });
+        let fresh = !items.contains_key(name);
+        if fresh {
+            let help = help.to_string();
+            items.insert(name.to_string(), Registered { help, metric });
+        }
+        drop(items);
+        assert!(fresh, "metric `{name}` is already registered");
     }
 
     /// Prometheus-style text exposition of every registered metric, in
@@ -328,11 +307,15 @@ mod tests {
     #[test]
     fn registry_renders_prometheus_text() {
         let r = Registry::new();
-        r.counter("qcoral_test_events_total", "Events seen.").add(7);
+        let c = Counter::new();
+        c.add(7);
+        r.register_counter("qcoral_test_events_total", "Events seen.", c);
         let g = Gauge::new();
         g.set(-2);
         r.register_gauge("qcoral_test_depth", "Live depth.", g);
-        r.histogram("qcoral_test_wait_us", "Wait (µs).").record(100);
+        let h = Histogram::new();
+        h.record(100);
+        r.register_histogram("qcoral_test_wait_us", "Wait (µs).", h);
         let text = r.render();
         assert!(text.contains("# TYPE qcoral_test_events_total counter"));
         assert!(text.contains("qcoral_test_events_total 7"));
@@ -345,16 +328,24 @@ mod tests {
     }
 
     #[test]
-    fn registry_minting_is_idempotent_and_registration_attaches() {
+    fn registration_attaches_and_rejects_duplicate_names() {
         let r = Registry::new();
-        let c1 = r.counter("qcoral_test_same", "x");
-        let c2 = r.counter("qcoral_test_same", "x");
-        c1.inc();
-        assert_eq!(c2.get(), 1, "same name, same handle");
         let mine = Counter::new();
         mine.add(41);
         r.register_counter("qcoral_test_mine", "mine", Arc::clone(&mine));
         mine.inc();
         assert!(r.render().contains("qcoral_test_mine 42"));
+        // A second handle under the same name, of any kind, panics and
+        // leaves the first one exposed.
+        let again = std::panic::catch_unwind(|| {
+            r.register_counter("qcoral_test_mine", "again", Counter::new())
+        });
+        assert!(again.is_err(), "a duplicate counter name must panic");
+        let kind = std::panic::catch_unwind(|| {
+            r.register_histogram("qcoral_test_mine", "again", Histogram::new())
+        });
+        assert!(kind.is_err(), "a duplicate name of another kind must panic");
+        mine.inc();
+        assert!(r.render().contains("qcoral_test_mine 43"));
     }
 }

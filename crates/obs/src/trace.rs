@@ -2,12 +2,13 @@
 //! monotonic epoch, exportable as Chrome trace-event JSON.
 //!
 //! A [`Trace`] is created once per traced request and threaded (as an
-//! `Arc`) through every layer the request touches — the rayon workers of
-//! a parallel analysis included, since the collector is an explicit
-//! handle, never thread-local state. Each instrumentation site measures
-//! with [`Trace::now_us`] and deposits a completed span with
-//! [`Trace::record`]; at the end of the request [`Trace::take`] drains
-//! the spans into a serializable [`TraceData`] carried in the report.
+//! `Arc`) through every layer the request touches — the connection
+//! thread that decodes it and the worker that analyzes it included,
+//! since the collector is an explicit handle, never thread-local state.
+//! Each instrumentation site measures with [`Trace::now_us`] and
+//! deposits a completed span with [`Trace::record`]; at the end of the
+//! request [`Trace::take`] drains the spans into a serializable
+//! [`TraceData`] carried in the report.
 //!
 //! Determinism contract: spans read the monotonic clock and an atomic
 //! thread-id counter only. No RNG is touched anywhere in this module,
@@ -116,8 +117,8 @@ impl Trace {
         self.len() == 0
     }
 
-    /// Drains the collected spans, sorted by start time (parallel
-    /// workers deposit out of order).
+    /// Drains the collected spans, sorted by start time (a span is
+    /// deposited when it ends, after the spans nested in it).
     pub fn take(&self) -> TraceData {
         let mut spans = std::mem::take(&mut *self.spans.lock().expect("trace spans"));
         spans.sort_by_key(|s| (s.start_us, s.tid));

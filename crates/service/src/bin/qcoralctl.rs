@@ -6,7 +6,7 @@
 //! qcoralctl --addr HOST:PORT system  "var x in [0,1]; pc x < 0.5;" [options]
 //! qcoralctl --addr HOST:PORT program FILE.mj [options] [--max-depth N]
 //!
-//! options: [--samples N] [--seed N] [--plain|--strat] [--parallel]
+//! options: [--samples N] [--seed N] [--plain|--strat]
 //!          [--target-stderr X] [--round-budget N] [--max-rounds N]
 //!          [--allocation equal|proportional|variance|importance]
 //!          [--paver-boxes N] [--profile SPEC] [--profile-epsilon X]
@@ -77,7 +77,7 @@ use qcoral_service::{Client, ClientError, NamedDist, RetryPolicy};
 fn usage() -> ! {
     eprintln!(
         "usage: qcoralctl --addr HOST:PORT <status|metrics|system SRC|program FILE> \
-         [--samples N] [--seed N] [--plain|--strat] [--parallel] [--max-depth N] \
+         [--samples N] [--seed N] [--plain|--strat] [--max-depth N] \
          [--target-stderr X] [--round-budget N] [--max-rounds N] \
          [--allocation equal|proportional|variance|importance] \
          [--paver-boxes N] \
@@ -105,7 +105,6 @@ fn parse_cli() -> Cli {
     let mut preset: fn() -> Options = Options::default;
     let mut samples = None;
     let mut seed = None;
-    let mut parallel = false;
     let mut max_depth = None;
     let mut target_stderr = None;
     let mut round_budget = None;
@@ -142,7 +141,6 @@ fn parse_cli() -> Cli {
             "--trace" => trace_out = Some(value()),
             "--plain" => preset = Options::plain,
             "--strat" => preset = Options::strat,
-            "--parallel" => parallel = true,
             "--help" | "-h" => usage(),
             other if cmd.is_none() => cmd = Some(other.to_string()),
             other if input.is_none() => input = Some(other.to_string()),
@@ -184,7 +182,6 @@ fn parse_cli() -> Cli {
     if let Some(ms) = timeout_ms {
         options.deadline_ms = Some(ms);
     }
-    options.parallel = parallel;
     options.trace = trace_out.is_some();
     Cli {
         addr,

@@ -91,7 +91,15 @@ use crate::store::RecoveryReport;
 /// and the two counts. v8 request frames that still carry either key
 /// decode with that key ignored, while v8 servers reject v9 request
 /// frames with a missing-field error.
-pub const PROTOCOL_VERSION: u32 = 9;
+///
+/// v10: `Options::parallel` is retired. An analysis runs on the worker
+/// that picks it up, and the worker pool is where requests run
+/// concurrently. The flag never changed an answer, and a
+/// network-supplied `true` let one request occupy every core. v9
+/// request frames that still carry the key decode with it ignored,
+/// while v9 servers reject v10 request frames with a missing-field
+/// error.
+pub const PROTOCOL_VERSION: u32 = 10;
 
 /// One named marginal of a program request's usage profile: programs
 /// declare their inputs by name, so profiles address them by name too

@@ -218,21 +218,32 @@ struct RequestMetrics {
 }
 
 impl RequestMetrics {
-    /// Mints the families in `registry`.
+    /// Makes the families' handles and registers them in `registry`.
     fn new(registry: &Registry) -> RequestMetrics {
+        let duration_us = Histogram::new();
+        registry.register_histogram(
+            "qcoral_request_duration_us",
+            "End-to-end request execution time on a worker (microseconds).",
+            Arc::clone(&duration_us),
+        );
+        let totals = ANALYSIS_TOTALS
+            .iter()
+            .map(|&(name, help, count)| {
+                let counter = Counter::new();
+                registry.register_counter(name, help, Arc::clone(&counter));
+                (counter, count)
+            })
+            .collect();
+        let analysis_duration_us = Histogram::new();
+        registry.register_histogram(
+            "qcoral_analysis_duration_us",
+            "Wall-clock time per analysis, microseconds.",
+            Arc::clone(&analysis_duration_us),
+        );
         RequestMetrics {
-            duration_us: registry.histogram(
-                "qcoral_request_duration_us",
-                "End-to-end request execution time on a worker (microseconds).",
-            ),
-            totals: ANALYSIS_TOTALS
-                .iter()
-                .map(|&(name, help, count)| (registry.counter(name, help), count))
-                .collect(),
-            analysis_duration_us: registry.histogram(
-                "qcoral_analysis_duration_us",
-                "Wall-clock time per analysis, microseconds.",
-            ),
+            duration_us,
+            totals,
+            analysis_duration_us,
         }
     }
 

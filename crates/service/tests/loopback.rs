@@ -15,7 +15,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use qcoral::{Allocation, Analyzer, Options};
+use qcoral::{Allocation, Analyzer, Options, Report};
 use qcoral_mc::{Dist, UsageProfile};
 use qcoral_repro::pipeline::analyze_program;
 use qcoral_service::{Client, Outcome, Server, ServiceConfig};
@@ -582,8 +582,9 @@ fn system_frame_with_paver_key(source: &str, options: Options, key: &str) -> Str
     spliced
 }
 
-/// Sends `frame` on a raw connection and requires a `Report` within 20 s.
-fn answers_within_20_s(server: &Server, frame: &str) {
+/// Sends `frame` on a raw connection and requires a `Report` within
+/// 20 s, which it returns.
+fn answers_within_20_s(server: &Server, frame: &str) -> Report {
     let stream = TcpStream::connect(server.addr()).expect("connect raw");
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
@@ -596,11 +597,10 @@ fn answers_within_20_s(server: &Server, frame: &str) {
         .expect("an answer within 20 s");
     let r = qcoral_service::wire::decode_response(&line).expect("response decodes");
     assert_eq!(r.id, 1);
-    assert!(
-        matches!(r.outcome, Outcome::Report(_)),
-        "expected a report, got {:?}",
-        r.outcome
-    );
+    match r.outcome {
+        Outcome::Report(a) => a.report,
+        other => panic!("expected a report, got {other:?}"),
+    }
 }
 
 /// `PaverConfig::max_passes` is retired: a frame that still carries the
@@ -639,6 +639,37 @@ fn retired_time_budget_cannot_pin_a_worker() {
     assert!(frame.contains("\"precision_digits\":17"), "{frame}");
     answers_within_20_s(&server, &frame);
     server.shutdown();
+}
+
+/// `Options::parallel` is retired (protocol v10): a v9 frame that still
+/// carries `"parallel":true` decodes with the key ignored, and gets the
+/// report the same frame without the key gets. Each frame goes to a
+/// fresh server, so neither answer comes from the other's factor store.
+#[test]
+fn retired_parallel_flag_changes_nothing() {
+    let frame = qcoral_service::wire::encode_request(&qcoral_service::Request {
+        id: 1,
+        op: qcoral_service::Op::System {
+            source: "var x in [0, 1]; var y in [0, 1]; \
+                     pc x < 0.5 && sin(y) > 0.5; pc x >= 0.5 && x * y < 0.3;"
+                .to_string(),
+            options: Options::default().with_samples(5_000),
+            profile: None,
+        },
+    });
+    let spliced = frame.replacen("\"options\":{", "\"options\":{\"parallel\":true,", 1);
+    assert_ne!(spliced, frame, "the frame carries an options object");
+    let answer = |frame: &str| {
+        let (server, _client) = start(ServiceConfig::default());
+        let report = answers_within_20_s(&server, frame);
+        server.shutdown();
+        report
+    };
+    let (bare, flagged) = (answer(&frame), answer(&spliced));
+    assert!(bare.stats.samples_drawn > 0, "{:?}", bare.stats);
+    assert_eq!(flagged.estimate, bare.estimate);
+    assert_eq!(flagged.per_pc, bare.per_pc);
+    assert_eq!(flagged.stats, bare.stats);
 }
 
 /// `precision_digits` is any `u32` on the wire. 2³¹ and `u32::MAX` pave

@@ -33,29 +33,25 @@ fn arb_options() -> impl Strategy<Value = Options> {
         1u64..1_000_000,
         any::<bool>(),
         any::<bool>(),
-        any::<bool>(),
         0u64..u64::MAX,
         (1usize..64, 0u32..9),
     )
-        .prop_map(
-            |(samples, stratified, partition, parallel, seed, (boxes, digits))| {
-                let mut o = Options::default().with_samples(samples).with_seed(seed);
-                o.stratified = stratified;
-                o.partition = partition;
-                o.cache = partition;
-                o.parallel = parallel;
-                o.allocation = match samples % 3 {
-                    0 => Allocation::EqualPerStratum,
-                    1 => Allocation::Proportional,
-                    _ => Allocation::ImportanceAdaptive,
-                };
-                o.paver = PaverConfig {
-                    max_boxes: boxes,
-                    precision_digits: digits,
-                };
-                o
-            },
-        )
+        .prop_map(|(samples, stratified, partition, seed, (boxes, digits))| {
+            let mut o = Options::default().with_samples(samples).with_seed(seed);
+            o.stratified = stratified;
+            o.partition = partition;
+            o.cache = partition;
+            o.allocation = match samples % 3 {
+                0 => Allocation::EqualPerStratum,
+                1 => Allocation::Proportional,
+                _ => Allocation::ImportanceAdaptive,
+            };
+            o.paver = PaverConfig {
+                max_boxes: boxes,
+                precision_digits: digits,
+            };
+            o
+        })
 }
 
 fn arb_profile() -> impl Strategy<Value = Option<UsageProfile>> {

@@ -1,18 +1,19 @@
-//! Determinism of the parallel hot path: for a fixed seed, the parallel
-//! analyzer must return the *bit-identical* estimate of the serial
-//! analyzer on every VolComp-suite subject — the contract that makes
-//! rayon fan-out safe to enable by default.
+//! Determinism of the analyzer: for a fixed seed, every VolComp-suite
+//! subject gets the *bit-identical* report from a fresh analyzer, from
+//! a repeat, and from analyses running on two threads at once, the way
+//! a server's workers run them.
 //!
 //! Three properties are pinned down:
 //!
-//! 1. serial(seed) == serial(seed)   (repeatability)
-//! 2. serial(seed) == parallel(seed) (schedule independence)
+//! 1. run(seed) == run(seed) on a fresh analyzer (repeatability),
+//! 2. a lone run == each of two concurrent runs (concurrent analyses
+//!    never perturb each other, shared caches included),
 //! 3. the per-PC breakdown matches, not just the total (no compensating
 //!    errors across path conditions).
 
 use std::sync::{Arc, Barrier};
 
-use qcoral::{Analyzer, CompiledPred, FactorStore, Options};
+use qcoral::{Analyzer, CompiledPred, FactorStore, Options, Report, Stats};
 use qcoral_constraints::parse::parse_system;
 use qcoral_icp::{domain_box, PavingCache};
 use qcoral_interval::IntervalBox;
@@ -23,6 +24,35 @@ use qcoral_mc::{
 use qcoral_subjects::{nonuniform_subjects, rare_subjects, table3_subjects};
 use qcoral_symexec::SymConfig;
 
+/// Runs `f` on two threads released at once, as two workers of a
+/// server would run two requests, and returns both results.
+fn on_two_threads<R: Send>(f: impl Fn() -> R + Sync) -> [R; 2] {
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        let (start, f) = (&start, &f);
+        [(); 2]
+            .map(|()| {
+                s.spawn(move || {
+                    start.wait();
+                    f()
+                })
+            })
+            .map(|h| h.join().unwrap())
+    })
+}
+
+/// Asserts that two reports carry the same estimate, per-PC breakdown
+/// and counters (everything but the wall clock and the trace).
+fn assert_same_report(a: &Report, b: &Report, what: &str) {
+    assert_eq!(a.estimate, b.estimate, "{what}: estimate");
+    assert_eq!(a.per_pc, b.per_pc, "{what}: per-PC breakdown");
+    assert_eq!(a.stats, b.stats, "{what}: counters");
+}
+
+/// A repeat on a fresh analyzer, and two fresh analyzers running at
+/// once, all return the lone run's report: nothing carries over between
+/// runs (the tape split included), and nothing leaks between concurrent
+/// ones.
 fn check_subject(name: &str, samples: u64, seed: u64) {
     let subjects = table3_subjects();
     let subj = subjects
@@ -38,27 +68,12 @@ fn check_subject(name: &str, samples: u64, seed: u64) {
         let opts = Options::strat_partcache()
             .with_samples(samples)
             .with_seed(seed);
-        let a = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
-        let b = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
-        assert_eq!(
-            a.estimate, b.estimate,
-            "{name}[{idx}]: serial runs disagree"
-        );
-        // Nothing carries over between runs, the tape split included.
-        assert_eq!(a.stats, b.stats, "{name}[{idx}]: serial counters disagree");
-        let c = Analyzer::new(opts.with_parallel(true)).analyze(&cs, &domain, &profile);
-        assert_eq!(
-            a.estimate, c.estimate,
-            "{name}[{idx}]: parallel vs serial estimate"
-        );
-        assert_eq!(
-            a.per_pc, c.per_pc,
-            "{name}[{idx}]: per-PC breakdown differs"
-        );
-        assert_eq!(
-            a.stats, c.stats,
-            "{name}[{idx}]: parallel vs serial counters"
-        );
+        let run = || Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
+        let a = run();
+        assert_same_report(&a, &run(), &format!("{name}[{idx}] repeat"));
+        for (t, c) in on_two_threads(run).iter().enumerate() {
+            assert_same_report(&a, c, &format!("{name}[{idx}] thread {t}"));
+        }
     }
 }
 
@@ -98,7 +113,8 @@ fn vol_parallel_matches_serial() {
 }
 
 /// The plain (unstratified, unpartitioned) configuration exercises the
-/// chunked hit-or-miss path directly.
+/// chunked hit-or-miss path directly: a repeat and two concurrent runs
+/// return the lone run's report.
 #[test]
 fn plain_config_parallel_matches_serial() {
     let subjects = table3_subjects();
@@ -106,19 +122,21 @@ fn plain_config_parallel_matches_serial() {
     let (domain, cs) = subj.system_for(0, &SymConfig::default());
     let profile = UsageProfile::uniform(domain.len());
     let opts = Options::plain().with_samples(50_000).with_seed(5);
-    let a = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
-    let b = Analyzer::new(opts.with_parallel(true)).analyze(&cs, &domain, &profile);
-    assert_eq!(a.estimate, b.estimate);
+    let run = || Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
+    let a = run();
+    assert_same_report(&a, &run(), "repeat");
+    for (t, c) in on_two_threads(run).iter().enumerate() {
+        assert_same_report(&a, c, &format!("thread {t}"));
+    }
 }
 
 /// The iterative engine's contract over the VolComp suite: for a fixed
 /// seed and fixed iterative knobs,
 ///
-/// 1. repeated runs are bit-identical (repeatability),
-/// 2. serial and parallel runs agree bit-for-bit — including the round
-///    count, since every reallocation decision is a pure function of
-///    deterministic estimates (schedule independence), and
-/// 3. a *warm restart* through a snapshotted `FactorStore` recomposes
+/// 1. a repeat on a fresh analyzer is bit-identical, round count and
+///    every other counter included, since every reallocation decision
+///    is a pure function of deterministic estimates, and
+/// 2. a *warm restart* through a snapshotted `FactorStore` recomposes
 ///    the bit-identical estimate with zero pavings and zero samples
 ///    (same seeds ⇒ same rounds ⇒ same estimate).
 #[test]
@@ -138,27 +156,7 @@ fn analyze_iterative_is_deterministic_and_restart_stable() {
 
         let a = Analyzer::new(opts.clone()).analyze_iterative(&cs, &domain, &profile);
         let b = Analyzer::new(opts.clone()).analyze_iterative(&cs, &domain, &profile);
-        assert_eq!(
-            a.estimate, b.estimate,
-            "{}: repeat runs disagree",
-            subj.name
-        );
-        assert_eq!(a.per_pc, b.per_pc, "{}: per-PC repeat differs", subj.name);
-
-        let c = Analyzer::new(opts.clone().with_parallel(true))
-            .analyze_iterative(&cs, &domain, &profile);
-        assert_eq!(a.estimate, c.estimate, "{}: parallel vs serial", subj.name);
-        assert_eq!(a.per_pc, c.per_pc, "{}: per-PC parallel differs", subj.name);
-        assert_eq!(
-            a.stats.rounds, c.stats.rounds,
-            "{}: parallel round trajectory differs",
-            subj.name
-        );
-        assert_eq!(
-            a.stats.samples_drawn, c.stats.samples_drawn,
-            "{}",
-            subj.name
-        );
+        assert_same_report(&a, &b, &format!("{}: repeat", subj.name));
 
         // Warm restart: snapshot the store, absorb it into a fresh one
         // (what the service does across process restarts), re-run.
@@ -199,10 +197,10 @@ fn analyze_iterative_is_deterministic_and_restart_stable() {
 /// The same contract under *non-uniform* usage profiles, over the
 /// profiled VolComp suite: for a fixed seed,
 ///
-/// 1. repeated runs are bit-identical (the continuous inverse-CDF
-///    sampler and the profile-aligned stratifier are deterministic),
-/// 2. serial and parallel runs agree bit-for-bit, and
-/// 3. a warm restart through a snapshot-absorbed `FactorStore`
+/// 1. a repeat on a fresh analyzer is bit-identical (the continuous
+///    inverse-CDF sampler and the profile-aligned stratifier are
+///    deterministic), and
+/// 2. a warm restart through a snapshot-absorbed `FactorStore`
 ///    recomposes the bit-identical estimate with zero pavings and zero
 ///    samples — non-uniform profile bits key the store exactly.
 #[test]
@@ -216,15 +214,7 @@ fn nonuniform_profiles_are_deterministic_and_restart_stable() {
 
         let a = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
         let b = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
-        assert_eq!(
-            a.estimate, b.estimate,
-            "{}: repeat runs disagree",
-            subj.name
-        );
-
-        let c = Analyzer::new(opts.clone().with_parallel(true)).analyze(&cs, &domain, &profile);
-        assert_eq!(a.estimate, c.estimate, "{}: parallel vs serial", subj.name);
-        assert_eq!(a.per_pc, c.per_pc, "{}: per-PC breakdown", subj.name);
+        assert_same_report(&a, &b, &format!("{}: repeat", subj.name));
 
         // Warm restart through a snapshot-style store round trip.
         let store = Arc::new(FactorStore::new(4096));
@@ -271,12 +261,11 @@ fn hit_or_miss(
 /// evaluator** on every VolComp-suite subject: for each path condition,
 /// the samplers must return the same `Estimate` whether the predicate is
 /// a scalar closure over the row tape (counted row by row through the
-/// default `count_hits`) or the compiled columnar `BulkPred` — serial
-/// and parallel, plain hit-or-miss and stratified composition alike. (The analyzer rides the bulk path
-/// unconditionally, so together with the serial/parallel and
-/// warm-restart suites above — which CI runs under
-/// `RAYON_NUM_THREADS=1` and `=4` — this pins the whole chain: bulk ==
-/// scalar == parallel == warm restart.)
+/// default `count_hits`) or the compiled columnar `BulkPred` — plain
+/// hit-or-miss and stratified composition alike. (The analyzer rides
+/// the bulk path unconditionally, so together with the repeat and
+/// warm-restart suites above this pins the whole chain: bulk == scalar
+/// == repeat == warm restart.)
 #[test]
 fn bulk_path_matches_scalar_path_bit_for_bit() {
     for subj in table3_subjects() {
@@ -293,14 +282,6 @@ fn bulk_path_matches_scalar_path_bit_for_bit() {
             let scalar = hit_or_miss(&scalar_pred, &boxed, &profile, 3_000, plan);
             let bulk = hit_or_miss(&pred, &boxed, &profile, 3_000, plan);
             assert_eq!(scalar, bulk, "{}[pc {i}]: bulk diverged", subj.name);
-            let par = hit_or_miss(
-                &pred,
-                &boxed,
-                &profile,
-                3_000,
-                SamplePlan::parallel(mix_seed(97, i as u64)),
-            );
-            assert_eq!(scalar, par, "{}[pc {i}]: parallel bulk diverged", subj.name);
 
             // Stratified composition over a two-way split of the domain.
             let d0 = boxed.dims()[0];
@@ -368,10 +349,9 @@ fn reported_backend_matches_process_backend() {
 /// Tracing must be a pure observer: with `Options::trace` on, every
 /// estimate (total and per-PC) is bit-identical to the untraced run —
 /// span clocks are monotonic timers that never touch an RNG stream, and
-/// no instrumented path branches on a span's value. Checked serial and
-/// parallel (the CI matrix reruns this at RAYON_NUM_THREADS=1 and 4),
-/// one-shot and iterative; the traced runs must actually produce spans,
-/// the untraced ones none.
+/// no instrumented path branches on a span's value. Checked one-shot
+/// and iterative; the traced runs must actually produce spans, the
+/// untraced ones none.
 #[test]
 fn tracing_never_perturbs_estimates() {
     for subj in table3_subjects() {
@@ -380,80 +360,42 @@ fn tracing_never_perturbs_estimates() {
             continue;
         }
         let profile = UsageProfile::uniform(domain.len());
-        for parallel in [false, true] {
-            let opts = Options::strat_partcache()
-                .with_samples(2_000)
-                .with_seed(41)
-                .with_parallel(parallel);
-            let off = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
-            let on = Analyzer::new(opts.clone().with_trace(true)).analyze(&cs, &domain, &profile);
-            assert_eq!(
-                off.estimate, on.estimate,
-                "{} parallel={parallel}: tracing changed the estimate",
-                subj.name
-            );
-            assert_eq!(
-                off.per_pc, on.per_pc,
-                "{} parallel={parallel}: tracing changed the per-PC breakdown",
-                subj.name
-            );
-            assert_eq!(
-                off.stats, on.stats,
-                "{} parallel={parallel}: tracing changed the counters",
-                subj.name
-            );
-            assert!(off.trace.is_none(), "untraced run returned spans");
-            let spans = on.trace.as_ref().expect("traced run returns spans");
-            assert!(!spans.spans.is_empty(), "trace must hold spans");
+        let opts = Options::strat_partcache().with_samples(2_000).with_seed(41);
+        let off = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
+        let on = Analyzer::new(opts.clone().with_trace(true)).analyze(&cs, &domain, &profile);
+        assert_same_report(&off, &on, &format!("{}: tracing", subj.name));
+        assert!(off.trace.is_none(), "untraced run returned spans");
+        let spans = on.trace.as_ref().expect("traced run returns spans");
+        assert!(!spans.spans.is_empty(), "trace must hold spans");
 
-            let iter_opts = opts
-                .with_target_stderr(1e-3)
-                .with_round_budget(800)
-                .with_max_rounds(3);
-            let i_off = Analyzer::new(iter_opts.clone()).analyze_iterative(&cs, &domain, &profile);
-            let i_on =
-                Analyzer::new(iter_opts.with_trace(true)).analyze_iterative(&cs, &domain, &profile);
-            assert_eq!(
-                i_off.estimate, i_on.estimate,
-                "{} parallel={parallel}: tracing changed the iterative estimate",
-                subj.name
-            );
-            assert_eq!(i_off.per_pc, i_on.per_pc, "{}", subj.name);
-            assert_eq!(
-                i_off.stats, i_on.stats,
-                "{} parallel={parallel}: tracing changed the round trajectory",
-                subj.name
-            );
-            assert!(i_on.trace.is_some(), "iterative traced run returns spans");
-        }
+        let iter_opts = opts
+            .with_target_stderr(1e-3)
+            .with_round_budget(800)
+            .with_max_rounds(3);
+        let i_off = Analyzer::new(iter_opts.clone()).analyze_iterative(&cs, &domain, &profile);
+        let i_on =
+            Analyzer::new(iter_opts.with_trace(true)).analyze_iterative(&cs, &domain, &profile);
+        assert_same_report(&i_off, &i_on, &format!("{}: iterative tracing", subj.name));
+        assert!(i_on.trace.is_some(), "iterative traced run returns spans");
     }
 }
 
-/// Schedule independence of the *counters*, not just the estimates: on
-/// the subjects whose path conditions share factors (ATRIAL, EGFR EPI),
-/// a factor key is paved and sampled once per run however the PCs race
-/// for it, so parallel `Stats` equal serial `Stats` on every repetition.
+/// The shape a server has: two analyzers share one paving cache and
+/// one factor store and run the same system on two threads at once,
+/// twenty times over a fresh cache and store, on the subjects whose
+/// path conditions share factors (ATRIAL, EGFR EPI). Every estimate and
+/// per-PC breakdown equals a lone run's bit for bit: a paving is a
+/// function of its factor's conjunction and box, and a store hit
+/// returns the estimate its key's seeded streams give.
 ///
-/// The check needs real fan-out, so the test re-runs itself in a child
-/// process with `RAYON_NUM_THREADS=4` (writing the variable in this
-/// process would race sibling tests reading it).
+/// The hit counters are not compared with the lone run's. Which
+/// analyzer reaches a shared factor first decides which one paves,
+/// samples and deposits it (misses) and which one finds it in the cache
+/// or the store (hits), and when both get there at once both compute
+/// it. So only the totals are checked: every lookup is a hit or a miss,
+/// and every distinct factor misses the fresh store at least once.
 #[test]
-fn shared_factors_are_computed_once_under_parallel() {
-    const NAME: &str = "shared_factors_are_computed_once_under_parallel";
-    if std::env::var("RAYON_NUM_THREADS").as_deref() != Ok("4") {
-        let out = std::process::Command::new(std::env::current_exe().unwrap())
-            .args([NAME, "--exact", "--test-threads=1"])
-            .env("RAYON_NUM_THREADS", "4")
-            .output()
-            .expect("re-run the test binary");
-        assert!(
-            out.status.success(),
-            "{}{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        return;
-    }
+fn shared_caches_never_change_concurrent_answers() {
     let subjects = table3_subjects();
     for name in ["ATRIAL", "EGFR EPI"] {
         let subj = subjects.iter().find(|s| s.name == name).unwrap();
@@ -465,16 +407,38 @@ fn shared_factors_are_computed_once_under_parallel() {
             }
             let profile = UsageProfile::uniform(domain.len());
             let opts = Options::strat_partcache().with_samples(1_000).with_seed(41);
-            let serial = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
-            shared_hits += serial.stats.cache_hits;
+            let lone = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
+            shared_hits += lone.stats.cache_hits;
+            let factors = lone.stats.cache_misses;
             for rep in 0..20 {
-                let par =
-                    Analyzer::new(opts.clone().with_parallel(true)).analyze(&cs, &domain, &profile);
-                assert_eq!(par.estimate, serial.estimate, "{name}[{idx}] rep {rep}");
-                assert_eq!(par.per_pc, serial.per_pc, "{name}[{idx}] rep {rep}");
-                assert_eq!(
-                    par.stats, serial.stats,
-                    "{name}[{idx}] rep {rep}: counters depend on the schedule"
+                let cache = Arc::new(PavingCache::new());
+                let store = Arc::new(FactorStore::new(4096));
+                let reports = on_two_threads(|| {
+                    Analyzer::new(opts.clone())
+                        .with_paving_cache(Arc::clone(&cache))
+                        .with_factor_store(Arc::clone(&store))
+                        .analyze(&cs, &domain, &profile)
+                });
+                for (t, r) in reports.iter().enumerate() {
+                    let what = format!("{name}[{idx}] rep {rep} thread {t}");
+                    assert_eq!(r.estimate, lone.estimate, "{what}");
+                    assert_eq!(r.per_pc, lone.per_pc, "{what}");
+                    let s = &r.stats;
+                    assert_eq!(
+                        s.factor_store_hits + s.factor_store_misses,
+                        factors,
+                        "{what}"
+                    );
+                    assert_eq!(
+                        s.paving_cache_hits + s.paving_cache_misses,
+                        s.pavings,
+                        "{what}"
+                    );
+                }
+                let misses: u64 = reports.iter().map(|r| r.stats.factor_store_misses).sum();
+                assert!(
+                    misses >= factors,
+                    "{name}[{idx}] rep {rep}: {misses} misses"
                 );
             }
         }
@@ -483,10 +447,8 @@ fn shared_factors_are_computed_once_under_parallel() {
 }
 
 /// Two factors over different boxes share one conjunction, so one
-/// compile: under `parallel = true` both slots reach the tape at once,
-/// and the run's single-flight tape slot charges exactly one miss and
-/// one hit whichever thread gets there first (the CI matrix reruns this
-/// at RAYON_NUM_THREADS=1 and 4).
+/// compile: the run's tape slot charges the first factor a miss and the
+/// second a hit.
 #[test]
 fn factors_sharing_a_conjunction_compile_it_once() {
     let sys = parse_system(
@@ -494,9 +456,7 @@ fn factors_sharing_a_conjunction_compile_it_once() {
     )
     .unwrap();
     let profile = UsageProfile::uniform(2);
-    let opts = Options::strat_partcache()
-        .with_samples(2_000)
-        .with_parallel(true);
+    let opts = Options::strat_partcache().with_samples(2_000);
     let r = Analyzer::new(opts).analyze(&sys.constraint_set, &sys.domain, &profile);
     assert_eq!(r.stats.cache_misses, 2, "two slots: {:?}", r.stats);
     assert_eq!(
@@ -546,60 +506,47 @@ fn concurrent_analyses_report_exact_tape_counters() {
 /// Crash-recovery bit-identity: a process that dies after depositing
 /// factor estimates — write-ahead log appended, but no snapshot ever
 /// completed (only a torn `.tmp` from a save that never reached its
-/// rename) — must recover warm answers bit-for-bit from the WAL alone,
-/// serial and parallel alike (the CI matrix additionally runs this at
-/// RAYON_NUM_THREADS=1 and 4).
+/// rename) — must recover warm answers bit-for-bit from the WAL alone.
 #[test]
 fn recovery_is_bit_identical() {
     let subjects = table3_subjects();
     let subj = subjects.iter().find(|s| s.name == "VOL").unwrap();
     let (domain, cs) = subj.system_for(0, &SymConfig::default());
     let profile = UsageProfile::uniform(domain.len());
-    for parallel in [false, true] {
-        let path = std::env::temp_dir().join(format!(
-            "qcoral-recovery-{}-{parallel}.json",
-            std::process::id()
-        ));
-        let wal = qcoral_service::store::wal_path(&path);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&wal);
-        let opts = Options::strat_partcache()
-            .with_samples(2_000)
-            .with_seed(23)
-            .with_parallel(parallel);
+    let path = std::env::temp_dir().join(format!("qcoral-recovery-{}.json", std::process::id()));
+    let wal = qcoral_service::store::wal_path(&path);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&wal);
+    let opts = Options::strat_partcache().with_samples(2_000).with_seed(23);
 
-        let store = qcoral_service::PersistentStore::open(Some(path.clone()), 4096);
-        let cold = Analyzer::new(opts.clone())
-            .with_factor_store(Arc::clone(store.factor_store()))
-            .analyze(&cs, &domain, &profile);
-        assert!(cold.stats.samples_drawn > 0, "cold run must sample");
-        // Crash simulation: the process dies before any save() — all
-        // that reached disk is the WAL, plus a torn tmp of a snapshot
-        // whose rename never happened.
-        std::fs::write(path.with_extension("tmp"), "{\"version\": 2, \"entr").unwrap();
-        drop(store);
-        assert!(!path.exists(), "no snapshot must exist pre-recovery");
-        assert!(wal.exists(), "the WAL is the only durable artifact");
+    let store = qcoral_service::PersistentStore::open(Some(path.clone()), 4096);
+    let cold = Analyzer::new(opts.clone())
+        .with_factor_store(Arc::clone(store.factor_store()))
+        .analyze(&cs, &domain, &profile);
+    assert!(cold.stats.samples_drawn > 0, "cold run must sample");
+    // Crash simulation: the process dies before any save() — all that
+    // reached disk is the WAL, plus a torn tmp of a snapshot whose
+    // rename never happened.
+    std::fs::write(path.with_extension("tmp"), "{\"version\": 2, \"entr").unwrap();
+    drop(store);
+    assert!(!path.exists(), "no snapshot must exist pre-recovery");
+    assert!(wal.exists(), "the WAL is the only durable artifact");
 
-        let store2 = qcoral_service::PersistentStore::open(Some(path.clone()), 4096);
-        let report = store2.recovery_report().clone();
-        assert!(report.recovered(), "parallel={parallel}: WAL recovery");
-        assert!(report.wal_replayed_entries > 0);
-        assert_eq!(report.wal_corrupt_entries, 0, "clean WAL, zero loss");
-        let warm = Analyzer::new(opts)
-            .with_factor_store(Arc::clone(store2.factor_store()))
-            .analyze(&cs, &domain, &profile);
-        assert_eq!(
-            warm.estimate, cold.estimate,
-            "parallel={parallel}: recovered estimate diverged"
-        );
-        assert_eq!(warm.per_pc, cold.per_pc);
-        assert_eq!(warm.stats.samples_drawn, 0, "recovery must be fully warm");
-        assert_eq!(warm.stats.pavings, 0);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&wal);
-        let _ = std::fs::remove_file(path.with_extension("tmp"));
-    }
+    let store2 = qcoral_service::PersistentStore::open(Some(path.clone()), 4096);
+    let report = store2.recovery_report().clone();
+    assert!(report.recovered(), "WAL recovery");
+    assert!(report.wal_replayed_entries > 0);
+    assert_eq!(report.wal_corrupt_entries, 0, "clean WAL, zero loss");
+    let warm = Analyzer::new(opts)
+        .with_factor_store(Arc::clone(store2.factor_store()))
+        .analyze(&cs, &domain, &profile);
+    assert_eq!(warm.estimate, cold.estimate, "recovered estimate diverged");
+    assert_eq!(warm.per_pc, cold.per_pc);
+    assert_eq!(warm.stats.samples_drawn, 0, "recovery must be fully warm");
+    assert_eq!(warm.stats.pavings, 0);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(path.with_extension("tmp"));
 }
 
 /// Same recovery contract when the crash additionally tears the WAL's
@@ -648,12 +595,10 @@ fn recovery_with_torn_wal_tail_is_bit_identical() {
 /// contract, over every closed-form rare-event subject: for a fixed
 /// seed,
 ///
-/// 1. repeated runs are bit-identical (the counter-derived proposal
-///    RNG and the fixed chunk-fold reduction order leave nothing to the
-///    schedule),
-/// 2. serial and parallel runs agree bit-for-bit — the CI matrix
-///    reruns this at `RAYON_NUM_THREADS=1` and `=4` — and
-/// 3. a warm restart through a snapshot-absorbed `FactorStore`
+/// 1. a repeat on a fresh analyzer is bit-identical, escalation
+///    decisions included (the counter-derived proposal RNG and the
+///    fixed chunk-fold reduction order leave nothing to chance), and
+/// 2. a warm restart through a snapshot-absorbed `FactorStore`
 ///    recomposes the bit-identical estimate with zero pavings and zero
 ///    samples (IS fingerprint bits key the store exactly).
 ///
@@ -674,11 +619,8 @@ fn importance_sampling_is_deterministic_and_restart_stable() {
         let a = Analyzer::new(opts.clone())
             .with_paving_cache(Arc::clone(&cache))
             .analyze(&cs, &domain, &profile);
-        let b = Analyzer::new(opts.clone())
-            .with_paving_cache(Arc::clone(&cache))
-            .analyze(&cs, &domain, &profile);
-        assert_eq!(a.estimate, b.estimate, "{}: repeat runs", subj.name);
-        assert_eq!(a.per_pc, b.per_pc, "{}: per-PC repeat", subj.name);
+        let b = Analyzer::new(opts.clone()).analyze(&cs, &domain, &profile);
+        assert_same_report(&a, &b, &format!("{}: repeat", subj.name));
         // Every subject must at least reach the escalation decision;
         // the reachable ones must come out the IS side of it. (The
         // degenerate-fallback side is pinned in tests/statistics.rs.)
@@ -690,17 +632,6 @@ fn importance_sampling_is_deterministic_and_restart_stable() {
         if subj.is_reachable {
             assert!(a.stats.is_factors > 0, "{}: IS must engage", subj.name);
         }
-
-        let c = Analyzer::new(opts.clone().with_parallel(true))
-            .with_paving_cache(Arc::clone(&cache))
-            .analyze(&cs, &domain, &profile);
-        assert_eq!(a.estimate, c.estimate, "{}: parallel vs serial", subj.name);
-        assert_eq!(a.per_pc, c.per_pc, "{}: per-PC parallel", subj.name);
-        assert_eq!(
-            a.stats.is_factors, c.stats.is_factors,
-            "{}: escalation decisions must not depend on the schedule",
-            subj.name
-        );
 
         // Warm restart through a snapshot-style store round trip.
         let store = Arc::new(FactorStore::new(4096));
@@ -731,8 +662,10 @@ fn importance_sampling_is_deterministic_and_restart_stable() {
 
 /// The iterative engine's escalation pass under the same contract: a
 /// round trajectory that hands rare factors to the IS engine must stay
-/// bit-identical across repeats and schedules — every escalation
-/// decision is a pure function of deterministic round estimates.
+/// bit-identical across a repeat and across two analyses that share a
+/// paving cache on two threads at once, whichever of them paves first —
+/// every escalation decision is a pure function of deterministic round
+/// estimates.
 #[test]
 fn iterative_importance_sampling_matches_across_schedules() {
     for subj in rare_subjects() {
@@ -740,7 +673,6 @@ fn iterative_importance_sampling_matches_across_schedules() {
             continue;
         }
         let (cs, domain, profile) = subj.system();
-        let cache = Arc::new(PavingCache::new());
         let mut opts = Options::strat_partcache()
             .with_samples(8_192)
             .with_seed(37)
@@ -750,29 +682,27 @@ fn iterative_importance_sampling_matches_across_schedules() {
             .with_max_rounds(3);
         opts.paver.max_boxes = 128;
 
-        let a = Analyzer::new(opts.clone())
-            .with_paving_cache(Arc::clone(&cache))
-            .analyze_iterative(&cs, &domain, &profile);
-        let b = Analyzer::new(opts.clone())
-            .with_paving_cache(Arc::clone(&cache))
-            .analyze_iterative(&cs, &domain, &profile);
-        assert_eq!(a.estimate, b.estimate, "{}: repeat runs", subj.name);
+        let run = |analyzer: Analyzer| analyzer.analyze_iterative(&cs, &domain, &profile);
+        let a = run(Analyzer::new(opts.clone()));
+        let repeat = run(Analyzer::new(opts.clone()));
+        assert_same_report(&a, &repeat, &format!("{}: repeat", subj.name));
         assert!(a.stats.is_factors > 0, "{}: IS must engage", subj.name);
 
-        let c = Analyzer::new(opts.with_parallel(true))
-            .with_paving_cache(Arc::clone(&cache))
-            .analyze_iterative(&cs, &domain, &profile);
-        assert_eq!(a.estimate, c.estimate, "{}: parallel vs serial", subj.name);
-        assert_eq!(a.per_pc, c.per_pc, "{}: per-PC parallel", subj.name);
-        assert_eq!(
-            a.stats.rounds, c.stats.rounds,
-            "{}: round trajectory differs",
-            subj.name
-        );
-        assert_eq!(
-            a.stats.samples_drawn, c.stats.samples_drawn,
-            "{}",
-            subj.name
-        );
+        let cache = Arc::new(PavingCache::new());
+        let reports = on_two_threads(|| {
+            run(Analyzer::new(opts.clone()).with_paving_cache(Arc::clone(&cache)))
+        });
+        for (t, c) in reports.iter().enumerate() {
+            // Only the paving-cache split depends on which thread paved.
+            let lone = Stats {
+                paving_cache_hits: c.stats.paving_cache_hits,
+                paving_cache_misses: c.stats.paving_cache_misses,
+                ..a.stats.clone()
+            };
+            let what = format!("{} thread {t}", subj.name);
+            assert_eq!(c.estimate, a.estimate, "{what}: estimate");
+            assert_eq!(c.per_pc, a.per_pc, "{what}: per-PC breakdown");
+            assert_eq!(c.stats, lone, "{what}: counters");
+        }
     }
 }

@@ -18,10 +18,11 @@
 //! * the rare-event subjects, one-shot and iterative under
 //!   `ImportanceAdaptive`, at 4 096 samples on 128-box pavings.
 //!
-//! Every run attaches a fresh `FactorStore`; runs with `Options::cache`
+//! Every row attaches a fresh `FactorStore`; rows with `Options::cache`
 //! on are repeated warm through it (`phase` `cold`, then `warm`). The
-//! whole matrix runs serially and again with `parallel = true`; both
-//! must reproduce the golden file line for line.
+//! matrix runs one row at a time, and again with its rows split between
+//! two threads that run at once, each row on its own analyzer and store;
+//! both must reproduce the golden file line for line.
 
 use std::sync::Arc;
 
@@ -174,82 +175,108 @@ fn line(name: &str, config: &str, schedule: Schedule, phase: &str, r: &Report) -
     )
 }
 
-/// Runs one row cold (and, with the cache on, warm) and appends its lines.
-fn run_row(
-    out: &mut Vec<String>,
-    s: &Subject,
-    config: &str,
-    mut opts: Options,
+/// One matrix row: a subject (an index into the subject list) under one
+/// configuration and schedule.
+struct Row {
+    subject: usize,
+    config: String,
+    opts: Options,
     schedule: Schedule,
-    parallel: bool,
-) {
-    opts.parallel = parallel;
-    let store = Arc::new(FactorStore::new(1 << 16));
-    let analyzer = || Analyzer::new(opts.clone()).with_factor_store(Arc::clone(&store));
-    let cold = schedule.run(&analyzer(), s);
-    out.push(line(&s.name, config, schedule, "cold", &cold));
-    if opts.cache {
-        let warm = schedule.run(&analyzer(), s);
-        out.push(line(&s.name, config, schedule, "warm", &warm));
-    }
 }
 
-fn engine_lines(parallel: bool) -> Vec<String> {
-    let mut out = Vec::new();
+/// The matrix's subjects and its rows, in golden-file order.
+fn matrix() -> (Vec<Subject>, Vec<Row>) {
+    let mut subjects = profiled_subjects();
+    let mut rows = Vec::new();
     let configs = configs();
-    for s in profiled_subjects() {
+    for subject in 0..subjects.len() {
         for (config, opts, schedule) in &configs {
-            run_row(&mut out, &s, config, opts.clone(), *schedule, parallel);
+            rows.push(Row {
+                subject,
+                config: config.clone(),
+                opts: opts.clone(),
+                schedule: *schedule,
+            });
         }
     }
     for r in rare_subjects() {
         let (cs, domain, profile) = r.system();
-        let s = Subject {
+        subjects.push(Subject {
             name: r.name.to_string(),
             cs,
             domain,
             profile,
-        };
+        });
         let mut opts = Options::strat_partcache()
             .with_samples(4_096)
             .with_allocation(Allocation::ImportanceAdaptive);
         opts.paver.max_boxes = 128;
-        run_row(
-            &mut out,
-            &s,
-            "rare",
-            opts.clone(),
-            Schedule::OneShot,
-            parallel,
-        );
-        run_row(
-            &mut out,
-            &s,
-            "rare",
-            iterative(opts),
-            Schedule::Iterative,
-            parallel,
-        );
+        for (opts, schedule) in [
+            (opts.clone(), Schedule::OneShot),
+            (iterative(opts), Schedule::Iterative),
+        ] {
+            rows.push(Row {
+                subject: subjects.len() - 1,
+                config: "rare".to_string(),
+                opts,
+                schedule,
+            });
+        }
+    }
+    (subjects, rows)
+}
+
+/// Runs one row cold (and, with the cache on, warm) on its own analyzer
+/// and store, and returns its lines.
+fn row_lines(subjects: &[Subject], row: &Row) -> Vec<String> {
+    let s = &subjects[row.subject];
+    let store = Arc::new(FactorStore::new(1 << 16));
+    let analyzer = || Analyzer::new(row.opts.clone()).with_factor_store(Arc::clone(&store));
+    let cold = row.schedule.run(&analyzer(), s);
+    let mut out = vec![line(&s.name, &row.config, row.schedule, "cold", &cold)];
+    if row.opts.cache {
+        let warm = row.schedule.run(&analyzer(), s);
+        out.push(line(&s.name, &row.config, row.schedule, "warm", &warm));
     }
     out
 }
 
-fn check(parallel: bool) {
+fn check(actual: Vec<String>, what: &str) {
     let golden = include_str!("golden/engine.txt");
     let expected: Vec<&str> = golden.lines().collect();
-    let actual = engine_lines(parallel);
     for (i, (a, e)) in actual.iter().zip(&expected).enumerate() {
-        assert_eq!(a, e, "parallel={parallel}: golden line {}", i + 1);
+        assert_eq!(a, e, "{what}: golden line {}", i + 1);
     }
-    assert_eq!(actual.len(), expected.len(), "golden line count");
+    assert_eq!(actual.len(), expected.len(), "{what}: golden line count");
 }
 
 #[test]
 fn serial_reports_match_golden() {
-    check(false);
+    let (subjects, rows) = matrix();
+    let lines = rows.iter().flat_map(|row| row_lines(&subjects, row));
+    check(lines.collect(), "one row at a time");
 }
 
+/// Two threads take alternate rows, so neighbouring rows (the same
+/// subject under neighbouring configurations) run at the same time.
 #[test]
-fn parallel_reports_match_golden() {
-    check(true);
+fn concurrent_reports_match_golden() {
+    let (subjects, rows) = matrix();
+    let mut per_row = vec![Vec::new(); rows.len()];
+    std::thread::scope(|scope| {
+        let (subjects, rows) = (&subjects, &rows);
+        let workers = [0, 1].map(|t| {
+            scope.spawn(move || {
+                let mine = (t..rows.len()).step_by(2);
+                mine.map(|i| (i, row_lines(subjects, &rows[i])))
+                    .collect::<Vec<_>>()
+            })
+        });
+        for worker in workers {
+            for (i, lines) in worker.join().unwrap() {
+                per_row[i] = lines;
+            }
+        }
+    });
+    check(per_row.concat(), "two threads");
 }
